@@ -58,6 +58,7 @@ class RunReport:
     stall_index: "int | None"
     y0: float
     per_iteration_y0: "list[float]"
+    sup_increments: "list[float]"
     forward_value: float
     consistency_residual: float
     residual_tolerance: float
@@ -74,6 +75,7 @@ class RunReport:
             "stall_index": self.stall_index,
             "budget_used": self.budget_used,
             "per_iteration_Y0": self.per_iteration_y0,
+            "sup_increments": self.sup_increments,
             "config": self.config,
             "config_hash": self.config_hash,
             "mode": self.mode,
@@ -196,10 +198,11 @@ def _cmd_solve(args, combined: bool) -> int:
     else:
         strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=tol)
         forward = evaluate_strategy_exact(tree, loaded.impulse, strategy)
+    distribution = impulse_count_distribution(tree, loaded.impulse, strategy)
     timings["extract_evaluate"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     residual = abs(result.y0 - forward.value)
-    distribution = impulse_count_distribution(tree, loaded.impulse, strategy)
     report = RunReport(
         config=loaded.raw,
         config_hash=loaded.config_hash,
@@ -213,6 +216,7 @@ def _cmd_solve(args, combined: bool) -> int:
         stall_index=result.stall_index,
         y0=result.y0,
         per_iteration_y0=result.per_iteration_y0,
+        sup_increments=result.sup_increments,
         forward_value=forward.value,
         consistency_residual=residual,
         residual_tolerance=RESIDUAL_TOLERANCE,
@@ -245,6 +249,7 @@ def _cmd_solve(args, combined: bool) -> int:
             ["level", "index", "state_cum", "state_count", "u_star"],
             ((lv, ix, float(cum), ct, float(u)) for lv, ix, cum, ct, u in controls.rows()),
         )
+    timings["write"] = time.perf_counter() - t0
     _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
 
     print(f"Y0 = {result.y0!r}  forward = {forward.value!r}  residual = {residual:.3e}  status = {report.status}")

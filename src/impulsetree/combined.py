@@ -12,17 +12,17 @@ from .impulse import (
     ImpulseModel,
     Strategy,
     StrategyGapError,
-    ValueField,
     ValueIterationResult,
     SolverError,
     _extract_walk,
+    _reflect_until_stall,
+    _sweep,
     enumerate_states,
     impulse_budget,
-    obstacle,
     state_key,
 )
 from .model import DEFAULT_TOL, ControlGrid
-from .tree import ScenarioTree, cond_expect, z_repr
+from .tree import ScenarioTree
 
 
 @dataclass(frozen=True)
@@ -99,88 +99,32 @@ def combined_value_iteration(
     fixed_controls=None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> ValueIterationResult:
-    """Same loop as the impulse value iteration with the backward step
-    replaced by the maximized driver: Z from the next level, then
+    """The impulse value iteration with the driver h replaced by the
+    maximized Hamiltonian: Z from the next level, then
     Y_k = max(E[Y_{k+1}] + H*(t_k, shifted path, Z_k)*dt, obstacle).
 
     ``fixed_controls`` (per-level (2^k, n_states) arrays of control-grid
-    indices, levels 0..depth-1) evaluates the recursion under a frozen
-    control table instead of the pointwise maximum; the value fields then
-    record that table.
+    indices over the run's states, levels 0..depth-1) evaluates the
+    recursion under a frozen control table instead of the pointwise
+    maximum; the value fields then record that table.
     """
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
     states = enumerate_states(model.impulses, budget, max_states)
     thetas, rewards = driver_tables(tree, spec, states)
-    depth = tree.depth
 
-    def backward(prev_field):
-        n = 0 if prev_field is None else prev_field.n + 1
-        if prev_field is None:
-            obs = arg = None
-        else:
-            obs, arg = obstacle(prev_field, model)
+    def driver(k, z):
+        n_cols = z.shape[1]
+        candidates = z[None, :, :] * thetas[k][:, :, :n_cols] + rewards[k][:, :, :n_cols]
+        if fixed_controls is not None:
+            u_idx = np.asarray(fixed_controls[k], dtype=np.int64)[:, :n_cols]
+            return np.take_along_axis(candidates, u_idx[None, :, :], axis=0)[0], u_idx
+        return candidates.max(axis=0), candidates.argmax(axis=0)
 
-        values = [None] * (depth + 1)
-        zs = [None] * (depth + 1)
-        k_incs = [None] * (depth + 1)
-        ustars = [None] * (depth + 1)
-        values[depth] = np.zeros((tree.level_size(depth), len(states)))
-        zs[depth] = np.zeros_like(values[depth])
-        k_incs[depth] = np.zeros_like(values[depth])
-        ustars[depth] = np.zeros((tree.level_size(depth), len(states)), dtype=np.int64)
-        for k in range(depth - 1, -1, -1):
-            z_k = z_repr(values[k + 1], tree.dt)
-            candidates = z_k[None, :, :] * thetas[k] + rewards[k]
-            if fixed_controls is not None:
-                u_idx = np.asarray(fixed_controls[k], dtype=np.int64)
-                driver = np.take_along_axis(candidates, u_idx[None, :, :], axis=0)[0]
-            else:
-                driver = candidates.max(axis=0)
-                u_idx = candidates.argmax(axis=0)
-            cont = cond_expect(values[k + 1]) + driver * tree.dt
-            if obs is None:
-                values[k] = cont
-                k_incs[k] = np.zeros_like(cont)
-            else:
-                values[k] = np.maximum(cont, obs[k])
-                k_incs[k] = values[k] - cont
-            zs[k] = z_k
-            ustars[k] = u_idx
-        return ValueField(
-            n=n,
-            states=tuple(states),
-            values=tuple(values),
-            z=tuple(zs),
-            k_inc=tuple(k_incs),
-            obstacle=obs,
-            obstacle_argmax=arg,
-            controls=tuple(ustars),
-        )
+    def sweep(prev, domain):
+        return _sweep(tree, model, domain, driver, prev)
 
-    fields = [backward(None)]
-    stalled = budget == 0
-    stall_index = 0 if stalled else None
-    sups = []
-    for n in range(1, budget + 1):
-        nxt = backward(fields[-1])
-        sup = 0.0
-        for va, vb in zip(fields[-1].values, nxt.values):
-            sup = max(sup, float(np.max(np.abs(vb - va))))
-        fields.append(nxt)
-        sups.append(sup)
-        if sup <= tol:
-            stalled = True
-            stall_index = n
-            break
-    return ValueIterationResult(
-        fields=fields,
-        stalled=stalled,
-        stall_index=stall_index,
-        sup_increments=sups,
-        budget=budget,
-        states=tuple(states),
-    )
+    return _reflect_until_stall(states, budget, tol, sweep)
 
 
 @dataclass

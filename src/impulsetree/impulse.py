@@ -23,18 +23,26 @@ class StrategyGapError(LookupError):
     """A forward walk hit a (node, state) pair with no recorded decision."""
 
 
+def shift_key(cumulative: float) -> float:
+    """Cumulative shift rounded to the dedup precision (12 decimals, with
+    -0.0 folded into 0.0)."""
+    return round(float(cumulative), STATE_DECIMALS) + 0.0
+
+
 def state_key(cumulative: float, count: int) -> "tuple[float, int]":
-    """Dedup key for impulse states: cumulative rounded to 12 decimals plus
-    the impulse count (keeps distinct budgets distinct for symmetric sets)."""
-    return (round(float(cumulative), STATE_DECIMALS) + 0.0, int(count))
+    """Strategy key of a walker's impulse state: the rounded cumulative
+    shift plus the number of impulses applied so far."""
+    return (shift_key(cumulative), int(count))
 
 
 @dataclass(frozen=True)
 class ImpulseState:
-    """Cumulative applied impulse and how many impulses produced it.
+    """A cumulative applied impulse and the fewest impulses that reach it.
 
     ``cumulative`` is stored already rounded to the dedup precision so the
     backward fields and every forward walk agree bit-for-bit on the shift.
+    Value fields are keyed by the shift alone; ``count`` decides which
+    fields cover the state (field Y^n holds the shifts with count <= budget - n).
     """
 
     cumulative: float
@@ -64,26 +72,28 @@ def impulse_budget(reward_bound: float, cost_floor: float, horizon: float) -> in
 
 
 def enumerate_states(impulses, budget: int, max_states: int = DEFAULT_MAX_STATES):
-    """All impulse states reachable with at most ``budget`` impulses.
+    """All cumulative shifts reachable with at most ``budget`` impulses,
+    each with the fewest impulses that reach it.
 
     Deterministic order: count-major, then generation order (previous states
-    in order, impulses in declared order).  Deduplicated by state_key.
+    in order, impulses in declared order).  Deduplicated by shift_key, so
+    the states reachable with at most m impulses form a prefix.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    root = ImpulseState(*state_key(0.0, 0))
+    root = ImpulseState(shift_key(0.0), 0)
     states = [root]
-    seen = {root.key}
+    seen = {root.cumulative}
     frontier = [root]
-    for _ in range(budget):
+    for count in range(1, budget + 1):
         next_frontier = []
         for prev in frontier:
             for beta in impulses:
-                key = state_key(prev.cumulative + beta, prev.count + 1)
-                if key in seen:
+                cum = shift_key(prev.cumulative + beta)
+                if cum in seen:
                     continue
-                seen.add(key)
-                st = ImpulseState(key[0], key[1])
+                seen.add(cum)
+                st = ImpulseState(cum, count)
                 states.append(st)
                 next_frontier.append(st)
                 if len(states) > max_states:
@@ -92,17 +102,21 @@ def enumerate_states(impulses, budget: int, max_states: int = DEFAULT_MAX_STATES
     return states
 
 
-def successor_table(states, impulses) -> np.ndarray:
-    """(n_states, n_impulses) index table: entry [s, b] is the state reached
-    from states[s] by impulses[b], or -1 when the budget is exhausted."""
-    index = {st.key: j for j, st in enumerate(states)}
-    budget = max(st.count for st in states)
-    table = np.full((len(states), len(impulses)), -1, dtype=np.int64)
+def field_states(states, remaining: int) -> "tuple[ImpulseState, ...]":
+    """The states a field with ``remaining`` impulses left covers: those
+    reachable with at most that many impulses (a prefix of ``states``)."""
+    return tuple(st for st in states if st.count <= remaining)
+
+
+def successor_table(states, impulses, targets) -> np.ndarray:
+    """(len(states), n_impulses) index table: entry [s, b] is the index in
+    ``targets`` of the shift reached from states[s] by impulses[b].  A
+    successor missing from ``targets`` is a SolverError."""
+    index = {st.cumulative: j for j, st in enumerate(targets)}
+    table = np.empty((len(states), len(impulses)), dtype=np.int64)
     for j, st in enumerate(states):
-        if st.count >= budget:
-            continue
         for b, beta in enumerate(impulses):
-            key = state_key(st.cumulative + beta, st.count + 1)
+            key = shift_key(st.cumulative + beta)
             try:
                 table[j, b] = index[key]
             except KeyError:
@@ -112,13 +126,15 @@ def successor_table(states, impulses) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValueField:
-    """One iterate of the reflected recursion.
+    """One iterate Y^n of the reflected recursion.
 
-    ``values[k]`` has shape (2^k, n_states); ``z`` is the martingale
-    representation of the next level, ``k_inc`` the reflection increment,
-    and for n >= 1 ``obstacle``/``obstacle_argmax`` record the intervention
-    value max_beta(-cost(beta) + Y^{n-1}(., state+beta)) and its first
-    maximizer in declared impulse order (-1 where no impulse is admissible).
+    ``states`` are the shifts reachable with at most budget - n impulses, a
+    prefix of the run's count-major state list whose impulse successors all
+    lie in Y^{n-1}'s states.  ``values[k]`` has shape (2^k, len(states));
+    ``z`` is the martingale representation of the next level, ``k_inc``
+    the reflection increment, and for n >= 1 ``obstacle``/``obstacle_argmax``
+    record the intervention value max_beta(-cost(beta) + Y^{n-1}(.,
+    state+beta)) and its first maximizer in declared impulse order.
     """
 
     n: int
@@ -128,7 +144,7 @@ class ValueField:
     k_inc: "tuple[np.ndarray, ...]"
     obstacle: "tuple[np.ndarray, ...] | None" = None
     obstacle_argmax: "tuple[np.ndarray, ...] | None" = None
-    controls: "tuple[np.ndarray, ...] | None" = None  # combined mode only
+    controls: "tuple[np.ndarray, ...] | None" = None  # combined mode, levels 0..depth-1
 
     @property
     def depth(self) -> int:
@@ -150,87 +166,101 @@ def reward_tables(tree: ScenarioTree, model: ImpulseModel, states):
     return tables
 
 
-def solve_y0(tree: ScenarioTree, model: ImpulseModel, states, *, _tables=None) -> ValueField:
-    """Unreflected base field: expected remaining reward for a strategy
-    already holding each state's cumulative impulse, with no further
-    impulses allowed.  Terminal value 0; reflection increments identically 0."""
-    tables = _tables if _tables is not None else reward_tables(tree, model, states)
-    n_states = len(states)
-    depth = tree.depth
-
-    values = [None] * (depth + 1)
-    zs = [None] * (depth + 1)
-    values[depth] = np.zeros((tree.level_size(depth), n_states))
-    zs[depth] = np.zeros_like(values[depth])
-    for k in range(depth - 1, -1, -1):
-        values[k] = cond_expect(values[k + 1]) + tables[k] * tree.dt
-        zs[k] = z_repr(values[k + 1], tree.dt)
-    k_inc = tuple(np.zeros_like(v) for v in values)
-    return ValueField(
-        n=0,
-        states=tuple(states),
-        values=tuple(values),
-        z=tuple(zs),
-        k_inc=k_inc,
-    )
+def _reward_driver(tables):
+    """Pure impulse driver: the running reward on the field's states (a
+    prefix of the tables' columns), with no control."""
+    return lambda k, z: (tables[k][:, : z.shape[1]], None)
 
 
-def obstacle(prev: ValueField, model: ImpulseModel, states=None):
-    """Intervention value and argmax against the previous field.
+def _sweep(tree: ScenarioTree, model: ImpulseModel, states, driver, prev=None) -> ValueField:
+    """One backward sweep over ``states``, shared by both modes.
 
-    Returns (per-level obstacle arrays, per-level argmax arrays).  Where no
-    impulse is admissible (budget exhausted) the obstacle is -inf and the
-    argmax -1, so it never binds.  Ties pick the first impulse in declared
-    order.
+    Z_k comes from the next level, then Y_k = E[Y_{k+1}] + driver*dt,
+    reflected against the obstacle from ``prev`` when one is given.
+    ``driver(k, z_k)`` returns the level-k driver on the field's states and
+    the control-grid indices it used (None in pure impulse mode).  Terminal
+    value 0: no impulses at the horizon.
     """
-    states = prev.states if states is None else tuple(states)
-    succ = successor_table(states, model.impulses)
-    psi = np.array([model.costs[beta] for beta in model.impulses])
-    safe = np.where(succ < 0, 0, succ)
-    inadmissible = succ < 0
-
-    obstacles = []
-    argmaxes = []
-    for level_values in prev.values:
-        cand = level_values[:, safe] - psi[None, None, :]
-        cand[:, inadmissible] = -np.inf
-        obs = cand.max(axis=2)
-        arg = cand.argmax(axis=2)
-        arg[np.isneginf(obs)] = -1
-        obstacles.append(obs)
-        argmaxes.append(arg)
-    return tuple(obstacles), tuple(argmaxes)
-
-
-def iterate_value(prev: ValueField, tree: ScenarioTree, model: ImpulseModel, *, _tables=None) -> ValueField:
-    """One reflected step: Y_k = max(E[Y_{k+1}] + h*dt, obstacle from the
-    previous field).  Terminal value stays 0 (no impulses at the horizon;
-    the terminal obstacle is <= -cost floor and never binds)."""
-    tables = _tables if _tables is not None else reward_tables(tree, model, prev.states)
-    obs, arg = obstacle(prev, model)
+    obs, arg = (None, None) if prev is None else obstacle(prev, model, states)
     depth = tree.depth
 
     values = [None] * (depth + 1)
     zs = [None] * (depth + 1)
     k_incs = [None] * (depth + 1)
-    values[depth] = np.zeros_like(prev.values[depth])
+    controls = [None] * depth
+    values[depth] = np.zeros((tree.level_size(depth), len(states)))
     zs[depth] = np.zeros_like(values[depth])
     k_incs[depth] = np.zeros_like(values[depth])
     for k in range(depth - 1, -1, -1):
-        cont = cond_expect(values[k + 1]) + tables[k] * tree.dt
-        values[k] = np.maximum(cont, obs[k])
-        k_incs[k] = values[k] - cont
         zs[k] = z_repr(values[k + 1], tree.dt)
+        drv, controls[k] = driver(k, zs[k])
+        cont = cond_expect(values[k + 1]) + drv * tree.dt
+        if obs is None:
+            values[k] = cont
+            k_incs[k] = np.zeros_like(cont)
+        else:
+            values[k] = np.maximum(cont, obs[k])
+            k_incs[k] = values[k] - cont
 
     return ValueField(
-        n=prev.n + 1,
-        states=prev.states,
+        n=0 if prev is None else prev.n + 1,
+        states=tuple(states),
         values=tuple(values),
         z=tuple(zs),
         k_inc=tuple(k_incs),
         obstacle=obs,
         obstacle_argmax=arg,
+        controls=None if controls[0] is None else tuple(controls),
     )
+
+
+def solve_y0(tree: ScenarioTree, model: ImpulseModel, states, *, _tables=None) -> ValueField:
+    """Unreflected base field: expected remaining reward for a strategy
+    already holding each state's cumulative impulse, with no further
+    impulses allowed.  Terminal value 0; reflection increments identically 0."""
+    tables = _tables if _tables is not None else reward_tables(tree, model, states)
+    return _sweep(tree, model, states, _reward_driver(tables))
+
+
+def _next_states(prev: ValueField, states):
+    """The next field's states: ``states`` if given, else prev's states
+    below its largest count (right when that count is prev's remaining
+    budget, as for a field built from enumerate_states)."""
+    if states is not None:
+        return tuple(states)
+    return field_states(prev.states, max(st.count for st in prev.states) - 1)
+
+
+def obstacle(prev: ValueField, model: ImpulseModel, states=None):
+    """Intervention value and argmax against the previous field, on the next
+    field's ``states`` (see _next_states); their successors must lie in
+    prev's states.
+
+    Returns (per-level obstacle arrays, per-level argmax arrays).  Ties pick
+    the first impulse in declared order.
+    """
+    succ = successor_table(_next_states(prev, states), model.impulses, prev.states)
+    psi = np.array([model.costs[beta] for beta in model.impulses])
+
+    obstacles = []
+    argmaxes = []
+    for level_values in prev.values:
+        cand = level_values[:, succ] - psi[None, None, :]
+        obstacles.append(cand.max(axis=2))
+        argmaxes.append(cand.argmax(axis=2))
+    return tuple(obstacles), tuple(argmaxes)
+
+
+def iterate_value(
+    prev: ValueField, tree: ScenarioTree, model: ImpulseModel, states=None, *, _tables=None
+) -> ValueField:
+    """One reflected step: Y_k = max(E[Y_{k+1}] + h*dt, obstacle from the
+    previous field) on the next field's ``states`` (see _next_states).
+    Terminal value stays 0 (no impulses at the horizon; the terminal
+    obstacle is <= -cost floor and never binds)."""
+    states = _next_states(prev, states)
+    tables = _tables if _tables is not None else reward_tables(tree, model, states)
+    return _sweep(tree, model, states, _reward_driver(tables), prev)
 
 
 @dataclass
@@ -255,11 +285,35 @@ class ValueIterationResult:
         return [f.root_value() for f in self.fields]
 
 
-def _sup_increment(a: ValueField, b: ValueField) -> float:
-    sup = 0.0
-    for va, vb in zip(a.values, b.values):
-        sup = max(sup, float(np.max(np.abs(vb - va))))
-    return sup
+def _reflect_until_stall(states, budget: int, tol: float, sweep) -> ValueIterationResult:
+    """The value iteration both modes share: Y^0 = sweep(None, states of
+    Y^0), then Y^n = sweep(Y^{n-1}, states of Y^n) until the sup-norm of
+    Y^n - Y^{n-1} over Y^n's (node, state) pairs drops to ``tol`` or n
+    reaches the budget.  Y^n covers the states reachable with at most
+    budget - n impulses."""
+    fields = [sweep(None, field_states(states, budget))]
+    stalled = budget == 0  # no impulse is ever admissible, Y0 is the value
+    stall_index = 0 if stalled else None
+    sups = []
+    for n in range(1, budget + 1):
+        nxt = sweep(fields[-1], field_states(states, budget - n))
+        sup = max(
+            float(np.max(np.abs(b - a[:, : b.shape[1]]))) for a, b in zip(fields[-1].values, nxt.values)
+        )
+        fields.append(nxt)
+        sups.append(sup)
+        if sup <= tol:
+            stalled = True
+            stall_index = n
+            break
+    return ValueIterationResult(
+        fields=fields,
+        stalled=stalled,
+        stall_index=stall_index,
+        sup_increments=sups,
+        budget=budget,
+        states=tuple(states),
+    )
 
 
 def value_iteration(
@@ -282,27 +336,12 @@ def value_iteration(
     states = enumerate_states(model.impulses, budget, max_states)
     tables = reward_tables(tree, model, states)
 
-    fields = [solve_y0(tree, model, states, _tables=tables)]
-    stalled = budget == 0  # no impulse is ever admissible, Y0 is the value
-    stall_index = 0 if stalled else None
-    sups = []
-    for n in range(1, budget + 1):
-        nxt = iterate_value(fields[-1], tree, model, _tables=tables)
-        sup = _sup_increment(fields[-1], nxt)
-        fields.append(nxt)
-        sups.append(sup)
-        if sup <= tol:
-            stalled = True
-            stall_index = n
-            break
-    return ValueIterationResult(
-        fields=fields,
-        stalled=stalled,
-        stall_index=stall_index,
-        sup_increments=sups,
-        budget=budget,
-        states=tuple(states),
-    )
+    def sweep(prev, domain):
+        if prev is None:
+            return solve_y0(tree, model, domain, _tables=tables)
+        return iterate_value(prev, tree, model, domain, _tables=tables)
+
+    return _reflect_until_stall(states, budget, tol, sweep)
 
 
 @dataclass(frozen=True)
@@ -372,9 +411,10 @@ def _check_fields_consistent(fields, tol):
 def _extract_walk(fields, tree, model, tol, on_continue=None):
     """Forward walk shared by strategy and strategy+control extraction.
 
-    From (root, zero state, remaining = top iteration index): while the top
-    remaining field meets its obstacle within tol, apply the recorded argmax
-    impulse (chains at one date allowed), then mark continue and descend.
+    From (root, zero shift, no impulses, remaining = top iteration index):
+    while the top remaining field meets its obstacle within tol, apply the
+    recorded argmax impulse (chains at one date allowed), then mark continue
+    and descend.  The walker counts its own impulses for the strategy keys.
     """
     if not fields:
         raise ValueError("empty field sequence")
@@ -383,43 +423,41 @@ def _extract_walk(fields, tree, model, tol, on_continue=None):
             raise ValueError("fields must be the consecutive sequence Y0..Yn")
     _check_fields_consistent(fields, tol)
 
-    states = fields[-1].states
-    index_of = {st.key: j for j, st in enumerate(states)}
-    succ = successor_table(states, model.impulses)
+    states = fields[0].states
     top = len(fields) - 1
+    succ = successor_table(fields[1].states, model.impulses, states) if top else None
     depth = tree.depth
 
     decisions = {}
-    stack = [(0, 0, 0, top)]
+    stack = [(0, 0, 0, 0, top)]
     while stack:
-        level, index, s_idx, m = stack.pop()
+        level, index, s_idx, count, m = stack.pop()
         while level < depth and m > 0:
             fld = fields[m]
             y = fld.values[level][index, s_idx]
             o = fld.obstacle[level][index, s_idx]
             if y < o - tol:
                 raise SolverError("value below obstacle during extraction (solver bug)")
-            if not (np.isfinite(o) and abs(y - o) <= tol):
+            if not abs(y - o) <= tol:
                 break
             b_idx = int(fld.obstacle_argmax[level][index, s_idx])
-            if b_idx < 0:
-                break
             beta = model.impulses[b_idx]
-            key = (level, index, states[s_idx].key)
+            key = (level, index, state_key(states[s_idx].cumulative, count))
             if key in decisions:
                 raise SolverError(f"conflicting decision at {key}")
             decisions[key] = Decision("impulse", beta)
             s_idx = int(succ[s_idx, b_idx])
+            count += 1
             m -= 1
-        key = (level, index, states[s_idx].key)
+        key = (level, index, state_key(states[s_idx].cumulative, count))
         if key in decisions:
             raise SolverError(f"conflicting decision at {key}")
         decisions[key] = Decision("continue")
         if on_continue is not None and level < depth:
             on_continue(level, index, s_idx, m, key)
         if level < depth:
-            stack.append((level + 1, 2 * index + 1, s_idx, m))
-            stack.append((level + 1, 2 * index, s_idx, m))
+            stack.append((level + 1, 2 * index + 1, s_idx, count, m))
+            stack.append((level + 1, 2 * index, s_idx, count, m))
     return decisions, top
 
 

@@ -156,7 +156,7 @@ def validate_model(process, impulse, grid, tree, budget=None) -> AuditReport:
     """Audit a built tree against the declared model bounds.
 
     Evaluates the reward, the volatility and (in combined mode) the measure
-    tilt over every (node, reachable impulse-state, control) environment and
+    tilt over every (node, reachable impulse shift, control) environment and
     reports violations of the reward bound (A1), the cost floor (A2), sigma
     positivity and the tilt bound.  Violations are report entries, not
     exceptions; callers decide whether to abort.
@@ -181,11 +181,9 @@ def validate_model(process, impulse, grid, tree, budget=None) -> AuditReport:
     if impulse.cost_floor > 0 and impulse.reward_bound >= 0:
         if budget is None:
             budget = impulse_budget(impulse.reward_bound, impulse.cost_floor, tree.horizon)
-        states = enumerate_states(impulse.impulses, budget)
     else:
-        from .impulse import ImpulseState
-
-        states = [ImpulseState(0.0, 0)]
+        budget = 0
+    states = enumerate_states(impulse.impulses, budget)
 
     controls = grid.controls if grid is not None else (None,)
     gamma = impulse.reward_bound

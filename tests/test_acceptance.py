@@ -96,8 +96,9 @@ def test_criterion_01_monotone_value_iteration(impulse_batch):
     with criterion(1, "monotone value iteration on 25 randomized instances, < 30 s"):
         for _, _, result in instances:
             for prev, nxt in zip(result.fields, result.fields[1:]):
+                # Y^n covers a prefix of Y^{n-1}'s states
                 for a, b in zip(prev.values, nxt.values):
-                    assert np.all(b >= a - MONOTONE_TOL)
+                    assert np.all(b >= a[:, : b.shape[1]] - MONOTONE_TOL)
         assert elapsed < 30.0, f"solve phase took {elapsed:.1f} s"
 
 

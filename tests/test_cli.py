@@ -56,6 +56,37 @@ def test_solve_zero_reward(tmp_path):
     assert report["strategy_summary"]["impulse_decisions"] == 0
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [("solve", random_impulse_config(203, depth=3)), ("solve-combined", random_combined_config(203, depth=3))],
+)
+def test_solve_timings_cover_every_phase(tmp_path, command, config):
+    config = _write_config(tmp_path, config)
+    out = tmp_path / "run"
+    assert run([command, "--config", str(config), "--out", str(out)]) == 0
+    timings = _read_json(out / "timings.json")
+    # no "total": the phases are disjoint, so their sum is the covered time
+    assert set(timings) == {"build", "audit", "solve", "extract_evaluate", "write"}
+    assert all(v >= 0 for v in timings.values())
+
+
+@pytest.mark.parametrize("budget", [None, "1"])
+def test_solve_reports_sup_increments(tmp_path, budget):
+    config = _write_config(tmp_path, PINNED_CONFIG)
+    out = tmp_path / "run"
+    flags = [] if budget is None else ["--budget", budget]
+    assert run(["solve", "--config", str(config), "--out", str(out)] + flags) == 0
+    report = _read_json(out / "report.json")
+    sups = report["sup_increments"]
+    assert len(sups) == report["iterations"]
+    assert all(v >= 0 for v in sups)
+    if report["stalled"]:
+        assert sups[-1] <= report["tol"]
+    else:
+        assert sups[-1] > report["tol"]
+    assert report["stalled"] is (budget is None)
+
+
 def test_solve_audit_failure_exit_code(tmp_path, capsys):
     bad = {**PINNED_CONFIG, "impulse": {**PINNED_CONFIG["impulse"], "psi": {"1.0": 0.0}}}
     config = _write_config(tmp_path, bad)

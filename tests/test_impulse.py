@@ -39,13 +39,14 @@ def test_impulse_budget_examples():
 
 
 def _brute_force_states(impulses, budget):
-    """Test-local oracle: all (rounded sum, count) pairs over every tuple of
-    impulses up to the budget."""
-    found = {state_key(0.0, 0)}
-    for count in range(1, budget + 1):
+    """Test-local oracle: every rounded sum over every tuple of impulses up
+    to the budget, with the shortest tuple length that reaches it."""
+    found = {}
+    for count in range(budget + 1):
         for combo in itertools.product(impulses, repeat=count):
-            found.add(state_key(sum(combo), count))
-    return found
+            cum, _ = state_key(sum(combo), count)
+            found.setdefault(cum, count)
+    return {(cum, count) for cum, count in found.items()}
 
 
 def test_enumerate_states_single_impulse():
@@ -55,12 +56,12 @@ def test_enumerate_states_single_impulse():
 
 def test_enumerate_states_symmetric_pair_order():
     states = enumerate_states((1.0, -1.0), 2)
+    # the shift 0.0 is reached again by two impulses; it keeps count 0
     assert [(s.cumulative, s.count) for s in states] == [
         (0.0, 0),
         (1.0, 1),
         (-1.0, 1),
         (2.0, 2),
-        (0.0, 2),
         (-2.0, 2),
     ]
 
@@ -68,7 +69,9 @@ def test_enumerate_states_symmetric_pair_order():
 def test_enumerate_states_count_against_brute_force():
     impulses = (0.5, 1.0)
     states = enumerate_states(impulses, 3)
-    assert len(states) == 10
+    assert [(s.cumulative, s.count) for s in states] == [
+        (0.0, 0), (0.5, 1), (1.0, 1), (1.5, 2), (2.0, 2), (2.5, 3), (3.0, 3)
+    ]
     assert {s.key for s in states} == _brute_force_states(impulses, 3)
     # order is deterministic
     again = enumerate_states(impulses, 3)
@@ -82,13 +85,12 @@ def test_enumerate_states_limit():
 
 def test_successor_table():
     impulses = (1.0, -1.0)
-    states = enumerate_states(impulses, 2)
-    table = successor_table(states, impulses)
-    keys = [s.key for s in states]
-    assert keys[table[0, 0]] == state_key(1.0, 1)
-    assert keys[table[0, 1]] == state_key(-1.0, 1)
-    assert keys[table[1, 1]] == state_key(0.0, 2)
-    assert (table[3:] == -1).all()  # count == budget rows have no successors
+    states = enumerate_states(impulses, 2)  # shifts 0, 1, -1, 2, -2
+    # rows: the states one impulse short of the budget
+    table = successor_table(states[:3], impulses, states)
+    assert table.tolist() == [[1, 2], [3, 0], [0, 4]]
+    with pytest.raises(SolverError, match="missing successor"):
+        successor_table(states, impulses, states)  # 2 + 1 is out of budget
 
 
 def _model(h, impulses=(1.0,), psi=None, c=0.1, gamma=1.0):
@@ -139,20 +141,30 @@ def test_obstacle_never_binds_when_costs_exceed_total_reward(pinned_problem):
     y0 = solve_y0(tree, model, states)
     obs, arg = obstacle(y0, model)
     for k in range(tree.depth + 1):
-        finite = np.isfinite(obs[k])
-        assert np.all(obs[k][finite] <= model.reward_bound * (tree.horizon - tree.times[k]) - 1.5 + 1e-12)
-        assert np.all(obs[k][finite] <= y0.values[k][finite] + 1e-12)
+        assert np.all(np.isfinite(obs[k]))
+        assert np.all(obs[k] <= model.reward_bound * (tree.horizon - tree.times[k]) - 1.5 + 1e-12)
+        assert np.all(obs[k] <= y0.values[k][:, : obs[k].shape[1]] + 1e-12)
 
 
-def test_obstacle_budget_exhausted_sentinel(pinned_problem):
-    loaded, tree = pinned_problem
-    states = enumerate_states(loaded.impulse.impulses, 1)
-    y0 = solve_y0(tree, loaded.impulse, states)
-    obs, arg = obstacle(y0, loaded.impulse)
-    exhausted = [s.count for s in states].index(1)
-    for k in range(tree.depth + 1):
-        assert np.isneginf(obs[k][:, exhausted]).all()
-        assert (arg[k][:, exhausted] == -1).all()
+def test_field_states_shrink_with_the_remaining_budget(pinned_problem):
+    _, tree = pinned_problem
+    model = _model("clamp(x, 0, 1)", impulses=(1.0, -1.0))
+    budget = 3
+    result = value_iteration(tree, model, tol=-1.0, budget=budget)  # never stalls
+    states = enumerate_states(model.impulses, budget)
+    assert result.states == tuple(states)
+    assert len(result.fields) == budget + 1
+    for field in result.fields:
+        # exactly the states with count <= budget - n, in state-list order
+        expected = [st for st in states if st.count <= budget - field.n]
+        assert list(field.states) == expected
+        for arr in field.values:
+            assert arr.shape[1] == len(expected)
+        if field.n:
+            for y, obs, arg in zip(field.values, field.obstacle, field.obstacle_argmax):
+                assert obs.shape == arg.shape == y.shape
+                assert np.all(np.isfinite(obs))
+                assert np.all(arg >= 0)
 
 
 def test_obstacle_pinned_value(pinned_problem):
@@ -190,8 +202,9 @@ def test_iterate_unprofitable_costs_keep_y0(pinned_problem):
     states = enumerate_states(model.impulses, 3)
     y0 = solve_y0(tree, model, states)
     y1 = iterate_value(y0, tree, model)
+    assert y1.states == y0.states[: len(y1.states)]
     for a, b in zip(y0.values, y1.values):
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a[:, : b.shape[1]], b)
 
 
 def test_pinned_instance_value_iteration(pinned_problem):
@@ -204,6 +217,31 @@ def test_pinned_instance_value_iteration(pinned_problem):
     # pre-verified by the enumeration oracle
     oracle_value, _ = enumerate_optimal(tree, loaded.impulse, 2)
     assert abs(result.y0 - oracle_value) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "impulses, n_states, y0, stall_index",
+    [((0.0,), 1, 1.9245008972987526e-10, 1), ((0.0, 1.0), 11, 0.6999999998075497, 2)],
+)
+def test_zero_impulse_keeps_the_shift(impulses, n_states, y0, stall_index):
+    # A zero impulse maps a shift onto itself, so U = [0.0] has the single
+    # state {0} whatever the budget; every field must still cover it.
+    config = {
+        **PINNED_CONFIG,
+        "impulse": {**PINNED_CONFIG["impulse"], "U": list(impulses), "psi": {repr(b): 0.3 for b in impulses}},
+        "numerics": {**PINNED_CONFIG["numerics"], "depth": 3},
+    }
+    loaded, tree = build_problem(config)
+    result = value_iteration(tree, loaded.impulse, tol=1e-12)
+    assert result.budget == 10
+    assert len(result.states) == n_states
+    assert all(f.states[0] == result.states[0] for f in result.fields)
+    assert result.stalled and result.stall_index == stall_index
+    assert result.y0 == pytest.approx(y0, rel=1e-12)
+    oracle_value, oracle_strategy = enumerate_optimal(tree, loaded.impulse, stall_index)
+    assert abs(result.y0 - oracle_value) <= 1e-12
+    strategy = extract_strategy(result.fields, tree, loaded.impulse)
+    assert strategy.decisions == oracle_strategy.decisions
 
 
 def test_budget_zero_returns_base_field(pinned_problem):
@@ -309,8 +347,9 @@ def test_monotonicity_and_bound_properties():
         result = value_iteration(tree, loaded.impulse)
         gamma = loaded.impulse.reward_bound
         for prev, nxt in zip(result.fields, result.fields[1:]):
+            # Y^n covers a prefix of Y^{n-1}'s states
             for a, b in zip(prev.values, nxt.values):
-                assert np.all(b >= a - 1e-12)
+                assert np.all(b >= a[:, : b.shape[1]] - 1e-12)
         for field in result.fields:
             for k, arr in enumerate(field.values):
                 bound = gamma * (tree.horizon - tree.times[k])
