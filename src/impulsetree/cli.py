@@ -7,27 +7,35 @@ timings.json that is not part of the deterministic output.
 """
 
 import argparse
-import csv
 import json
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .combined import HamiltonianSpec, combined_value_iteration, extract_pair
+from .csvio import (
+    CsvFormatError,
+    read_payoff_csv,
+    read_strategy_csv,
+    write_controls_csv,
+    write_dump,
+    write_envelope_csv,
+    write_strategy_csv,
+    write_values_csv,
+)
 from .evaluate import (
     evaluate_pair,
     evaluate_strategy_exact,
     enumerate_optimal,
     impulse_count_distribution,
     mc_evaluate_strategy,
+    walk_strategy_states,
 )
-from .impulse import Strategy, extract_strategy, impulse_budget, value_iteration
+from .impulse import extract_strategy, impulse_budget, value_iteration
 from .model import ConfigError, load_config, validate_model
-from .snell import PayoffProcess, snell_envelope
-from .tree import build_tree, dump_level_rows
+from .snell import snell_envelope
+from .tree import build_tree
 
 RESIDUAL_TOLERANCE = 1e-10
 
@@ -98,60 +106,6 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header, rows):
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else (repr(float(v)) if isinstance(v, float) else v) for v in row])
-
-
-def _strategy_csv_rows(strategy: Strategy):
-    for level, index, cum, count, action, beta in strategy.rows():
-        yield (level, index, float(cum), count, action, None if beta is None else float(beta))
-
-
-def _read_strategy_csv(path: Path) -> Strategy:
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["level", "index", "state_cum", "state_count", "action", "beta"]
-        if reader.fieldnames != expected:
-            raise CliUsageError(f"strategy CSV must have columns {expected}, got {reader.fieldnames}")
-        for rec in reader:
-            beta = rec["beta"]
-            rows.append(
-                (
-                    int(rec["level"]),
-                    int(rec["index"]),
-                    float(rec["state_cum"]),
-                    int(rec["state_count"]),
-                    rec["action"],
-                    None if beta in ("", None) else float(beta),
-                )
-            )
-    return Strategy.from_rows(rows)
-
-
-def _values_csv_rows(fields):
-    for fld in fields:
-        for level, level_values in enumerate(fld.values):
-            z = fld.z[level]
-            k_inc = fld.k_inc[level]
-            for i in range(level_values.shape[0]):
-                for j, st in enumerate(fld.states):
-                    yield (
-                        fld.n,
-                        level,
-                        i,
-                        float(st.cumulative),
-                        st.count,
-                        float(level_values[i, j]),
-                        float(z[i, j]),
-                        float(k_inc[i, j]),
-                    )
-
-
 def _audit_or_fail(loaded, tree, budget):
     report = validate_model(loaded.process, loaded.impulse, loaded.grid, tree, budget=budget)
     if not report.passed:
@@ -194,11 +148,15 @@ def _cmd_solve(args, combined: bool) -> int:
     t0 = time.perf_counter()
     if combined:
         strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=tol)
-        forward = evaluate_pair(tree, loaded.impulse, spec, strategy, controls)
     else:
         strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=tol)
-        forward = evaluate_strategy_exact(tree, loaded.impulse, strategy)
-    distribution = impulse_count_distribution(tree, loaded.impulse, strategy)
+    states = walk_strategy_states(tree, loaded.impulse, strategy)
+    if combined:
+        forward = evaluate_pair(tree, loaded.impulse, spec, strategy, controls, path_states=states)
+    else:
+        forward = evaluate_strategy_exact(tree, loaded.impulse, strategy, path_states=states)
+    distribution = impulse_count_distribution(tree, loaded.impulse, strategy, path_states=states)
+    del states  # freed before the writers run, so it does not add to their peak memory
     timings["extract_evaluate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -233,22 +191,10 @@ def _cmd_solve(args, combined: bool) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report.to_json_dict())
-    _write_csv(
-        out / "strategy.csv",
-        ["level", "index", "state_cum", "state_count", "action", "beta"],
-        _strategy_csv_rows(strategy),
-    )
-    _write_csv(
-        out / "values.csv",
-        ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"],
-        _values_csv_rows(result.fields),
-    )
+    write_strategy_csv(out / "strategy.csv", strategy)
+    write_values_csv(out / "values.csv", result.fields)
     if combined:
-        _write_csv(
-            out / "controls.csv",
-            ["level", "index", "state_cum", "state_count", "u_star"],
-            ((lv, ix, float(cum), ct, float(u)) for lv, ix, cum, ct, u in controls.rows()),
-        )
+        write_controls_csv(out / "controls.csv", controls)
     timings["write"] = time.perf_counter() - t0
     _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
 
@@ -283,7 +229,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_eval(args) -> int:
     loaded = load_config(args.config)
     depth, _, budget = _resolve_numerics(loaded, args)
-    strategy = _read_strategy_csv(Path(args.strategy))
+    strategy = read_strategy_csv(Path(args.strategy))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -315,44 +261,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_snell(args) -> int:
-    by_node = {}
-    with Path(args.payoff).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["level", "index", "value"]:
-            raise CliUsageError(f"payoff CSV must have columns ['level', 'index', 'value'], got {reader.fieldnames}")
-        for rec in reader:
-            by_node[(int(rec["level"]), int(rec["index"]))] = float(rec["value"])
-    if not by_node:
-        raise CliUsageError("payoff CSV is empty")
-    depth = max(level for level, _ in by_node)
-    values = []
-    for k in range(depth + 1):
-        arr = np.empty(2**k)
-        for i in range(2**k):
-            try:
-                arr[i] = by_node[(k, i)]
-            except KeyError:
-                raise CliUsageError(f"payoff CSV missing node (level {k}, index {i})") from None
-        values.append(arr)
-    payoff = PayoffProcess.from_arrays(values)
+    payoff = read_payoff_csv(Path(args.payoff))
     result = snell_envelope(payoff, tol=args.tol if args.tol is not None else 1e-12)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for k in range(depth + 1):
-        for i in range(2**k):
-            rows.append(
-                (
-                    k,
-                    i,
-                    float(payoff.values[k][i]),
-                    float(result.envelope[k][i]),
-                    int(result.stop_region[k][i]),
-                    int(result.first_optimal_stop[k][i]),
-                )
-            )
-    _write_csv(out / "envelope.csv", ["level", "index", "payoff", "envelope", "stop", "first_stop"], rows)
+    write_envelope_csv(out / "envelope.csv", payoff, result)
     print(f"envelope root value = {float(result.envelope[0][0])!r}")
     return 0
 
@@ -361,10 +275,10 @@ def _cmd_dump(args) -> int:
     loaded = load_config(args.config)
     depth, _, _ = _resolve_numerics(loaded, args)
     tree = build_tree(loaded.process, depth)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["level", "index", "t", "L", "xmax", "xmin", "xavg"])
-    for row in dump_level_rows(tree, args.level):
-        writer.writerow([row[0], row[1]] + [repr(v) for v in row[2:]])
+    level = args.level
+    if not 0 <= level <= tree.depth:
+        raise CliUsageError(f"level must be in [0, {tree.depth}]")
+    write_dump(sys.stdout, tree, level)
     return 0
 
 
@@ -434,7 +348,7 @@ def run(argv) -> int:
     except AuditFailure as exc:
         print(exc.report.summary(), file=sys.stderr)
         return 2
-    except (CliUsageError, ConfigError) as exc:
+    except (CliUsageError, ConfigError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal error

@@ -100,11 +100,21 @@ def walk_strategy_states(tree: ScenarioTree, model: ImpulseModel, strategy: Stra
     return PathStates(cum=tuple(cums), count=tuple(counts), cost=tuple(costs))
 
 
-def evaluate_strategy_exact(tree: ScenarioTree, model: ImpulseModel, strategy: Strategy) -> PolicyValue:
+def _walked(tree: ScenarioTree, model: ImpulseModel, strategy: Strategy, path_states) -> PathStates:
+    return walk_strategy_states(tree, model, strategy) if path_states is None else path_states
+
+
+def evaluate_strategy_exact(
+    tree: ScenarioTree, model: ImpulseModel, strategy: Strategy, path_states=None
+) -> PolicyValue:
     """Exact expected reward of a strategy: every node at level k carries
     probability 2^-k, rewards use the left endpoint and the post-chain
-    path shift, costs are charged where impulses apply."""
-    ps = walk_strategy_states(tree, model, strategy)
+    path shift, costs are charged where impulses apply.
+
+    ``path_states`` is the strategy's walk_strategy_states result, if the
+    caller already has it; omitted, the strategy is walked here.
+    """
+    ps = _walked(tree, model, strategy, path_states)
     reward = 0.0
     cost = 0.0
     for k in range(tree.depth + 1):
@@ -161,11 +171,13 @@ def evaluate_pair(
     spec: HamiltonianSpec,
     strategy: Strategy,
     controls: ControlTable,
+    path_states=None,
 ) -> PolicyValue:
     """Exact expected reward of a (strategy, control) pair under the tilted
     measure: rewards and the tilt use the post-chain path shift and the
-    table's control at each node."""
-    ps = walk_strategy_states(tree, model, strategy)
+    table's control at each node.  ``path_states`` as in
+    evaluate_strategy_exact."""
+    ps = _walked(tree, model, strategy, path_states)
     weights = _weight_levels(tree, spec, controls, ps)
     reward = 0.0
     cost = 0.0
@@ -183,9 +195,12 @@ def evaluate_pair(
     return PolicyValue(value=reward - cost, reward_integral=reward, impulse_cost=cost, method="exact")
 
 
-def impulse_count_distribution(tree: ScenarioTree, model: ImpulseModel, strategy: Strategy) -> "dict[int, float]":
-    """Probability of each total impulse count over the 2^depth paths."""
-    ps = walk_strategy_states(tree, model, strategy)
+def impulse_count_distribution(
+    tree: ScenarioTree, model: ImpulseModel, strategy: Strategy, path_states=None
+) -> "dict[int, float]":
+    """Probability of each total impulse count over the 2^depth paths.
+    ``path_states`` as in evaluate_strategy_exact."""
+    ps = _walked(tree, model, strategy, path_states)
     leaf_counts = ps.count[tree.depth]
     prob = 2.0 ** (-tree.depth)
     dist = {}
@@ -312,16 +327,17 @@ def mc_evaluate_strategy(
     for k in range(depth):
         t_k = k * dt
         # resolve impulse chains once per visited node (state is a function
-        # of the node on a non-recombining tree)
-        for node_id in np.unique(node):
-            mask = node == node_id
-            first = int(np.argmax(mask))
-            n_cum, n_count, n_cost = _resolve_chain(
-                strategy, model.costs, k, int(node_id), float(cum[first]), int(count[first])
-            )
-            cum[mask] = n_cum
-            count[mask] = n_count
-            cost_acc[mask] += n_cost
+        # of the node on a non-recombining tree), then gather per sample
+        visited, first, sample_node = np.unique(node, return_index=True, return_inverse=True)
+        resolved = [
+            _resolve_chain(strategy, model.costs, k, node_id, cum_i, count_i)
+            for node_id, cum_i, count_i in zip(visited.tolist(), cum[first].tolist(), count[first].tolist())
+        ]
+        n_cum, n_count, n_cost = (np.array(col) for col in zip(*resolved))
+        cum = n_cum[sample_node]
+        count = n_count[sample_node]
+        cost_acc += n_cost[sample_node]
+        del sample_node  # one sample-sized array fewer while the reward is evaluated
 
         env = {"t": t_k, "x": x + cum, "xmax": xmax + cum, "xmin": xmin + cum, "xavg": xsum / (k + 1) + cum}
         reward_acc += np.broadcast_to(np.asarray(eval_expr(model.reward, env)), x.shape) * dt

@@ -262,6 +262,96 @@ def test_snell_missing_node_is_an_error(tmp_path, capsys):
     assert "missing node" in capsys.readouterr().err
 
 
+def _write_payoff(tmp_path, rows):
+    payoff = tmp_path / "payoff.csv"
+    with payoff.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["level", "index", "value"])
+        writer.writerows(rows)
+    return payoff
+
+
+# A complete depth-2 payoff (header on line 1, these rows on lines 2-8).
+PAYOFF_ROWS = [(0, 0, 0.0), (1, 0, 1.0), (1, 1, 0.0), (2, 0, 0.0), (2, 1, 0.0), (2, 2, 3.0), (2, 3, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ((1, 1, 3.0), "line 9: duplicate node (level 1, index 1)"),
+        ((1, 2, 0.0), "line 9: index 2 outside [0, 2^1)"),
+        ((2, -1, 0.0), "line 9: index -1 outside [0, 2^2)"),
+        ((-1, 0, 0.0), "line 9: negative level -1"),
+        ((2, 0, "abc"), "line 9: non-numeric field"),
+        (("x", 0, 0.0), "line 9: non-numeric field"),
+        ((2, 0, "inf"), "line 9: non-finite value inf"),
+        ((2, 0), "line 9: expected 3 fields, got 2"),
+    ],
+    ids=["duplicate", "index-too-large", "index-negative", "level-negative", "value-text", "level-text",
+         "value-inf", "short-row"],
+)
+def test_snell_rejects_malformed_payoff_row(tmp_path, capsys, bad_row, message):
+    payoff = _write_payoff(tmp_path, PAYOFF_ROWS + [bad_row])
+    out = tmp_path / "o"
+    assert run(["snell", "--payoff", str(payoff), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: payoff CSV " + message.split(":")[0])
+    assert message in err
+    assert not (out / "envelope.csv").exists()
+
+
+def test_snell_accepts_rows_in_any_order(tmp_path):
+    payoff = _write_payoff(tmp_path, PAYOFF_ROWS[::-1])
+    out = tmp_path / "run"
+    assert run(["snell", "--payoff", str(payoff), "--out", str(out)]) == 0
+    with (out / "envelope.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["level"], r["index"]) for r in rows] == [(str(k), str(i)) for k in range(3) for i in range(2**k)]
+    assert float(rows[0]["envelope"]) == 1.25
+
+
+def test_snell_names_the_first_missing_node(tmp_path, capsys):
+    payoff = _write_payoff(tmp_path, [r for r in PAYOFF_ROWS if r[:2] != (2, 1)] + [(3, 0, 1.0)])
+    assert run(["snell", "--payoff", str(payoff), "--out", str(tmp_path / "o")]) == 1
+    assert "missing node (level 2, index 1)" in capsys.readouterr().err
+
+
+def _solved_strategy(tmp_path):
+    config = _write_config(tmp_path, PINNED_CONFIG)
+    solve_out = tmp_path / "solve"
+    assert run(["solve", "--config", str(config), "--out", str(solve_out)]) == 0
+    return config, (solve_out / "strategy.csv").read_text(encoding="utf-8").splitlines()
+
+
+def test_eval_rejects_strategy_header_mismatch(tmp_path, capsys):
+    config, lines = _solved_strategy(tmp_path)
+    strategy = tmp_path / "strategy.csv"
+    strategy.write_text("\n".join(["level,index,cum,count,action,beta"] + lines[1:]) + "\n", encoding="utf-8")
+    assert run(["eval", "--config", str(config), "--strategy", str(strategy), "--out", str(tmp_path / "o")]) == 1
+    assert "error: strategy CSV must have columns" in capsys.readouterr().err
+
+
+def test_eval_rejects_unknown_strategy_action(tmp_path, capsys):
+    config, lines = _solved_strategy(tmp_path)
+    strategy = tmp_path / "strategy.csv"
+    strategy.write_text("\n".join([lines[0], lines[1].replace(",impulse,", ",jump,")] + lines[2:]) + "\n")
+    assert run(["eval", "--config", str(config), "--strategy", str(strategy), "--out", str(tmp_path / "o")]) == 1
+    assert "error: strategy CSV: unknown action 'jump'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 3, 5])
+def test_eval_rejects_non_numeric_strategy_field(tmp_path, capsys, column):
+    config, lines = _solved_strategy(tmp_path)
+    impulse_line = next(n for n, line in enumerate(lines) if ",impulse," in line)
+    fields = lines[impulse_line].split(",")
+    fields[column] = "x"
+    lines[impulse_line] = ",".join(fields)
+    strategy = tmp_path / "strategy.csv"
+    strategy.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["eval", "--config", str(config), "--strategy", str(strategy), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: strategy CSV line {impulse_line + 1}: non-numeric field" in capsys.readouterr().err
+
+
 def test_dump_command(tmp_path, capsys):
     config = _write_config(tmp_path, PINNED_CONFIG)
     assert run(["dump", "--config", str(config), "--level", "1"]) == 0

@@ -1,0 +1,147 @@
+"""Byte contract of every CSV the CLI writes, checked against a row-wise
+reference built here with csv.writer: header and fields joined by ",",
+"\\r\\n" line ends, floats as repr, ints as str, "" for no value."""
+
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+
+from impulsetree import (
+    HamiltonianSpec,
+    PayoffProcess,
+    build_tree,
+    combined_value_iteration,
+    dump_level_rows,
+    extract_strategy,
+    load_config,
+    snell_envelope,
+    value_iteration,
+)
+from impulsetree import cli, csvio
+from impulsetree.combined import extract_pair
+
+from conftest import PINNED_CONFIG, random_combined_config, random_impulse_config
+
+# The default chunk size, and one small enough that chunks split levels
+# and a single node can exceed it.
+CHUNK_SIZES = [csvio.CHUNK_ROWS, 3]
+
+
+def _reference_csv(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _values_rows(fields):
+    for fld in fields:
+        for level, y in enumerate(fld.values):
+            for i in range(y.shape[0]):
+                for j, st in enumerate(fld.states):
+                    yield (
+                        fld.n, level, i, float(st.cumulative), st.count,
+                        float(y[i, j]), float(fld.z[level][i, j]), float(fld.k_inc[level][i, j]),
+                    )
+
+
+def _strategy_rows(strategy):
+    for level, index, cum, count, action, beta in strategy.rows():
+        yield level, index, float(cum), count, action, None if beta is None else float(beta)
+
+
+def _solve_cli(tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.run([command, "--config", str(path), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+@pytest.mark.parametrize(
+    "config", [PINNED_CONFIG, random_impulse_config(211, depth=4)], ids=["pinned", "random-impulse"]
+)
+def test_solve_csv_bytes(tmp_path, monkeypatch, chunk_rows, config):
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+    out = _solve_cli(tmp_path, "solve", config)
+    loaded = load_config(config)
+    tree = build_tree(loaded.process, loaded.numerics.depth)
+    result = value_iteration(tree, loaded.impulse, tol=loaded.numerics.tol, budget=loaded.numerics.budget)
+    strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=loaded.numerics.tol)
+
+    assert (out / "values.csv").read_bytes() == _reference_csv(
+        ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows(result.fields)
+    )
+    assert (out / "strategy.csv").read_bytes() == _reference_csv(csvio.STRATEGY_HEADER, _strategy_rows(strategy))
+    # a continue row ends with an empty beta field
+    assert b",continue,\r\n" in (out / "strategy.csv").read_bytes()
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+def test_solve_combined_csv_bytes(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+    config = random_combined_config(212, depth=3)
+    out = _solve_cli(tmp_path, "solve-combined", config)
+    loaded = load_config(config)
+    tree = build_tree(loaded.process, loaded.numerics.depth)
+    spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
+    result = combined_value_iteration(tree, loaded.impulse, spec, tol=loaded.numerics.tol)
+    strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=loaded.numerics.tol)
+
+    assert (out / "values.csv").read_bytes() == _reference_csv(
+        ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows(result.fields)
+    )
+    assert (out / "strategy.csv").read_bytes() == _reference_csv(csvio.STRATEGY_HEADER, _strategy_rows(strategy))
+    assert (out / "controls.csv").read_bytes() == _reference_csv(
+        ["level", "index", "state_cum", "state_count", "u_star"],
+        ((lv, ix, float(cum), ct, float(u)) for lv, ix, cum, ct, u in controls.rows()),
+    )
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+def test_envelope_csv_bytes_with_negative_zero(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(213)
+    depth = 5
+    levels = [np.where(rng.random(2**k) < 0.3, -0.0, rng.normal(size=2**k)) for k in range(depth + 1)]
+    levels[depth][0] = -0.0
+    payoff_csv = tmp_path / "payoff.csv"
+    with payoff_csv.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(csvio.PAYOFF_HEADER)
+        for k in range(depth, -1, -1):  # any row order is accepted
+            writer.writerows((k, i, repr(v)) for i, v in enumerate(levels[k].tolist()))
+    out = tmp_path / "run"
+    assert cli.run(["snell", "--payoff", str(payoff_csv), "--out", str(out)]) == 0
+
+    payoff = PayoffProcess.from_arrays(levels)
+    result = snell_envelope(payoff, tol=1e-12)
+    rows = (
+        (k, i, float(payoff.values[k][i]), float(result.envelope[k][i]),
+         int(result.stop_region[k][i]), int(result.first_optimal_stop[k][i]))
+        for k in range(depth + 1)
+        for i in range(2**k)
+    )
+    data = (out / "envelope.csv").read_bytes()
+    assert data == _reference_csv(["level", "index", "payoff", "envelope", "stop", "first_stop"], rows)
+    assert b",-0.0," in data
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+@pytest.mark.parametrize("level", [0, 3, 4])
+def test_dump_bytes(tmp_path, capsysbinary, monkeypatch, chunk_rows, level):
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+    config = random_impulse_config(214, depth=4)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.run(["dump", "--config", str(path), "--level", str(level)]) == 0
+    tree = build_tree(load_config(config).process, 4)
+    assert capsysbinary.readouterr().out == _reference_csv(
+        ["level", "index", "t", "L", "xmax", "xmin", "xavg"], dump_level_rows(tree, level)
+    )

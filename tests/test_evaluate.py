@@ -6,6 +6,7 @@ from impulsetree import (
     Decision,
     HamiltonianSpec,
     ImpulseModel,
+    PolicyValue,
     Strategy,
     StrategyGapError,
     enumerate_optimal,
@@ -24,6 +25,8 @@ from impulsetree import (
     walk_strategy_states,
 )
 from impulsetree.combined import combined_value_iteration, extract_pair
+from impulsetree.evaluate import _resolve_chain
+from impulsetree.expr import eval_expr
 
 from conftest import (
     PINNED_CONFIG,
@@ -321,3 +324,65 @@ def test_mc_agrees_with_exact_within_three_standard_errors():
     exact = evaluate_strategy_exact(tree, loaded.impulse, strategy)
     estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=20_000, seed=13)
     assert abs(estimate.value - exact.value) <= 3 * max(estimate.std_error, 1e-12)
+
+
+def _mc_masked_reference(model, process, strategy, samples, seed):
+    """mc_evaluate_strategy's per-node masked loop: each visited node's
+    chain is resolved from its first sample and written through a mask
+    over all samples."""
+    depth = strategy.depth
+    dt = process.horizon / depth
+    sqrt_dt = float(np.sqrt(dt))
+    downs = np.random.default_rng(seed).integers(0, 2, size=(samples, depth))
+    x = np.full(samples, float(process.x0))
+    xmax, xmin, xsum = x.copy(), x.copy(), x.copy()
+    node = np.zeros(samples, dtype=np.int64)
+    cum = np.zeros(samples)
+    count = np.zeros(samples, dtype=np.int64)
+    reward_acc = np.zeros(samples)
+    cost_acc = np.zeros(samples)
+    for k in range(depth):
+        for node_id in np.unique(node):
+            mask = node == node_id
+            first = int(np.argmax(mask))
+            n_cum, n_count, n_cost = _resolve_chain(
+                strategy, model.costs, k, int(node_id), float(cum[first]), int(count[first])
+            )
+            cum[mask] = n_cum
+            count[mask] = n_count
+            cost_acc[mask] += n_cost
+        env = {"t": k * dt, "x": x + cum, "xmax": xmax + cum, "xmin": xmin + cum, "xavg": xsum / (k + 1) + cum}
+        reward_acc += np.broadcast_to(np.asarray(eval_expr(model.reward, env)), x.shape) * dt
+        env_plain = {"t": k * dt, "x": x, "xmax": xmax, "xmin": xmin, "xavg": xsum / (k + 1)}
+        sigma = np.broadcast_to(np.asarray(eval_expr(process.sigma, env_plain)), x.shape)
+        drift = 0.0 if process.drift is None else np.broadcast_to(np.asarray(eval_expr(process.drift, env_plain)), x.shape)
+        x = x + drift * dt + sigma * (sqrt_dt * (1.0 - 2.0 * downs[:, k]))
+        xmax, xmin, xsum = np.maximum(xmax, x), np.minimum(xmin, x), xsum + x
+        node = 2 * node + downs[:, k]
+    values = reward_acc - cost_acc
+    return PolicyValue(
+        value=float(np.mean(values)),
+        reward_integral=float(np.mean(reward_acc)),
+        impulse_cost=float(np.mean(cost_acc)),
+        method="monte-carlo",
+        samples=samples,
+        std_error=float(np.std(values, ddof=1) / np.sqrt(samples)),
+        seed=seed,
+        generator="numpy.random.PCG64",
+    )
+
+
+@pytest.mark.parametrize("config_seed", [107, 108])
+def test_mc_matches_per_node_masked_reference(config_seed):
+    loaded, tree = build_problem(random_impulse_config(config_seed, depth=5))
+    beta = loaded.impulse.impulses[0]
+    # impulses at many nodes, chains of up to two at some of them
+    strategy = strategy_from_rule(
+        tree, lambda level, index, cum, count: beta if index % 3 == 1 and count < min(level, 2) else None,
+        loaded.impulse.impulses,
+    )
+    impulse_nodes = {key[:2] for key, d in strategy.decisions.items() if d.action == "impulse"}
+    assert len(impulse_nodes) >= 5
+    estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=300, seed=config_seed)
+    assert estimate == _mc_masked_reference(loaded.impulse, loaded.process, strategy, 300, config_seed)
+    assert estimate.impulse_cost > 0
