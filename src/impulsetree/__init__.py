@@ -31,11 +31,8 @@ from .expr import (
     parse_expr,
 )
 from .impulse import (
-    Decision,
     ImpulseState,
     SolverError,
-    Strategy,
-    StrategyGapError,
     ValueField,
     ValueIterationResult,
     enumerate_states,
@@ -44,8 +41,6 @@ from .impulse import (
     iterate_value,
     obstacle,
     solve_y0,
-    state_key,
-    strategy_from_rule,
     value_iteration,
 )
 from .model import (
@@ -63,6 +58,7 @@ from .model import (
     validate_model,
 )
 from .snell import EnvelopeResult, PayoffProcess, snell_envelope, stopping_rule_value
+from .strategy import Decision, Strategy, StrategyRowError, state_key, strategy_from_rule
 from .tree import NodeRef, ScenarioTree, build_tree, cond_expect, dump_level_rows, z_repr
 
 __version__ = "0.1.0"

@@ -150,13 +150,12 @@ def _cmd_solve(args, combined: bool) -> int:
         strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=tol)
     else:
         strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=tol)
-    states = walk_strategy_states(tree, loaded.impulse, strategy)
+    states = walk_strategy_states(loaded.impulse, strategy)
     if combined:
         forward = evaluate_pair(tree, loaded.impulse, spec, strategy, controls, path_states=states)
     else:
         forward = evaluate_strategy_exact(tree, loaded.impulse, strategy, path_states=states)
     distribution = impulse_count_distribution(tree, loaded.impulse, strategy, path_states=states)
-    del states  # freed before the writers run, so it does not add to their peak memory
     timings["extract_evaluate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -183,7 +182,7 @@ def _cmd_solve(args, combined: bool) -> int:
         strategy_summary={
             "impulse_count_distribution": {str(k): v for k, v in distribution.items()},
             "impulse_decisions": strategy.impulse_decision_count,
-            "decision_count": len(strategy.decisions),
+            "decision_count": tree.node_count + strategy.impulse_decision_count,
         },
         timings=timings,
     )
@@ -194,7 +193,7 @@ def _cmd_solve(args, combined: bool) -> int:
     write_strategy_csv(out / "strategy.csv", strategy)
     write_values_csv(out / "values.csv", result.fields)
     if combined:
-        write_controls_csv(out / "controls.csv", controls)
+        write_controls_csv(out / "controls.csv", controls, states)
     timings["write"] = time.perf_counter() - t0
     _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
 
@@ -229,7 +228,9 @@ def _cmd_oracle(args) -> int:
 def _cmd_eval(args) -> int:
     loaded = load_config(args.config)
     depth, _, budget = _resolve_numerics(loaded, args)
-    strategy = read_strategy_csv(Path(args.strategy))
+    strategy = read_strategy_csv(Path(args.strategy), loaded.impulse.impulses)
+    if strategy.depth != depth:
+        raise CliUsageError(f"strategy depth {strategy.depth} does not match configured depth {depth}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -238,8 +239,6 @@ def _cmd_eval(args) -> int:
             raise CliUsageError("--mc-samples needs --seed for a reproducible report")
         policy = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, args.mc_samples, args.seed)
     else:
-        if strategy.depth != depth:
-            raise CliUsageError(f"strategy depth {strategy.depth} does not match configured depth {depth}")
         tree = build_tree(loaded.process, depth)
         _audit_or_fail(loaded, tree, budget)
         policy = evaluate_strategy_exact(tree, loaded.impulse, strategy)

@@ -2,6 +2,7 @@
 driver over a finite control grid, the driver-augmented reflected
 recursion, and extraction of the optimal strategy/control pair."""
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,8 +11,6 @@ from .expr import CoefficientExpr, eval_expr
 from .impulse import (
     DEFAULT_MAX_STATES,
     ImpulseModel,
-    Strategy,
-    StrategyGapError,
     ValueIterationResult,
     SolverError,
     _extract_walk,
@@ -19,9 +18,9 @@ from .impulse import (
     _sweep,
     enumerate_states,
     impulse_budget,
-    state_key,
 )
 from .model import DEFAULT_TOL, ControlGrid
+from .strategy import Strategy
 from .tree import ScenarioTree
 
 
@@ -127,49 +126,36 @@ def combined_value_iteration(
     return _reflect_until_stall(states, budget, tol, sweep)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ControlTable:
-    """Control choice per (level, index, state key) along the continuation
-    region; ``default`` (if set) answers lookups for uncovered pairs."""
+    """The control applied at each node, at its post-chain state:
+    ``levels[k]`` holds one value per node of level k, for levels
+    0..depth-1 (a uniform table maps every level to its one control)."""
 
-    entries: "dict[tuple[int, int, tuple[float, int]], float]"
+    levels: "tuple[np.ndarray, ...]"
     grid_values: "tuple[float, ...]" = ()
-    default: "float | None" = None
-
-    def control_at(self, level: int, index: int, cumulative: float, count: int) -> float:
-        key = (level, index, state_key(cumulative, count))
-        value = self.entries.get(key, self.default)
-        if value is None:
-            raise StrategyGapError(f"no control recorded for {key}")
-        return value
-
-    def rows(self):
-        out = []
-        for (level, index, (cum, count)), u in self.entries.items():
-            out.append((level, index, cum, count, u))
-        out.sort(key=lambda r: (r[0], r[1], r[3], r[2]))
-        return out
 
     @classmethod
     def uniform(cls, u: float, grid_values=()) -> "ControlTable":
-        return cls(entries={}, grid_values=tuple(grid_values), default=u)
+        return cls(levels=defaultdict(lambda: np.float64(u)), grid_values=tuple(grid_values))
 
 
 def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: HamiltonianSpec, tol: float = DEFAULT_TOL):
     """Extract (Strategy, ControlTable) from a combined field sequence.
 
-    The strategy walk is identical to the pure-impulse extraction; along
-    each continuation segment the control is the recorded driver argmax of
-    the field with the walker's remaining budget, at the walker's current
-    cumulative state (the segment-wise reading of the optimal control).
+    The strategy walk is identical to the pure-impulse extraction; at each
+    node the control is the recorded driver argmax of the field with the
+    walker's remaining budget, at the walker's post-chain state (the
+    segment-wise reading of the optimal control).
     """
-    controls = {}
-
-    def record(level, index, s_idx, m, key):
-        u_idx = int(fields[m].controls[level][index, s_idx])
-        controls[key] = spec.grid.controls[u_idx]
-
-    decisions, top = _extract_walk(fields, tree, model, tol, on_continue=record)
-    strategy = Strategy(decisions=decisions, impulses=model.impulses, iteration=top, tol=tol)
-    table = ControlTable(entries=controls, grid_values=spec.grid.controls)
-    return strategy, table
+    chains, posts, top = _extract_walk(fields, tree, model, tol)
+    grid = np.asarray(spec.grid.controls, dtype=float)
+    levels = []
+    for k, (s, m) in enumerate(posts):
+        u_idx = np.empty(s.size, dtype=np.int64)
+        for n in np.unique(m).tolist():
+            nodes = np.flatnonzero(m == n)
+            u_idx[nodes] = fields[n].controls[k][nodes, s[nodes]]
+        levels.append(grid[u_idx])
+    strategy = Strategy(chains=chains, impulses=model.impulses, iteration=top, tol=tol)
+    return strategy, ControlTable(levels=tuple(levels), grid_values=spec.grid.controls)

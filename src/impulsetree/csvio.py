@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .impulse import Strategy
+from .strategy import Strategy, StrategyRowError
 from .snell import PayoffProcess
 
 CHUNK_ROWS = 512
@@ -66,29 +66,26 @@ def write_values_csv(path: Path, fields):
                     )
 
 
-def _write_keyed_csv(path: Path, header, rows, tail):
-    """Rows that start with (level, index, state_cum, state_count), as
-    Strategy.rows() and ControlTable.rows() give them; ``tail(chunk)``
-    gives the remaining fields of a chunk of rows as text, one list per
-    column."""
-    with _open_csv(path, header) as fh:
+def write_strategy_csv(path: Path, strategy: Strategy):
+    rows = strategy.rows()
+    with _open_csv(path, STRATEGY_HEADER) as fh:
         for r0 in range(0, len(rows), CHUNK_ROWS):
             chunk = rows[r0 : r0 + CHUNK_ROWS]
             prefixes = [f"{level},{index},{float(cum)!r},{count}," for level, index, cum, count, *_ in chunk]
-            fh.write(_csv_lines(prefixes, *tail(chunk)))
+            betas = ["" if r[5] is None else repr(float(r[5])) for r in chunk]
+            fh.write(_csv_lines(prefixes, [r[4] for r in chunk], betas))
 
 
-def _strategy_tail(chunk):
-    return [r[4] for r in chunk], ["" if r[5] is None else repr(float(r[5])) for r in chunk]
-
-
-def write_strategy_csv(path: Path, strategy: Strategy):
-    _write_keyed_csv(path, STRATEGY_HEADER, strategy.rows(), _strategy_tail)
-
-
-def write_controls_csv(path: Path, controls):
-    header = ["level", "index", "state_cum", "state_count", "u_star"]
-    _write_keyed_csv(path, header, controls.rows(), lambda chunk: ([repr(float(r[4])) for r in chunk],))
+def write_controls_csv(path: Path, controls, states):
+    """One row per node below the horizon: its post-chain state, from
+    walk_strategy_states, and its control."""
+    with _open_csv(path, ["level", "index", "state_cum", "state_count", "u_star"]) as fh:
+        for k in range(len(states.cum) - 1):
+            for nodes in _node_chunks(states.cum[k].size):
+                rows = slice(nodes.start, nodes.stop)
+                cums, counts = states.cum[k][rows].tolist(), states.count[k][rows].tolist()
+                prefixes = [f"{k},{i},{cum!r},{n}," for i, cum, n in zip(nodes, cums, counts)]
+                fh.write(_csv_lines(prefixes, _reprs(controls.levels[k][rows])))
 
 
 def write_envelope_csv(path: Path, payoff: PayoffProcess, result):
@@ -133,18 +130,22 @@ def _csv_records(fh, header, what):
         yield reader.line_num, rec
 
 
-def read_strategy_csv(path: Path) -> Strategy:
-    rows = []
+def read_strategy_csv(path: Path, impulses) -> Strategy:
+    """The strategy a CSV of Strategy.rows() describes, over ``impulses``;
+    a row that breaks a rule of Strategy.from_rows is reported by line."""
+    rows, lines = [], []
     with path.open(newline="", encoding="utf-8") as fh:
         for line, (level, index, cum, count, action, beta) in _csv_records(fh, STRATEGY_HEADER, "strategy"):
             try:
                 rows.append((int(level), int(index), float(cum), int(count), action, None if beta == "" else float(beta)))
             except ValueError:
                 raise CsvFormatError(f"strategy CSV line {line}: non-numeric field") from None
+            lines.append(line)
+    lines.append(lines[-1] + 1 if lines else 2)  # where a row missing at the end belongs
     try:
-        return Strategy.from_rows(rows)
-    except ValueError as exc:  # unknown action, impulse without beta, repeated state
-        raise CsvFormatError(f"strategy CSV: {exc}") from None
+        return Strategy.from_rows(rows, impulses)
+    except StrategyRowError as exc:
+        raise CsvFormatError(f"strategy CSV line {lines[exc.position]}: {exc}") from None
 
 
 def read_payoff_csv(path: Path) -> PayoffProcess:

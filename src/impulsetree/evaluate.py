@@ -2,14 +2,15 @@
 change-of-measure tilt for controlled drift, and the brute-force strategy
 enumeration oracle."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .combined import ControlTable, HamiltonianSpec
 from .expr import eval_expr
-from .impulse import Decision, ImpulseModel, Strategy, StrategyGapError, state_key
+from .impulse import ImpulseModel
 from .model import LimitError, ProcessModel
+from .strategy import Strategy, state_key, strategy_from_rule
 from .tree import NodeRef, ScenarioTree
 
 MC_GENERATOR = "numpy.random.PCG64"
@@ -44,64 +45,28 @@ class PathStates:
     count: "tuple[np.ndarray, ...]"
     cost: "tuple[np.ndarray, ...]"
 
-    @classmethod
-    def zero(cls, tree: ScenarioTree) -> "PathStates":
-        return cls(
-            cum=tuple(np.zeros(tree.level_size(k)) for k in range(tree.depth + 1)),
-            count=tuple(np.zeros(tree.level_size(k), dtype=np.int64) for k in range(tree.depth + 1)),
-            cost=tuple(np.zeros(tree.level_size(k)) for k in range(tree.depth + 1)),
-        )
 
-
-def _resolve_chain(strategy: Strategy, model_costs, level, index, cum, count, allow_impulse=True):
-    """Apply the strategy's impulse chain at one node; returns the
-    post-chain (cum, count, cost charged)."""
-    cost = 0.0
-    while True:
-        decision = strategy.decision_at(level, index, cum, count)
-        if decision is None:
-            raise StrategyGapError(
-                f"no decision for node ({level}, {index}) in state {state_key(cum, count)}"
-            )
-        if decision.action == "continue":
-            return cum, count, cost
-        if not allow_impulse:
-            raise ValueError(f"impulse at the horizon (node ({level}, {index}))")
-        cost += model_costs[decision.beta]
-        cum, count = state_key(cum + decision.beta, count + 1)
-
-
-def walk_strategy_states(tree: ScenarioTree, model: ImpulseModel, strategy: Strategy) -> PathStates:
-    """Forward sweep over all nodes resolving the strategy's impulse chains;
-    each node is reached by a unique path, so its post-chain state is
-    well-defined."""
-    cums = [None] * (tree.depth + 1)
-    counts = [None] * (tree.depth + 1)
-    costs = [None] * (tree.depth + 1)
-
-    prev_cum = np.zeros(1)
-    prev_count = np.zeros(1, dtype=np.int64)
-    for k in range(tree.depth + 1):
-        if k > 0:
-            prev_cum = np.repeat(cums[k - 1], 2)
-            prev_count = np.repeat(counts[k - 1], 2)
-        size = tree.level_size(k)
-        cum_k = np.empty(size)
-        count_k = np.empty(size, dtype=np.int64)
-        cost_k = np.zeros(size)
-        for i in range(size):
-            cum_k[i], count_k[i], cost_k[i] = _resolve_chain(
-                strategy, model.costs, k, i, float(prev_cum[i]), int(prev_count[i]),
-                allow_impulse=k < tree.depth,
-            )
-        cums[k] = cum_k
-        counts[k] = count_k
-        costs[k] = cost_k
+def walk_strategy_states(model: ImpulseModel, strategy: Strategy) -> PathStates:
+    """Every node's post-chain impulse state under the strategy, one level
+    at a time (each node is reached by a unique path, so it is
+    well-defined); a chain's costs are added in chain order."""
+    psi = np.array([model.costs[beta] for beta in strategy.impulses])
+    cums, counts, costs = [], [], []
+    for (shifts, count), chain in zip(strategy.walk(), strategy.chains):
+        cost = np.zeros(chain.shape[0])
+        for col in chain.T:
+            on = col >= 0
+            cost[on] += psi[col[on]]
+        cums.append(shifts[:, -1])
+        counts.append(count + np.count_nonzero(chain >= 0, axis=1))
+        costs.append(cost)
     return PathStates(cum=tuple(cums), count=tuple(counts), cost=tuple(costs))
 
 
 def _walked(tree: ScenarioTree, model: ImpulseModel, strategy: Strategy, path_states) -> PathStates:
-    return walk_strategy_states(tree, model, strategy) if path_states is None else path_states
+    if path_states is None and strategy.depth != tree.depth:
+        raise ValueError(f"strategy depth {strategy.depth} does not match tree depth {tree.depth}")
+    return walk_strategy_states(model, strategy) if path_states is None else path_states
 
 
 def evaluate_strategy_exact(
@@ -126,18 +91,15 @@ def evaluate_strategy_exact(
     return PolicyValue(value=reward - cost, reward_integral=reward, impulse_cost=cost, method="exact")
 
 
-def _weight_levels(tree: ScenarioTree, spec: HamiltonianSpec, controls: ControlTable, ps: PathStates):
+def _weight_levels(tree: ScenarioTree, spec: HamiltonianSpec, controls: ControlTable, shifts):
     """Per-level arrays of the cumulative change-of-measure weight: per step
     the up factor is 1 + theta*sqrt(dt) (twice the tilted up-probability)
     and the down factor 1 - theta*sqrt(dt), with theta = f/sigma evaluated
-    at the node's current path shift and recorded control."""
+    at the node's path shift (``shifts[k]``) and recorded control."""
     weights = [np.ones(1)]
     for k in range(tree.depth):
         size = tree.level_size(k)
-        u = np.empty(size)
-        for i in range(size):
-            u[i] = controls.control_at(k, i, float(ps.cum[k][i]), int(ps.count[k][i]))
-        env = tree.env(k, shift=ps.cum[k], control=u)
+        env = tree.env(k, shift=shifts[k], control=controls.levels[k])
         sigma = np.asarray(eval_expr(spec.sigma, env))
         theta = np.broadcast_to(
             np.asarray(eval_expr(spec.grid.controlled_drift, env)) / sigma, (size,)
@@ -160,9 +122,8 @@ def girsanov_weights(tree: ScenarioTree, spec: HamiltonianSpec, controls: Contro
     walk_strategy_states); omitted it defaults to the zero shift, i.e. the
     tilt on the plain uncontrolled path.
     """
-    if path_states is None:
-        path_states = PathStates.zero(tree)
-    return _weight_levels(tree, spec, controls, path_states)[tree.depth]
+    shifts = [0.0] * tree.depth if path_states is None else path_states.cum
+    return _weight_levels(tree, spec, controls, shifts)[tree.depth]
 
 
 def evaluate_pair(
@@ -178,19 +139,15 @@ def evaluate_pair(
     table's control at each node.  ``path_states`` as in
     evaluate_strategy_exact."""
     ps = _walked(tree, model, strategy, path_states)
-    weights = _weight_levels(tree, spec, controls, ps)
+    weights = _weight_levels(tree, spec, controls, ps.cum)
     reward = 0.0
     cost = 0.0
     for k in range(tree.depth + 1):
         prob = 2.0 ** (-k)
         cost += prob * float(np.sum(weights[k] * ps.cost[k]))
         if k < tree.depth:
-            size = tree.level_size(k)
-            u = np.empty(size)
-            for i in range(size):
-                u[i] = controls.control_at(k, i, float(ps.cum[k][i]), int(ps.count[k][i]))
-            env = tree.env(k, shift=ps.cum[k], control=u)
-            h = np.broadcast_to(np.asarray(eval_expr(spec.reward, env)), (size,))
+            env = tree.env(k, shift=ps.cum[k], control=controls.levels[k])
+            h = np.broadcast_to(np.asarray(eval_expr(spec.reward, env)), (tree.level_size(k),))
             reward += prob * float(np.sum(weights[k] * h)) * tree.dt
     return PolicyValue(value=reward - cost, reward_integral=reward, impulse_cost=cost, method="exact")
 
@@ -200,13 +157,9 @@ def impulse_count_distribution(
 ) -> "dict[int, float]":
     """Probability of each total impulse count over the 2^depth paths.
     ``path_states`` as in evaluate_strategy_exact."""
-    ps = _walked(tree, model, strategy, path_states)
-    leaf_counts = ps.count[tree.depth]
-    prob = 2.0 ** (-tree.depth)
-    dist = {}
-    for c in np.sort(np.unique(leaf_counts)):
-        dist[int(c)] = float(np.count_nonzero(leaf_counts == c) * prob)
-    return dist
+    leaf_counts = _walked(tree, model, strategy, path_states).count[tree.depth]
+    counts, paths = np.unique(leaf_counts, return_counts=True)
+    return {int(c): float(n * 2.0 ** (-tree.depth)) for c, n in zip(counts.tolist(), paths)}
 
 
 def enumerate_optimal(
@@ -257,35 +210,25 @@ def enumerate_optimal(
 
     value = best(0, 0, 0.0, 0, max_impulses)
 
-    decisions = {}
-    stack = [(0, 0, 0.0, 0, max_impulses)]
-    while stack:
-        level, index, cum, count, remaining = stack.pop()
-        while level < depth:
-            action = None
-            action_value = None
-            if remaining > 0:
-                for beta in model.impulses:
-                    n_cum, n_count = state_key(cum + beta, count + 1)
-                    v = -model.costs[beta] + best(level, index, n_cum, n_count, remaining - 1)
-                    if action_value is None or v > action_value:
-                        action_value = v
-                        action = beta
-            cont = reward_at(level, index, cum) * dt + 0.5 * (
-                best(level + 1, 2 * index, cum, count, remaining)
-                + best(level + 1, 2 * index + 1, cum, count, remaining)
-            )
-            if action is None or cont > action_value:
-                break
-            decisions[(level, index, state_key(cum, count))] = Decision("impulse", action)
-            cum, count = state_key(cum + action, count + 1)
-            remaining -= 1
-        decisions[(level, index, state_key(cum, count))] = Decision("continue")
-        if level < depth:
-            stack.append((level + 1, 2 * index + 1, cum, count, remaining))
-            stack.append((level + 1, 2 * index, cum, count, remaining))
+    def optimal_action(level, index, cum, count):
+        remaining = max_impulses - count
+        action = None
+        action_value = None
+        if remaining > 0:
+            for beta in model.impulses:
+                n_cum, n_count = state_key(cum + beta, count + 1)
+                v = -model.costs[beta] + best(level, index, n_cum, n_count, remaining - 1)
+                if action_value is None or v > action_value:
+                    action_value = v
+                    action = beta
+        cont = reward_at(level, index, cum) * dt + 0.5 * (
+            best(level + 1, 2 * index, cum, count, remaining)
+            + best(level + 1, 2 * index + 1, cum, count, remaining)
+        )
+        return None if action is None or cont > action_value else action
 
-    return value, Strategy(decisions=decisions, impulses=model.impulses, iteration=max_impulses)
+    strategy = strategy_from_rule(tree, optimal_action, model.impulses, max_chain=max_impulses)
+    return value, replace(strategy, iteration=max_impulses)
 
 
 def mc_evaluate_strategy(
@@ -299,9 +242,8 @@ def mc_evaluate_strategy(
     directly from the process coefficients (no tree build); deterministic
     for a fixed seed.
 
-    The tree depth is inferred from the strategy's decision table.  Samples
-    sharing a node share its whole sign prefix, so the impulse state is
-    resolved once per visited node.
+    The tree depth is the strategy's.  Each sample gathers its node's
+    post-chain shift and chain cost from walk_strategy_states.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -319,26 +261,14 @@ def mc_evaluate_strategy(
     xmin = x.copy()
     xsum = x.copy()
     node = np.zeros(samples, dtype=np.int64)
-    cum = np.zeros(samples)
-    count = np.zeros(samples, dtype=np.int64)
+    ps = walk_strategy_states(model, strategy)
     reward_acc = np.zeros(samples)
     cost_acc = np.zeros(samples)
 
     for k in range(depth):
         t_k = k * dt
-        # resolve impulse chains once per visited node (state is a function
-        # of the node on a non-recombining tree), then gather per sample
-        visited, first, sample_node = np.unique(node, return_index=True, return_inverse=True)
-        resolved = [
-            _resolve_chain(strategy, model.costs, k, node_id, cum_i, count_i)
-            for node_id, cum_i, count_i in zip(visited.tolist(), cum[first].tolist(), count[first].tolist())
-        ]
-        n_cum, n_count, n_cost = (np.array(col) for col in zip(*resolved))
-        cum = n_cum[sample_node]
-        count = n_count[sample_node]
-        cost_acc += n_cost[sample_node]
-        del sample_node  # one sample-sized array fewer while the reward is evaluated
-
+        cum = ps.cum[k][node]
+        cost_acc += ps.cost[k][node]
         env = {"t": t_k, "x": x + cum, "xmax": xmax + cum, "xmin": xmin + cum, "xavg": xsum / (k + 1) + cum}
         reward_acc += np.broadcast_to(np.asarray(eval_expr(model.reward, env)), x.shape) * dt
 

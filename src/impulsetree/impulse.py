@@ -9,30 +9,14 @@ import numpy as np
 
 from .expr import eval_expr
 from .model import DEFAULT_TOL, ImpulseModel, LimitError
+from .strategy import Strategy, shift_key, state_key
 from .tree import ScenarioTree, cond_expect, z_repr
 
-STATE_DECIMALS = 12
 DEFAULT_MAX_STATES = 20000
 
 
 class SolverError(RuntimeError):
     """Internal inconsistency in solver outputs (indicates a bug)."""
-
-
-class StrategyGapError(LookupError):
-    """A forward walk hit a (node, state) pair with no recorded decision."""
-
-
-def shift_key(cumulative: float) -> float:
-    """Cumulative shift rounded to the dedup precision (12 decimals, with
-    -0.0 folded into 0.0)."""
-    return round(float(cumulative), STATE_DECIMALS) + 0.0
-
-
-def state_key(cumulative: float, count: int) -> "tuple[float, int]":
-    """Strategy key of a walker's impulse state: the rounded cumulative
-    shift plus the number of impulses applied so far."""
-    return (shift_key(cumulative), int(count))
 
 
 @dataclass(frozen=True)
@@ -344,63 +328,6 @@ def value_iteration(
     return _reflect_until_stall(states, budget, tol, sweep)
 
 
-@dataclass(frozen=True)
-class Decision:
-    action: str  # "continue" | "impulse"
-    beta: "float | None" = None
-
-
-@dataclass
-class Strategy:
-    """Forward-executable decision table keyed by (level, index, state key).
-
-    Covers every (node, state) pair reachable under the strategy itself,
-    including continue entries at the horizon (where impulses are
-    forbidden).
-    """
-
-    decisions: "dict[tuple[int, int, tuple[float, int]], Decision]"
-    impulses: "tuple[float, ...]" = ()
-    iteration: "int | None" = None
-    tol: "float | None" = None
-
-    def decision_at(self, level: int, index: int, cumulative: float, count: int) -> "Decision | None":
-        return self.decisions.get((level, index, state_key(cumulative, count)))
-
-    @property
-    def depth(self) -> int:
-        if not self.decisions:
-            raise ValueError("strategy has no decisions")
-        return max(key[0] for key in self.decisions)
-
-    @property
-    def impulse_decision_count(self) -> int:
-        return sum(1 for d in self.decisions.values() if d.action == "impulse")
-
-    def rows(self):
-        """Deterministic (level, index, state_cum, state_count, action, beta)
-        rows for CSV serialization."""
-        out = []
-        for (level, index, (cum, count)), decision in self.decisions.items():
-            out.append((level, index, cum, count, decision.action, decision.beta))
-        out.sort(key=lambda r: (r[0], r[1], r[3], r[2]))
-        return out
-
-    @classmethod
-    def from_rows(cls, rows, impulses=()) -> "Strategy":
-        decisions = {}
-        for level, index, cum, count, action, beta in rows:
-            if action not in ("continue", "impulse"):
-                raise ValueError(f"unknown action {action!r}")
-            if action == "impulse" and beta is None:
-                raise ValueError("impulse row without a beta value")
-            key = (int(level), int(index), state_key(float(cum), int(count)))
-            if key in decisions:
-                raise ValueError(f"duplicate decision row for {key}")
-            decisions[key] = Decision(action, None if action == "continue" else float(beta))
-        return cls(decisions=decisions, impulses=tuple(impulses))
-
-
 def _check_fields_consistent(fields, tol):
     for f in fields[1:]:
         for level_values, level_obs in zip(f.values, f.obstacle):
@@ -408,13 +335,15 @@ def _check_fields_consistent(fields, tol):
                 raise SolverError(f"field {f.n}: value below obstacle beyond tolerance (solver bug)")
 
 
-def _extract_walk(fields, tree, model, tol, on_continue=None):
-    """Forward walk shared by strategy and strategy+control extraction.
+def _extract_walk(fields, tree, model, tol):
+    """Forward walk shared by strategy and strategy+control extraction,
+    one level at a time over every node's (state index, remaining field m).
 
-    From (root, zero shift, no impulses, remaining = top iteration index):
-    while the top remaining field meets its obstacle within tol, apply the
-    recorded argmax impulse (chains at one date allowed), then mark continue
-    and descend.  The walker counts its own impulses for the strategy keys.
+    From the root's zero shift and m = top iteration index: while field m
+    meets its obstacle within tol at a node's state, apply its recorded
+    argmax impulse there (chains at one date allowed) and step to field
+    m - 1; then descend.  Returns the per-level chains, the post-chain
+    (state index, m) arrays of levels 0..depth-1, and the top index.
     """
     if not fields:
         raise ValueError("empty field sequence")
@@ -423,42 +352,36 @@ def _extract_walk(fields, tree, model, tol, on_continue=None):
             raise ValueError("fields must be the consecutive sequence Y0..Yn")
     _check_fields_consistent(fields, tol)
 
-    states = fields[0].states
     top = len(fields) - 1
-    succ = successor_table(fields[1].states, model.impulses, states) if top else None
-    depth = tree.depth
-
-    decisions = {}
-    stack = [(0, 0, 0, 0, top)]
-    while stack:
-        level, index, s_idx, count, m = stack.pop()
-        while level < depth and m > 0:
-            fld = fields[m]
-            y = fld.values[level][index, s_idx]
-            o = fld.obstacle[level][index, s_idx]
-            if y < o - tol:
-                raise SolverError("value below obstacle during extraction (solver bug)")
-            if not abs(y - o) <= tol:
+    succ = successor_table(fields[1].states, model.impulses, fields[0].states) if top else None
+    s = np.zeros(1, dtype=np.int64)
+    m = np.full(1, top, dtype=np.int64)
+    chains, posts = [], []
+    for k in range(tree.depth):
+        cols = []
+        live = np.flatnonzero(m > 0)
+        while live.size:
+            arg = np.full(live.size, -1, dtype=np.int64)
+            for n in np.unique(m[live]).tolist():
+                sel = np.flatnonzero(m[live] == n)
+                nodes, st = live[sel], s[live[sel]]
+                fld = fields[n]
+                binds = np.abs(fld.values[k][nodes, st] - fld.obstacle[k][nodes, st]) <= tol
+                arg[sel[binds]] = fld.obstacle_argmax[k][nodes[binds], st[binds]]
+            live, arg = live[arg >= 0], arg[arg >= 0]
+            if not live.size:
                 break
-            b_idx = int(fld.obstacle_argmax[level][index, s_idx])
-            beta = model.impulses[b_idx]
-            key = (level, index, state_key(states[s_idx].cumulative, count))
-            if key in decisions:
-                raise SolverError(f"conflicting decision at {key}")
-            decisions[key] = Decision("impulse", beta)
-            s_idx = int(succ[s_idx, b_idx])
-            count += 1
-            m -= 1
-        key = (level, index, state_key(states[s_idx].cumulative, count))
-        if key in decisions:
-            raise SolverError(f"conflicting decision at {key}")
-        decisions[key] = Decision("continue")
-        if on_continue is not None and level < depth:
-            on_continue(level, index, s_idx, m, key)
-        if level < depth:
-            stack.append((level + 1, 2 * index + 1, s_idx, count, m))
-            stack.append((level + 1, 2 * index, s_idx, count, m))
-    return decisions, top
+            col = np.full(s.size, -1, dtype=np.int64)
+            col[live] = arg
+            cols.append(col)
+            s[live] = succ[s[live], arg]
+            m[live] -= 1
+            live = live[m[live] > 0]
+        chains.append(np.stack(cols, axis=1) if cols else np.empty((s.size, 0), dtype=np.int64))
+        posts.append((s, m))
+        s, m = np.repeat(s, 2), np.repeat(m, 2)
+    chains.append(np.empty((s.size, 0), dtype=np.int64))
+    return tuple(chains), posts, top
 
 
 def extract_strategy(fields, tree: ScenarioTree, model: ImpulseModel, tol: float = DEFAULT_TOL) -> Strategy:
@@ -468,33 +391,5 @@ def extract_strategy(fields, tree: ScenarioTree, model: ImpulseModel, tol: float
     (first-in-order impulse on argmax ties, simultaneous impulses allowed,
     none at the horizon); continue elsewhere.
     """
-    decisions, top = _extract_walk(fields, tree, model, tol)
-    return Strategy(decisions=decisions, impulses=model.impulses, iteration=top, tol=tol)
-
-
-def strategy_from_rule(tree: ScenarioTree, rule, impulses, max_chain: int = 1000) -> Strategy:
-    """Build a complete decision table from ``rule(level, index, cumulative,
-    count) -> beta or None`` (None means continue).  Useful for hand-made
-    policies in tests and experiments; impulses at the horizon are rejected."""
-    decisions = {}
-    stack = [(0, 0, 0.0, 0)]
-    while stack:
-        level, index, cum, count = stack.pop()
-        if level < tree.depth:
-            chain = 0
-            while True:
-                beta = rule(level, index, cum, count)
-                if beta is None:
-                    break
-                if beta not in impulses:
-                    raise ValueError(f"rule returned {beta!r}, not an allowed impulse")
-                decisions[(level, index, state_key(cum, count))] = Decision("impulse", beta)
-                cum, count = state_key(cum + beta, count + 1)
-                chain += 1
-                if chain > max_chain:
-                    raise ValueError("impulse chain exceeds max_chain; rule never continues")
-        decisions[(level, index, state_key(cum, count))] = Decision("continue")
-        if level < tree.depth:
-            stack.append((level + 1, 2 * index + 1, cum, count))
-            stack.append((level + 1, 2 * index, cum, count))
-    return Strategy(decisions=decisions, impulses=tuple(impulses))
+    chains, _, top = _extract_walk(fields, tree, model, tol)
+    return Strategy(chains=chains, impulses=model.impulses, iteration=top, tol=tol)

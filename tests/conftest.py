@@ -100,6 +100,24 @@ def random_combined_config(seed, depth=None, n_controls=None, tol=1e-12):
     }
 
 
+def with_impulse_chains(config, seed):
+    """The config with reward clamp(x, 0, 1) (plus 0.1*u under control),
+    cheap impulses of 0.3 (and a second size without control) and x0 below
+    the reward window, so that optimal strategies apply chains of several
+    impulses at several nodes."""
+    rng = np.random.default_rng(seed)
+    impulses = [0.3] if config["control"] else [0.3, round(float(rng.uniform(0.2, 0.6)), 3)]
+    impulse = {
+        "U": impulses,
+        "psi": {repr(b): round(0.1 + float(rng.uniform(0.0, 0.05)), 4) for b in impulses},
+        "c": 0.1,
+        "gamma": 1.0,
+        "h": "clamp(x + 0.1*u, 0, 1)" if config["control"] else "clamp(x, 0, 1)",
+    }
+    x0 = round(float(rng.uniform(-0.5, 0.2)), 3)
+    return {**config, "process": {**config["process"], "x0": x0}, "impulse": impulse}
+
+
 def build_problem(config):
     """Load, build and audit; returns (loaded config, tree)."""
     loaded = load_config(config)

@@ -336,7 +336,7 @@ def test_eval_rejects_unknown_strategy_action(tmp_path, capsys):
     strategy = tmp_path / "strategy.csv"
     strategy.write_text("\n".join([lines[0], lines[1].replace(",impulse,", ",jump,")] + lines[2:]) + "\n")
     assert run(["eval", "--config", str(config), "--strategy", str(strategy), "--out", str(tmp_path / "o")]) == 1
-    assert "error: strategy CSV: unknown action 'jump'" in capsys.readouterr().err
+    assert "error: strategy CSV line 2: unknown action 'jump'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column", [0, 1, 2, 3, 5])
@@ -350,6 +350,43 @@ def test_eval_rejects_non_numeric_strategy_field(tmp_path, capsys, column):
     strategy.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["eval", "--config", str(config), "--strategy", str(strategy), "--out", str(tmp_path / "o")]) == 1
     assert f"error: strategy CSV line {impulse_line + 1}: non-numeric field" in capsys.readouterr().err
+
+
+# The pinned instance's solved strategy.csv: line 2 is the root's impulse,
+# line 3 its continue row, lines 4-5 level 1 and lines 6-9 the horizon.
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [lines[0], "0,0,0.0,0,impulse,0.7"] + lines[2:],
+         "line 2: impulse beta 0.7 is not one of the impulses (1.0,)"),
+        (lambda lines: lines[:3] + lines[4:], "line 4: expected a row of node (level 1, index 0), got (1, 1)"),
+        (lambda lines: lines[:5] + ["2,0,1.0,1,impulse,1.0"] + lines[6:], "line 6: impulse at the horizon (level 2)"),
+        (lambda lines: lines + ["1,0,0.0,0,impulse,1.0"], "line 10: expected the row (1, 0, 1.0, 1, 'impulse', 1.0)"),
+    ],
+    ids=["unknown-beta", "missing-node", "impulse-at-horizon", "off-path-row"],
+)
+def test_eval_rejects_strategy_rows_off_the_lattice(tmp_path, capsys, mode, edit, message):
+    config, lines = _solved_strategy(tmp_path)
+    strategy = tmp_path / "strategy.csv"
+    strategy.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    mc = ["--mc-samples", "100", "--seed", "1"] if mode == "mc" else []
+    out = tmp_path / "o"
+    assert run(["eval", "--config", str(config), "--strategy", str(strategy), "--out", str(out)] + mc) == 1
+    assert capsys.readouterr().err == f"error: strategy CSV {message}\n"
+    assert not (out / "policy_value.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_eval_checks_the_strategy_depth_in_both_modes(tmp_path, capsys, mode):
+    config, lines = _solved_strategy(tmp_path)
+    strategy = tmp_path / "strategy.csv"
+    strategy.write_text("\n".join(lines[:5]) + "\n", encoding="utf-8")  # levels 0-1 of a depth-2 config
+    mc = ["--mc-samples", "100", "--seed", "1"] if mode == "mc" else []
+    out = tmp_path / "o"
+    assert run(["eval", "--config", str(config), "--strategy", str(strategy), "--out", str(out)] + mc) == 1
+    assert "error: strategy depth 1 does not match configured depth 2" in capsys.readouterr().err
+    assert not (out / "policy_value.json").exists()
 
 
 def test_dump_command(tmp_path, capsys):

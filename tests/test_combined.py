@@ -15,6 +15,7 @@ from impulsetree import (
     load_config,
     parse_expr,
     value_iteration,
+    walk_strategy_states,
 )
 from impulsetree.combined import driver_tables
 from impulsetree.impulse import enumerate_states
@@ -148,13 +149,10 @@ def test_extract_pair_records_grid_controls():
     spec = _spec(loaded)
     result = combined_value_iteration(tree, loaded.impulse, spec)
     strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec)
-    assert controls.entries
-    assert set(controls.entries.values()) <= set(loaded.grid.controls)
-    # control entries exist exactly at the continue decisions below the horizon
-    continue_keys = {
-        key for key, d in strategy.decisions.items() if d.action == "continue" and key[0] < tree.depth
-    }
-    assert set(controls.entries) == continue_keys
+    # one control per node below the horizon, each from the grid
+    assert [u.shape for u in controls.levels] == [(tree.level_size(k),) for k in range(tree.depth)]
+    assert set(np.concatenate(controls.levels).tolist()) <= set(loaded.grid.controls)
+    assert controls.grid_values == loaded.grid.controls
 
 
 def test_extract_pair_u_independent_model_takes_first_grid_element():
@@ -166,7 +164,7 @@ def test_extract_pair_u_independent_model_takes_first_grid_element():
     spec = _spec(loaded)
     result = combined_value_iteration(tree, loaded.impulse, spec)
     _, controls = extract_pair(result.fields, tree, loaded.impulse, spec)
-    assert set(controls.entries.values()) == {-1.0}
+    assert set(np.concatenate(controls.levels).tolist()) == {-1.0}
 
 
 def test_no_reward_extracts_empty_strategy_and_argmax_controls():
@@ -178,12 +176,15 @@ def test_no_reward_extracts_empty_strategy_and_argmax_controls():
     assert strategy.impulse_decision_count == 0
     # recorded controls equal the pointwise driver argmax of z*f/sigma
     top = result.fields[-1]
-    for (level, index, key), u in controls.entries.items():
-        state_idx = [s.key for s in top.states].index(key)
-        z = float(top.z[level][index, state_idx])
-        env = tree.node_env(NodeRef(level, index), shift=key[0])
-        _, best = hamiltonian_max(float(tree.times[level]), env, z, spec)
-        assert u == best
+    states = walk_strategy_states(loaded.impulse, strategy)
+    for level in range(tree.depth):
+        for index, u in enumerate(controls.levels[level].tolist()):
+            cum = float(states.cum[level][index])
+            state_idx = [s.cumulative for s in top.states].index(cum)
+            z = float(top.z[level][index, state_idx])
+            env = tree.node_env(NodeRef(level, index), shift=cum)
+            _, best = hamiltonian_max(float(tree.times[level]), env, z, spec)
+            assert u == best
 
 
 def test_pointwise_driver_dominance():

@@ -100,7 +100,12 @@ def test_solve_combined_csv_bytes(tmp_path, monkeypatch, chunk_rows):
     assert (out / "strategy.csv").read_bytes() == _reference_csv(csvio.STRATEGY_HEADER, _strategy_rows(strategy))
     assert (out / "controls.csv").read_bytes() == _reference_csv(
         ["level", "index", "state_cum", "state_count", "u_star"],
-        ((lv, ix, float(cum), ct, float(u)) for lv, ix, cum, ct, u in controls.rows()),
+        # a node's control belongs to its continue row's (post-chain) state
+        (
+            (lv, ix, float(cum), ct, float(controls.levels[lv][ix]))
+            for lv, ix, cum, ct, action, _ in strategy.rows()
+            if action == "continue" and lv < tree.depth
+        ),
     )
 
 

@@ -8,7 +8,7 @@ from impulsetree import (
     ImpulseModel,
     PolicyValue,
     Strategy,
-    StrategyGapError,
+    StrategyRowError,
     enumerate_optimal,
     enumerate_states,
     evaluate_pair,
@@ -25,7 +25,6 @@ from impulsetree import (
     walk_strategy_states,
 )
 from impulsetree.combined import combined_value_iteration, extract_pair
-from impulsetree.evaluate import _resolve_chain
 from impulsetree.expr import eval_expr
 
 from conftest import (
@@ -36,8 +35,8 @@ from conftest import (
 )
 
 
-def _empty_strategy(tree):
-    return strategy_from_rule(tree, lambda *args: None, (1.0,))
+def _empty_strategy(tree, impulses=(1.0,)):
+    return strategy_from_rule(tree, lambda *args: None, impulses)
 
 
 def _constant_reward_model(h, gamma=1.0):
@@ -79,18 +78,28 @@ def test_exact_pinned_strategy_value(pinned_problem):
 
 def test_gap_in_decision_table_is_detected(pinned_problem):
     loaded, tree = pinned_problem
-    strategy = Strategy(decisions={(0, 0, state_key(0.0, 0)): Decision("continue")})
-    with pytest.raises(StrategyGapError):
-        evaluate_strategy_exact(tree, loaded.impulse, strategy)
+    rows = _empty_strategy(tree).rows()
+    gap = rows.index((1, 1, 0.0, 0, "continue", None))
+    with pytest.raises(StrategyRowError, match=r"expected a row of node \(level 1, index 1\)") as exc:
+        Strategy.from_rows(rows[:gap] + rows[gap + 1 :], loaded.impulse.impulses)
+    assert exc.value.position == gap  # the row that takes the missing node's place
+    with pytest.raises(StrategyRowError, match="missing the continue row") as exc:
+        Strategy.from_rows(rows[:-1], loaded.impulse.impulses)
+    assert exc.value.position == len(rows) - 1
+    # a complete strategy of another depth is no strategy for this tree
+    root_only = Strategy.from_rows(rows[:1], loaded.impulse.impulses)
+    with pytest.raises(ValueError, match="depth 0 does not match tree depth 2"):
+        evaluate_strategy_exact(tree, loaded.impulse, root_only)
 
 
 def test_impulse_at_horizon_rejected(pinned_problem):
     loaded, tree = pinned_problem
-    strategy = _empty_strategy(tree)
-    bad_key = (tree.depth, 0, state_key(0.0, 0))
-    strategy.decisions[bad_key] = Decision("impulse", 1.0)
-    with pytest.raises(ValueError, match="horizon"):
-        evaluate_strategy_exact(tree, loaded.impulse, strategy)
+    rows = _empty_strategy(tree).rows()
+    horizon = rows.index((tree.depth, 0, 0.0, 0, "continue", None))
+    rows[horizon] = (tree.depth, 0, 0.0, 0, "impulse", 1.0)
+    with pytest.raises(StrategyRowError, match="horizon") as exc:
+        Strategy.from_rows(rows, loaded.impulse.impulses)
+    assert exc.value.position == horizon
 
 
 def _driftless_spec(sigma="1", f="0", h="1", controls=(0.0,)):
@@ -228,7 +237,7 @@ def test_oracle_matches_solver_on_random_instances():
 def test_oracle_zero_impulses_is_plain_expectation():
     loaded, tree = build_problem(random_impulse_config(103, depth=4))
     value, strategy = enumerate_optimal(tree, loaded.impulse, 0)
-    plain = evaluate_strategy_exact(tree, loaded.impulse, _empty_strategy(tree))
+    plain = evaluate_strategy_exact(tree, loaded.impulse, _empty_strategy(tree, loaded.impulse.impulses))
     assert value == pytest.approx(plain.value, abs=1e-12)
     assert strategy.impulse_decision_count == 0
 
@@ -267,7 +276,7 @@ def test_walk_strategy_states_tracks_post_chain_state(pinned_problem):
     loaded, tree = pinned_problem
     result = value_iteration(tree, loaded.impulse)
     strategy = extract_strategy(result.fields, tree, loaded.impulse)
-    ps = walk_strategy_states(tree, loaded.impulse, strategy)
+    ps = walk_strategy_states(loaded.impulse, strategy)
     assert ps.cum[0][0] == 1.0 and ps.count[0][0] == 1
     assert ps.cost[0][0] == pytest.approx(0.3)
     for k in range(1, tree.depth + 1):
@@ -326,10 +335,23 @@ def test_mc_agrees_with_exact_within_three_standard_errors():
     assert abs(estimate.value - exact.value) <= 3 * max(estimate.std_error, 1e-12)
 
 
+def _resolve_chain(decisions, model_costs, level, index, cum, count):
+    """Apply a node's impulse chain from a {(level, index, state_key):
+    (action, beta)} table; returns the post-chain (cum, count, cost)."""
+    cost = 0.0
+    while True:
+        action, beta = decisions[(level, index, state_key(cum, count))]
+        if action == "continue":
+            return cum, count, cost
+        cost += model_costs[beta]
+        cum, count = state_key(cum + beta, count + 1)
+
+
 def _mc_masked_reference(model, process, strategy, samples, seed):
     """mc_evaluate_strategy's per-node masked loop: each visited node's
-    chain is resolved from its first sample and written through a mask
-    over all samples."""
+    chain is resolved from its first sample, in a table keyed by the
+    rounded state, and written through a mask over all samples."""
+    decisions = {(lv, ix, (cum, ct)): (act, beta) for lv, ix, cum, ct, act, beta in strategy.rows()}
     depth = strategy.depth
     dt = process.horizon / depth
     sqrt_dt = float(np.sqrt(dt))
@@ -346,7 +368,7 @@ def _mc_masked_reference(model, process, strategy, samples, seed):
             mask = node == node_id
             first = int(np.argmax(mask))
             n_cum, n_count, n_cost = _resolve_chain(
-                strategy, model.costs, k, int(node_id), float(cum[first]), int(count[first])
+                decisions, model.costs, k, int(node_id), float(cum[first]), int(count[first])
             )
             cum[mask] = n_cum
             count[mask] = n_count

@@ -5,13 +5,16 @@ import pytest
 
 from impulsetree import (
     Decision,
+    HamiltonianSpec,
     ImpulseModel,
     LimitError,
     SolverError,
     Strategy,
+    combined_value_iteration,
     enumerate_optimal,
     enumerate_states,
     evaluate_strategy_exact,
+    extract_pair,
     extract_strategy,
     impulse_budget,
     iterate_value,
@@ -24,7 +27,14 @@ from impulsetree import (
 )
 from impulsetree.impulse import ValueField, successor_table
 
-from conftest import PINNED_CONFIG, build_problem, random_comparison_pair, random_impulse_config
+from conftest import (
+    PINNED_CONFIG,
+    build_problem,
+    random_combined_config,
+    random_comparison_pair,
+    random_impulse_config,
+    with_impulse_chains,
+)
 
 
 def test_impulse_budget_examples():
@@ -417,3 +427,68 @@ def test_state_consistency_single_entry_per_node_state():
     for a, b in zip(result.fields, again.fields):
         for va, vb in zip(a.values, b.values):
             assert np.array_equal(va, vb)
+
+
+def _depth_first_extract(fields, tree, model, tol, grid=None):
+    """The depth-first extraction walk the level-wise one replaced, one node
+    at a time: a {(level, index, state_key): (action, beta)} table and, with
+    a control grid, the control at each continue key below the horizon."""
+    states = fields[0].states
+    top = len(fields) - 1
+    succ = successor_table(fields[1].states, model.impulses, states) if top else None
+    decisions, controls = {}, {}
+    stack = [(0, 0, 0, 0, top)]
+    while stack:
+        level, index, s_idx, count, m = stack.pop()
+        while level < tree.depth and m > 0:
+            fld = fields[m]
+            if not abs(fld.values[level][index, s_idx] - fld.obstacle[level][index, s_idx]) <= tol:
+                break
+            b_idx = int(fld.obstacle_argmax[level][index, s_idx])
+            decisions[(level, index, state_key(states[s_idx].cumulative, count))] = ("impulse", model.impulses[b_idx])
+            s_idx = int(succ[s_idx, b_idx])
+            count += 1
+            m -= 1
+        key = (level, index, state_key(states[s_idx].cumulative, count))
+        decisions[key] = ("continue", None)
+        if level < tree.depth:
+            if grid is not None:
+                controls[key] = grid[int(fields[m].controls[level][index, s_idx])]
+            stack.append((level + 1, 2 * index + 1, s_idx, count, m))
+            stack.append((level + 1, 2 * index, s_idx, count, m))
+    rows = sorted(
+        ((lv, ix, cum, ct, action, beta) for (lv, ix, (cum, ct)), (action, beta) in decisions.items()),
+        key=lambda r: (r[0], r[1], r[3], r[2]),
+    )
+    return rows, controls
+
+
+@pytest.mark.parametrize("chains", [False, True], ids=["random", "chains"])
+@pytest.mark.parametrize("seed", range(620, 628))
+def test_extraction_matches_depth_first_reference(seed, chains):
+    depth = 3 + seed % 4
+    config = random_impulse_config(seed, depth=depth)
+    loaded, tree = build_problem(with_impulse_chains(config, seed) if chains else config)
+    result = value_iteration(tree, loaded.impulse)
+    rows, _ = _depth_first_extract(result.fields, tree, loaded.impulse, 1e-12)
+    assert extract_strategy(result.fields, tree, loaded.impulse, tol=1e-12).rows() == rows
+
+
+@pytest.mark.parametrize("chains", [False, True], ids=["random", "chains"])
+@pytest.mark.parametrize("seed", range(630, 636))
+def test_pair_extraction_matches_depth_first_reference(seed, chains):
+    depth = 3 + seed % 4
+    config = random_combined_config(seed, depth=depth)
+    loaded, tree = build_problem(with_impulse_chains(config, seed) if chains else config)
+    spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
+    result = combined_value_iteration(tree, loaded.impulse, spec)
+    rows, controls = _depth_first_extract(result.fields, tree, loaded.impulse, 1e-12, grid=loaded.grid.controls)
+    strategy, table = extract_pair(result.fields, tree, loaded.impulse, spec, tol=1e-12)
+    assert strategy.rows() == rows
+    # each node's control sits at its continue row's (post-chain) state
+    recorded = {
+        (lv, ix, (cum, ct)): float(table.levels[lv][ix])
+        for lv, ix, cum, ct, action, _ in rows
+        if action == "continue" and lv < tree.depth
+    }
+    assert recorded == controls
