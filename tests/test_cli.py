@@ -316,6 +316,21 @@ def test_snell_names_the_first_missing_node(tmp_path, capsys):
     assert "missing node (level 2, index 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", [70, 2**62, 2**64], ids=["level-70", "level-2^62", "level-beyond-int64"])
+def test_snell_large_level_names_the_first_missing_node(tmp_path, capsys, level):
+    # 2^level - 1 + index overflows int64 from level 63 on
+    payoff = _write_payoff(tmp_path, PAYOFF_ROWS + [(level, 0, 1.0)])
+    assert run(["snell", "--payoff", str(payoff), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: payoff CSV missing node (level 3, index 0)\n"
+
+
+def test_snell_names_the_first_faulty_line_of_several(tmp_path, capsys):
+    faults = [(1, 5, 0.0), (2, 0, "inf"), (-1, 0, 0.0), (2, 0, "abc"), (2, 0), (0, 0, 1.0)]
+    payoff = _write_payoff(tmp_path, PAYOFF_ROWS + faults)
+    assert run(["snell", "--payoff", str(payoff), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: payoff CSV line 9: index 5 outside [0, 2^1)\n"
+
+
 def _solved_strategy(tmp_path):
     config = _write_config(tmp_path, PINNED_CONFIG)
     solve_out = tmp_path / "solve"
@@ -363,8 +378,10 @@ def test_eval_rejects_non_numeric_strategy_field(tmp_path, capsys, column):
         (lambda lines: lines[:3] + lines[4:], "line 4: expected a row of node (level 1, index 0), got (1, 1)"),
         (lambda lines: lines[:5] + ["2,0,1.0,1,impulse,1.0"] + lines[6:], "line 6: impulse at the horizon (level 2)"),
         (lambda lines: lines + ["1,0,0.0,0,impulse,1.0"], "line 10: expected the row (1, 0, 1.0, 1, 'impulse', 1.0)"),
+        (lambda lines: lines[:2] + ["0,0,1.0,1,continue,1.0"] + lines[3:],
+         "line 3: expected the row (0, 0, 1.0, 1, 'continue', None)"),
     ],
-    ids=["unknown-beta", "missing-node", "impulse-at-horizon", "off-path-row"],
+    ids=["unknown-beta", "missing-node", "impulse-at-horizon", "off-path-row", "continue-with-beta"],
 )
 def test_eval_rejects_strategy_rows_off_the_lattice(tmp_path, capsys, mode, edit, message):
     config, lines = _solved_strategy(tmp_path)

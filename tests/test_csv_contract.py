@@ -109,13 +109,10 @@ def test_solve_combined_csv_bytes(tmp_path, monkeypatch, chunk_rows):
     )
 
 
-@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-def test_envelope_csv_bytes_with_negative_zero(tmp_path, monkeypatch, chunk_rows):
-    monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)
-    rng = np.random.default_rng(213)
-    depth = 5
-    levels = [np.where(rng.random(2**k) < 0.3, -0.0, rng.normal(size=2**k)) for k in range(depth + 1)]
-    levels[depth][0] = -0.0
+def _check_envelope_bytes(tmp_path, levels):
+    """snell's envelope.csv for the payoff ``levels`` equals the csv.writer
+    reference; returns its bytes."""
+    depth = len(levels) - 1
     payoff_csv = tmp_path / "payoff.csv"
     with payoff_csv.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -135,7 +132,29 @@ def test_envelope_csv_bytes_with_negative_zero(tmp_path, monkeypatch, chunk_rows
     )
     data = (out / "envelope.csv").read_bytes()
     assert data == _reference_csv(["level", "index", "payoff", "envelope", "stop", "first_stop"], rows)
-    assert b",-0.0," in data
+    return data
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+def test_envelope_csv_bytes_with_negative_zero(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(213)
+    depth = 5
+    levels = [np.where(rng.random(2**k) < 0.3, -0.0, rng.normal(size=2**k)) for k in range(depth + 1)]
+    levels[depth][0] = -0.0
+    assert b",-0.0," in _check_envelope_bytes(tmp_path, levels)
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+def test_envelope_csv_bytes_with_repeated_values(tmp_path, monkeypatch, chunk_rows):
+    """Few distinct values, each repeated many times, 0.0 beside -0.0."""
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(215)
+    pool = np.array([0.0, -0.0, 1.5, -2.25, 0.1, 5e-324])
+    levels = [rng.choice(pool, size=2**k) for k in range(6)]
+    levels[5][:2] = [-0.0, 0.0]
+    data = _check_envelope_bytes(tmp_path, levels)
+    assert b"5,0,-0.0," in data and b"5,1,0.0," in data
 
 
 @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)

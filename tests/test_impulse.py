@@ -341,6 +341,14 @@ def test_strategy_rows_round_trip(pinned_problem):
     assert rebuilt.decisions == strategy.decisions
 
 
+def test_strategy_decisions_are_built_once(pinned_problem):
+    loaded, tree = pinned_problem
+    result = value_iteration(tree, loaded.impulse)
+    strategy = extract_strategy(result.fields, tree, loaded.impulse)
+    assert strategy.decisions is strategy.decisions
+    assert strategy.decision_at(0, 0, 0.0, 0) is strategy.decisions[(0, 0, (0.0, 0))]
+
+
 def test_strategy_from_rule_builds_complete_tables(pinned_problem):
     loaded, tree = pinned_problem
     strategy = strategy_from_rule(
