@@ -62,7 +62,8 @@ def hamiltonian_max(t: float, env: dict, z: float, spec: HamiltonianSpec):
 
 def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states):
     """Per-level (n_controls, 2^k, n_states) arrays of the tilt
-    theta = f/sigma and the reward, both on the state-shifted path.
+    theta = f/sigma and the reward, both on the state-shifted path, each
+    evaluated per control over a level's stacked shifts.
 
     Raises SolverError if the tilt bound |theta|*sqrt(dt) < 1 fails anywhere
     (the audit should have rejected the model first).
@@ -70,17 +71,17 @@ def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states):
     thetas = []
     rewards = []
     n_controls = len(spec.grid.controls)
+    shifts = [st.cumulative for st in states]
     for k in range(tree.depth):
-        size = tree.level_size(k)
-        theta_k = np.empty((n_controls, size, len(states)))
+        theta_k = np.empty((n_controls, tree.level_size(k), len(states)))
         reward_k = np.empty_like(theta_k)
-        for j, st in enumerate(states):
-            env = tree.env(k, shift=st.cumulative)
+        for cols in tree.shift_blocks(k, len(shifts)):
+            env = tree.shifted_env(k, shifts[cols])
             sigma = np.asarray(eval_expr(spec.sigma, env))
             for c, u in enumerate(spec.grid.controls):
                 env_u = {**env, "u": u}
-                theta_k[c, :, j] = np.asarray(eval_expr(spec.grid.controlled_drift, env_u)) / sigma
-                reward_k[c, :, j] = eval_expr(spec.reward, env_u)
+                np.divide(eval_expr(spec.grid.controlled_drift, env_u), sigma, out=theta_k[c, :, cols])
+                reward_k[c, :, cols] = eval_expr(spec.reward, env_u)
         if np.any(np.abs(theta_k) * tree.sqrt_dt >= 1):
             raise SolverError(f"tilt bound |f/sigma|*sqrt(dt) < 1 violated at level {k}")
         thetas.append(theta_k)

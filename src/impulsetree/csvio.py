@@ -26,6 +26,9 @@ from .snell import PayoffProcess
 CHUNK_ROWS = 512
 STRATEGY_HEADER = ["level", "index", "state_cum", "state_count", "action", "beta"]
 PAYOFF_HEADER = ["level", "index", "value"]
+# The largest payoff magnitude read: the mean of two siblings, (a + b) / 2,
+# then stays finite.
+PAYOFF_LIMIT = float(np.finfo(np.float64).max) / 2
 
 
 class CsvFormatError(ValueError):
@@ -265,7 +268,8 @@ def _read_payoff_columns(path: Path) -> "PayoffProcess | None":
     depth = int(level.max())
     # Every node of levels 0..depth once: 2^(depth+1) - 1 rows (and 2^depth
     # fits int64) at distinct breadth-first positions 2^level - 1 + index.
-    if not (np.isfinite(value).all() and level.min() >= 0 and depth < 63 and level.size == 2 ** (depth + 1) - 1):
+    in_range = np.abs(value) <= PAYOFF_LIMIT  # False for inf and nan too
+    if not (in_range.all() and level.min() >= 0 and depth < 63 and level.size == 2 ** (depth + 1) - 1):
         return None
     first = np.int64(1) << level
     if not ((index >= 0) & (index < first)).all():
@@ -285,6 +289,10 @@ def _read_payoff_rows(path: Path) -> PayoffProcess:
     for line, (level, index, value) in _csv_records(path, PAYOFF_HEADER, "payoff", (int, int, float)):
         if not math.isfinite(value):
             raise CsvFormatError(f"payoff CSV line {line}: non-finite value {value!r}")
+        if abs(value) > PAYOFF_LIMIT:
+            raise CsvFormatError(
+                f"payoff CSV line {line}: value {value!r} outside [-{PAYOFF_LIMIT!r}, {PAYOFF_LIMIT!r}]"
+            )
         if level < 0:
             raise CsvFormatError(f"payoff CSV line {line}: negative level {level}")
         if index < 0 or index.bit_length() > level:  # index outside [0, 2^level)

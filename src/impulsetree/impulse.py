@@ -139,14 +139,13 @@ class ValueField:
 
 
 def reward_tables(tree: ScenarioTree, model: ImpulseModel, states):
-    """Per-level (2^k, n_states) arrays of the running reward at each node
-    under each state's path shift (levels 0..depth-1; left endpoint)."""
-    tables = []
-    for k in range(tree.depth):
-        arr = np.empty((tree.level_size(k), len(states)))
-        for j, st in enumerate(states):
-            arr[:, j] = eval_expr(model.reward, tree.env(k, shift=st.cumulative))
-        tables.append(arr)
+    """Per-level (2^k, n_states) arrays of the running reward under each
+    state's path shift (levels 0..depth-1; left endpoint; shifts stacked)."""
+    shifts = [st.cumulative for st in states]
+    tables = [np.empty((tree.level_size(k), len(states))) for k in range(tree.depth)]
+    for k, arr in enumerate(tables):
+        for cols in tree.shift_blocks(k, len(shifts)):
+            arr[:, cols] = eval_expr(model.reward, tree.shifted_env(k, shifts[cols]))
     return tables
 
 

@@ -134,37 +134,78 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _scan(violations, rule, state, level, control, values, predicate, describe):
-    """Append one violation entry for a vectorized check that failed."""
+def _scan(columns, rule, level, control, values, predicate, describe):
+    """Append one violation entry to each (state key, entries) column whose
+    nodes fail a vectorized check; ``values`` holds one column per entry of
+    ``columns``, and a scalar counts as one node of every column."""
     bad = ~predicate(values)
-    if np.any(bad):
-        count = int(np.count_nonzero(bad))
-        first = int(np.argmax(bad))
-        sample = float(np.asarray(values).reshape(-1)[first]) if np.ndim(values) else float(values)
-        violations.append(
-            AuditViolation(
-                rule=rule,
-                message=f"{describe} at {count} node(s), e.g. value {sample!r}",
-                level=level,
-                state=state.key if state is not None else None,
-                control=control,
-            )
-        )
+    if values.ndim == 0:
+        hits = [(j, 1, float(values)) for j in range(len(columns)) if bad]
+    else:
+        counts = np.count_nonzero(bad, axis=0)
+        firsts = np.argmax(bad, axis=0)
+        hits = [(j, int(counts[j]), float(values[firsts[j], j])) for j in np.flatnonzero(counts).tolist()]
+    for j, count, sample in hits:
+        key, entries = columns[j]
+        message = f"{describe} at {count} node(s), e.g. value {sample!r}"
+        entries.append(AuditViolation(rule, message, level, key, control))
+
+
+def _audit_level(process, impulse, grid, tree, level, states):
+    """The violations at one level, one (state key, entries) column per
+    state, from one evaluation over the states' stacked shifts (per
+    control): sigma first, then per control A1 and the tilt, which is
+    scanned only where sigma is positive at every node.  With one state an
+    EvalError is that state's violation; with several it propagates, and
+    the caller re-runs each state alone."""
+    env = tree.shifted_env(level, [st.cumulative for st in states])
+    columns = [(st.key, []) for st in states]
+
+    def evaluate(expr, env, rule, what, control=None):
+        try:
+            return np.asarray(eval_expr(expr, env))
+        except EvalError as exc:
+            if len(states) > 1:
+                raise
+            columns[0][1].append(AuditViolation(rule, f"{what} failed: {exc}", level, states[0].key, control))
+            return None
+
+    sigma = evaluate(process.sigma, env, "sigma", "evaluation")
+    if sigma is None:
+        return columns
+    _scan(columns, "sigma", level, None, sigma, lambda v: v > 0, "sigma not strictly positive")
+    positive = np.flatnonzero(np.all(sigma > 0, axis=0) if sigma.ndim else np.full(len(states), sigma > 0))
+    tilted = [columns[j] for j in positive.tolist()]
+    pick = lambda v: v[:, positive] if v.ndim else v
+    gamma = impulse.reward_bound
+    for u in grid.controls if grid is not None else (None,):
+        env_u = env if u is None else {**env, "u": u}
+        h = evaluate(impulse.reward, env_u, "A1", "reward evaluation", u)
+        if h is None:
+            continue
+        _scan(columns, "A1", level, u, h, lambda v: (v >= 0) & (v <= gamma), f"reward outside [0, {gamma!r}]")
+        if grid is not None and tilted:
+            f_val = evaluate(grid.controlled_drift, env_u, "tilt", "drift evaluation", u)
+            if f_val is None:
+                continue
+            tilt = np.abs(pick(f_val) / pick(sigma)) * tree.sqrt_dt
+            _scan(tilted, "tilt", level, u, tilt, lambda v: v < 1, "measure tilt |f/sigma|*sqrt(dt) not below 1")
+    return columns
 
 
 def validate_model(process, impulse, grid, tree, budget=None) -> AuditReport:
     """Audit a built tree against the declared model bounds.
 
     Evaluates the reward, the volatility and (in combined mode) the measure
-    tilt over every (node, reachable impulse shift, control) environment and
-    reports violations of the reward bound (A1), the cost floor (A2), sigma
-    positivity and the tilt bound.  Violations are report entries, not
-    exceptions; callers decide whether to abort.
+    tilt over every (node, reachable impulse shift, control) environment of
+    levels 0..depth and reports, by state, then level, violations of the
+    reward bound (A1), the cost floor (A2), sigma positivity and the tilt
+    bound.  Violations are report entries, not exceptions; callers decide
+    whether to abort.
     """
     from .impulse import enumerate_states, impulse_budget
 
     violations = []
-
     if impulse.cost_floor <= 0:
         violations.append(AuditViolation("A2", f"cost floor must be positive, got {impulse.cost_floor!r}"))
     for beta in impulse.impulses:
@@ -185,46 +226,18 @@ def validate_model(process, impulse, grid, tree, budget=None) -> AuditReport:
         budget = 0
     states = enumerate_states(impulse.impulses, budget)
 
-    controls = grid.controls if grid is not None else (None,)
-    gamma = impulse.reward_bound
-    sqrt_dt = tree.sqrt_dt
-
-    for state in states:
-        for level in range(tree.depth + 1):
-            env = tree.env(level, shift=state.cumulative)
+    by_state = [[] for _ in states]
+    for level in range(tree.depth + 1):
+        for cols in tree.shift_blocks(level, len(states)):
             try:
-                sigma = np.asarray(eval_expr(process.sigma, env))
-            except EvalError as exc:
-                violations.append(AuditViolation("sigma", f"evaluation failed: {exc}", level, state.key))
-                continue
-            _scan(violations, "sigma", state, level, None, sigma, lambda v: v > 0, "sigma not strictly positive")
-            for u in controls:
-                env_u = env if u is None else {**env, "u": u}
-                try:
-                    h = np.asarray(eval_expr(impulse.reward, env_u))
-                except EvalError as exc:
-                    violations.append(AuditViolation("A1", f"reward evaluation failed: {exc}", level, state.key, u))
-                    continue
-                _scan(
-                    violations, "A1", state, level, u, h,
-                    lambda v: (v >= 0) & (v <= gamma),
-                    f"reward outside [0, {gamma!r}]",
-                )
-                if grid is not None and np.all(sigma > 0):
-                    try:
-                        f_val = np.asarray(eval_expr(grid.controlled_drift, env_u))
-                    except EvalError as exc:
-                        violations.append(AuditViolation("tilt", f"drift evaluation failed: {exc}", level, state.key, u))
-                        continue
-                    theta = f_val / sigma
-                    _scan(
-                        violations, "tilt", state, level, u, np.abs(theta) * sqrt_dt,
-                        lambda v: v < 1,
-                        "measure tilt |f/sigma|*sqrt(dt) not below 1",
-                    )
+                columns = _audit_level(process, impulse, grid, tree, level, states[cols])
+            except EvalError:
+                columns = [_audit_level(process, impulse, grid, tree, level, [st])[0] for st in states[cols]]
+            for entries, (_, found) in zip(by_state[cols], columns):
+                entries.extend(found)
 
     return AuditReport(
-        violations=tuple(violations),
+        violations=tuple(violations) + tuple(v for entries in by_state for v in entries),
         nodes_checked=tree.node_count,
         states_checked=len(states),
         controls_checked=len(grid.controls) if grid is not None else 0,

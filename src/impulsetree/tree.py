@@ -10,6 +10,11 @@ from .expr import eval_expr
 from .model import LimitError, ProcessModel
 
 DEFAULT_MAX_NODES = 2**22
+# The most (node, shift) cells one stacked environment holds, 64 KB per
+# array; a wider level is evaluated a block of shifts at a time.  Larger
+# stacks leave the CPU caches: stacking whole levels at depth 18 made the
+# audit 2.5x slower and raised its peak RSS by 250 MB (2-CPU host).
+STACK_CELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,28 @@ class ScenarioTree:
         if control is not None:
             env["u"] = control
         return env
+
+    def shifted_env(self, level: int, shifts) -> dict:
+        """Expression environment at every node of a level under every
+        shift at once: ``x``, ``xmax``, ``xmin`` and ``xavg`` have shape
+        (2^level, len(shifts)), column j being ``env(level, shifts[j])``
+        bit for bit (a zero shift leaves its column unshifted)."""
+        shifts = np.asarray(shifts, dtype=np.float64)
+        plain = shifts == 0.0
+        env = {"t": float(self.times[level])}
+        for name, arrays in (
+            ("x", self.state), ("xmax", self.running_max), ("xmin", self.running_min), ("xavg", self.running_avg)
+        ):
+            column = arrays[level][:, None]
+            env[name] = column + shifts
+            np.copyto(env[name], column, where=plain)  # x + 0.0 would turn -0.0 into 0.0
+        return env
+
+    def shift_blocks(self, level: int, n_shifts: int) -> "list[slice]":
+        """Consecutive blocks of shift indices, each stacked level at most
+        STACK_CELLS cells (one shift per block on levels wider than that)."""
+        width = max(1, STACK_CELLS >> level)
+        return [slice(j, j + width) for j in range(0, n_shifts, width)]
 
     def node_env(self, node: NodeRef, shift=0.0, control=None) -> dict:
         """Scalar expression environment at one node."""

@@ -300,6 +300,17 @@ def test_snell_rejects_malformed_payoff_row(tmp_path, capsys, bad_row, message):
     assert not (out / "envelope.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["8.98846567431158e+307", "-1.7976931348623157e+308"])
+def test_snell_rejects_a_payoff_beyond_half_the_largest_float(tmp_path, capsys, value):
+    # the mean of two such siblings would overflow to inf
+    payoff = _write_payoff(tmp_path, [(2, 0, value) if r[:2] == (2, 0) else r for r in PAYOFF_ROWS])
+    out = tmp_path / "o"
+    assert run(["snell", "--payoff", str(payoff), "--out", str(out)]) == 1
+    limit = "8.988465674311579e+307"
+    assert capsys.readouterr().err == f"error: payoff CSV line 5: value {value} outside [-{limit}, {limit}]\n"
+    assert not (out / "envelope.csv").exists()
+
+
 def test_snell_accepts_rows_in_any_order(tmp_path):
     payoff = _write_payoff(tmp_path, PAYOFF_ROWS[::-1])
     out = tmp_path / "run"

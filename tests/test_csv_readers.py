@@ -64,14 +64,15 @@ newlines = st.sampled_from(["\r\n", "\n", "\r"])
 
 PAYOFF_CORRUPTIONS = [
     "duplicate", "drop", "index-too-large", "index-negative", "level-negative", "level-70", "level-2^64",
-    "text", "inf", "nan", "overflow", "short", "long", "empty-field", "header",
+    "text", "inf", "nan", "overflow", "huge", "short", "long", "empty-field", "header",
 ]
 
 
 @st.composite
 def payoff_files(draw, corrupt: bool):
     depth = draw(st.integers(0, 4))
-    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4)) + [0.0, -0.0]
+    limit = csvio.PAYOFF_LIMIT
+    pool = draw(st.lists(st.floats(-limit, limit), min_size=1, max_size=4)) + [0.0, -0.0, limit, -limit]
     rows = [[k, i, draw(st.sampled_from(pool))] for k in range(depth + 1) for i in range(2**k)]
     rows = draw(st.permutations(rows))
     # corrupted plain files reach the column reader's array checks
@@ -85,8 +86,9 @@ def payoff_files(draw, corrupt: bool):
         kind = draw(st.sampled_from(PAYOFF_CORRUPTIONS))
         at = draw(st.integers(0, len(lines)))
         k, i, _ = draw(st.sampled_from(rows))
-        if kind == "drop" and lines:
-            del lines[min(at, len(lines) - 1)]
+        if kind == "drop":
+            if lines:
+                del lines[min(at, len(lines) - 1)]
             continue
         if kind == "header":
             header = "level,index,payoff"
@@ -102,6 +104,7 @@ def payoff_files(draw, corrupt: bool):
             "inf": f"{k},{i},inf",
             "nan": f"{k},{i},nan",
             "overflow": f"{k},{i},1e999",
+            "huge": f"{k},{i},{draw(st.sampled_from(['-1e308', '8.98846567431158e+307', '1.7976931348623157e308']))}",
             "short": f"{k},{i}",
             "long": f"{k},{i},0.0,0.0",
             "empty-field": f"{k},,0.0",
