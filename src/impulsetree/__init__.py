@@ -31,8 +31,8 @@ from .expr import (
     parse_expr,
 )
 from .impulse import (
-    ImpulseState,
     SolverError,
+    StateSpace,
     ValueField,
     ValueIterationResult,
     enumerate_states,

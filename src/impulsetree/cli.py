@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .combined import HamiltonianSpec, combined_value_iteration, extract_pair
@@ -48,53 +47,6 @@ class AuditFailure(RuntimeError):
     def __init__(self, report):
         super().__init__(report.summary())
         self.report = report
-
-
-@dataclass
-class RunReport:
-    """Everything a solve run reports; timings are serialized separately."""
-
-    config: dict
-    config_hash: str
-    mode: str
-    depth: int
-    node_count: int
-    state_count: int
-    budget_used: int
-    iterations: int
-    stalled: bool
-    stall_index: "int | None"
-    y0: float
-    per_iteration_y0: "list[float]"
-    sup_increments: "list[float]"
-    forward_value: float
-    consistency_residual: float
-    residual_tolerance: float
-    status: str
-    tol: float
-    strategy_summary: dict
-    timings: "dict[str, float]" = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "Y0": self.y0,
-            "iterations": self.iterations,
-            "stalled": self.stalled,
-            "stall_index": self.stall_index,
-            "budget_used": self.budget_used,
-            "per_iteration_Y0": self.per_iteration_y0,
-            "sup_increments": self.sup_increments,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "mode": self.mode,
-            "tree": {"depth": self.depth, "node_count": self.node_count, "state_count": self.state_count},
-            "forward_value": self.forward_value,
-            "consistency_residual": self.consistency_residual,
-            "residual_tolerance": self.residual_tolerance,
-            "status": self.status,
-            "tol": self.tol,
-            "strategy_summary": self.strategy_summary,
-        }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,36 +112,34 @@ def _cmd_solve(args, combined: bool) -> int:
 
     t0 = time.perf_counter()
     residual = abs(result.y0 - forward.value)
-    report = RunReport(
-        config=loaded.raw,
-        config_hash=loaded.config_hash,
-        mode="solve-combined" if combined else "solve",
-        depth=tree.depth,
-        node_count=tree.node_count,
-        state_count=len(result.states),
-        budget_used=result.budget,
-        iterations=len(result.fields) - 1,
-        stalled=result.stalled,
-        stall_index=result.stall_index,
-        y0=result.y0,
-        per_iteration_y0=result.per_iteration_y0,
-        sup_increments=result.sup_increments,
-        forward_value=forward.value,
-        consistency_residual=residual,
-        residual_tolerance=RESIDUAL_TOLERANCE,
-        status="ok" if residual <= RESIDUAL_TOLERANCE else "inconsistent",
-        tol=tol,
-        strategy_summary={
+    status = "ok" if residual <= RESIDUAL_TOLERANCE else "inconsistent"
+    report = {
+        "Y0": result.y0,
+        "iterations": len(result.fields) - 1,
+        "stalled": result.stalled,
+        "stall_index": result.stall_index,
+        "budget_used": result.budget,
+        "per_iteration_Y0": result.per_iteration_y0,
+        "sup_increments": result.sup_increments,
+        "config": loaded.raw,
+        "config_hash": loaded.config_hash,
+        "mode": "solve-combined" if combined else "solve",
+        "tree": {"depth": tree.depth, "node_count": tree.node_count, "state_count": len(result.states)},
+        "forward_value": forward.value,
+        "consistency_residual": residual,
+        "residual_tolerance": RESIDUAL_TOLERANCE,
+        "status": status,
+        "tol": tol,
+        "strategy_summary": {
             "impulse_count_distribution": {str(k): v for k, v in distribution.items()},
             "impulse_decisions": strategy.impulse_decision_count,
             "decision_count": tree.node_count + strategy.impulse_decision_count,
         },
-        timings=timings,
-    )
+    }
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report.to_json_dict())
+    _write_json(out / "report.json", report)
     write_strategy_csv(out / "strategy.csv", strategy)
     write_values_csv(out / "values.csv", result.fields)
     if combined:
@@ -197,8 +147,8 @@ def _cmd_solve(args, combined: bool) -> int:
     timings["write"] = time.perf_counter() - t0
     _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
 
-    print(f"Y0 = {result.y0!r}  forward = {forward.value!r}  residual = {residual:.3e}  status = {report.status}")
-    return 0 if report.status == "ok" else 1
+    print(f"Y0 = {result.y0!r}  forward = {forward.value!r}  residual = {residual:.3e}  status = {status}")
+    return 0 if status == "ok" else 1
 
 
 def _cmd_oracle(args) -> int:

@@ -9,13 +9,12 @@ import numpy as np
 
 from .expr import CoefficientExpr, eval_expr
 from .impulse import (
-    DEFAULT_MAX_STATES,
     ImpulseModel,
+    StateSpace,
     ValueIterationResult,
     SolverError,
     _extract_walk,
     _reflect_until_stall,
-    _sweep,
     enumerate_states,
     impulse_budget,
 )
@@ -60,29 +59,29 @@ def hamiltonian_max(t: float, env: dict, z: float, spec: HamiltonianSpec):
     return best_value, best_u
 
 
-def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states):
-    """Per-level (n_controls, 2^k, n_states) arrays of the tilt
+def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace):
+    """Per-level (n_controls, 2^k, len(states)) arrays of the tilt
     theta = f/sigma and the reward, both on the state-shifted path, each
     evaluated per control over a level's stacked shifts.
 
-    Raises SolverError if the tilt bound |theta|*sqrt(dt) < 1 fails anywhere
-    (the audit should have rejected the model first).
+    Raises SolverError if the tilt bound |theta|*sqrt(dt) < 1 fails anywhere,
+    0/0 included (the audit should have rejected the model first).
     """
     thetas = []
     rewards = []
     n_controls = len(spec.grid.controls)
-    shifts = [st.cumulative for st in states]
     for k in range(tree.depth):
         theta_k = np.empty((n_controls, tree.level_size(k), len(states)))
         reward_k = np.empty_like(theta_k)
-        for cols in tree.shift_blocks(k, len(shifts)):
-            env = tree.shifted_env(k, shifts[cols])
+        for cols in tree.shift_blocks(k, len(states)):
+            env = tree.shifted_env(k, states.shifts[cols])
             sigma = np.asarray(eval_expr(spec.sigma, env))
             for c, u in enumerate(spec.grid.controls):
                 env_u = {**env, "u": u}
-                np.divide(eval_expr(spec.grid.controlled_drift, env_u), sigma, out=theta_k[c, :, cols])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(eval_expr(spec.grid.controlled_drift, env_u), sigma, out=theta_k[c, :, cols])
                 reward_k[c, :, cols] = eval_expr(spec.reward, env_u)
-        if np.any(np.abs(theta_k) * tree.sqrt_dt >= 1):
+        if not (np.abs(theta_k) * tree.sqrt_dt < 1).all():
             raise SolverError(f"tilt bound |f/sigma|*sqrt(dt) < 1 violated at level {k}")
         thetas.append(theta_k)
         rewards.append(reward_k)
@@ -97,7 +96,6 @@ def combined_value_iteration(
     budget: "int | None" = None,
     *,
     fixed_controls=None,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> ValueIterationResult:
     """The impulse value iteration with the driver h replaced by the
     maximized Hamiltonian: Z from the next level, then
@@ -110,7 +108,7 @@ def combined_value_iteration(
     """
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
-    states = enumerate_states(model.impulses, budget, max_states)
+    states = enumerate_states(model.impulses, budget)
     thetas, rewards = driver_tables(tree, spec, states)
 
     def driver(k, z):
@@ -121,10 +119,7 @@ def combined_value_iteration(
             return np.take_along_axis(candidates, u_idx[None, :, :], axis=0)[0], u_idx
         return candidates.max(axis=0), candidates.argmax(axis=0)
 
-    def sweep(prev, domain):
-        return _sweep(tree, model, domain, driver, prev)
-
-    return _reflect_until_stall(states, budget, tol, sweep)
+    return _reflect_until_stall(tree, model, states, tol, driver)
 
 
 @dataclass(frozen=True, eq=False)

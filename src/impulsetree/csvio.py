@@ -67,7 +67,7 @@ def write_values_csv(path: Path, fields):
     """One row per (iterate, level, node, state) with Y, Z and K_inc."""
     with _open_csv(path, ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"]) as fh:
         for fld in fields:
-            states = [f"{float(st.cumulative)!r},{st.count}" for st in fld.states]
+            states = [f"{cum!r},{n}" for cum, n in zip(fld.states.shifts.tolist(), fld.states.counts.tolist())]
             for level, y in enumerate(fld.values):
                 for nodes in _node_chunks(y.shape[0], len(states)):
                     rows = slice(nodes.start, nodes.stop)

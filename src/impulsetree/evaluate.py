@@ -101,11 +101,11 @@ def _weight_levels(tree: ScenarioTree, spec: HamiltonianSpec, controls: ControlT
         size = tree.level_size(k)
         env = tree.env(k, shift=shifts[k], control=controls.levels[k])
         sigma = np.asarray(eval_expr(spec.sigma, env))
-        theta = np.broadcast_to(
-            np.asarray(eval_expr(spec.grid.controlled_drift, env)) / sigma, (size,)
-        )
+        drift = np.asarray(eval_expr(spec.grid.controlled_drift, env))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.broadcast_to(drift / sigma, (size,))
         tilt = theta * tree.sqrt_dt
-        if np.any(np.abs(tilt) >= 1):
+        if not (np.abs(tilt) < 1).all():  # 0/0 = nan fails it too
             raise ValueError(f"tilt bound violated at level {k}: |f/sigma|*sqrt(dt) >= 1")
         nxt = np.empty(2 * size)
         nxt[0::2] = weights[k] * (1.0 + tilt)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .expr import eval_expr
 from .model import DEFAULT_TOL, ImpulseModel, LimitError
-from .strategy import Strategy, shift_key, state_key
+from .strategy import Strategy, shift_key
 from .tree import ScenarioTree, cond_expect, z_repr
 
 DEFAULT_MAX_STATES = 20000
@@ -17,24 +17,6 @@ DEFAULT_MAX_STATES = 20000
 
 class SolverError(RuntimeError):
     """Internal inconsistency in solver outputs (indicates a bug)."""
-
-
-@dataclass(frozen=True)
-class ImpulseState:
-    """A cumulative applied impulse and the fewest impulses that reach it.
-
-    ``cumulative`` is stored already rounded to the dedup precision so the
-    backward fields and every forward walk agree bit-for-bit on the shift.
-    Value fields are keyed by the shift alone; ``count`` decides which
-    fields cover the state (field Y^n holds the shifts with count <= budget - n).
-    """
-
-    cumulative: float
-    count: int
-
-    @property
-    def key(self) -> "tuple[float, int]":
-        return state_key(self.cumulative, self.count)
 
 
 def impulse_budget(reward_bound: float, cost_floor: float, horizon: float) -> int:
@@ -55,74 +37,74 @@ def impulse_budget(reward_bound: float, cost_floor: float, horizon: float) -> in
     return max(0, math.ceil(ratio - 1e-12))
 
 
-def enumerate_states(impulses, budget: int, max_states: int = DEFAULT_MAX_STATES):
-    """All cumulative shifts reachable with at most ``budget`` impulses,
-    each with the fewest impulses that reach it.
+@dataclass(frozen=True, eq=False)
+class StateSpace:
+    """Cumulative shifts reachable with at most ``budget`` impulses, as
+    arrays in count-major order.
 
-    Deterministic order: count-major, then generation order (previous states
-    in order, impulses in declared order).  Deduplicated by shift_key, so
-    the states reachable with at most m impulses form a prefix.
+    ``shifts[s]`` is stored already rounded by shift_key, so the backward
+    fields and every forward walk agree bit-for-bit on it, and
+    ``counts[s]`` is the fewest impulses that reach it.  ``succ[s, b]`` is
+    the index of shifts[s] + impulses[b], or -1 where that shift needs more
+    impulses than were enumerated.  A prefix keeps the indices.
+    """
+
+    shifts: np.ndarray
+    counts: np.ndarray
+    succ: np.ndarray
+    budget: int
+
+    def __len__(self) -> int:
+        return self.shifts.size
+
+    def prefix(self, remaining: int) -> "StateSpace":
+        """The states reachable with at most ``remaining`` impulses."""
+        n = int(np.searchsorted(self.counts, remaining, side="right"))
+        return StateSpace(self.shifts[:n], self.counts[:n], self.succ[:n], remaining)
+
+
+def enumerate_states(impulses, budget: int, max_states: int = DEFAULT_MAX_STATES) -> StateSpace:
+    """All cumulative shifts reachable with at most ``budget`` impulses,
+    each with the fewest impulses that reach it, and their successors.
+
+    One pass in deterministic count-major order: the states in turn,
+    impulses in declared order, each new shift appended.  Deduplicated by
+    shift_key, so the states reachable with at most m impulses form a
+    prefix.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    root = ImpulseState(shift_key(0.0), 0)
-    states = [root]
-    seen = {root.cumulative}
-    frontier = [root]
-    for count in range(1, budget + 1):
-        next_frontier = []
-        for prev in frontier:
-            for beta in impulses:
-                cum = shift_key(prev.cumulative + beta)
-                if cum in seen:
-                    continue
-                seen.add(cum)
-                st = ImpulseState(cum, count)
-                states.append(st)
-                next_frontier.append(st)
-                if len(states) > max_states:
+    shifts, counts, succ = [shift_key(0.0)], [0], []
+    index = {shifts[0]: 0}
+    for cum, count in zip(shifts, counts):  # both lists grow while they are walked
+        for beta in impulses:
+            nxt = shift_key(cum + beta)
+            if nxt not in index and count < budget:
+                index[nxt] = len(shifts)
+                shifts.append(nxt)
+                counts.append(count + 1)
+                if len(shifts) > max_states:
                     raise LimitError(f"impulse state count exceeds the limit of {max_states}")
-        frontier = next_frontier
-    return states
-
-
-def field_states(states, remaining: int) -> "tuple[ImpulseState, ...]":
-    """The states a field with ``remaining`` impulses left covers: those
-    reachable with at most that many impulses (a prefix of ``states``)."""
-    return tuple(st for st in states if st.count <= remaining)
-
-
-def successor_table(states, impulses, targets) -> np.ndarray:
-    """(len(states), n_impulses) index table: entry [s, b] is the index in
-    ``targets`` of the shift reached from states[s] by impulses[b].  A
-    successor missing from ``targets`` is a SolverError."""
-    index = {st.cumulative: j for j, st in enumerate(targets)}
-    table = np.empty((len(states), len(impulses)), dtype=np.int64)
-    for j, st in enumerate(states):
-        for b, beta in enumerate(impulses):
-            key = shift_key(st.cumulative + beta)
-            try:
-                table[j, b] = index[key]
-            except KeyError:
-                raise SolverError(f"missing successor state {key}") from None
-    return table
+            succ.append(index.get(nxt, -1))
+    table = np.array(succ, dtype=np.int64).reshape(len(shifts), len(impulses))
+    return StateSpace(np.array(shifts), np.array(counts, dtype=np.int64), table, budget)
 
 
 @dataclass(frozen=True)
 class ValueField:
     """One iterate Y^n of the reflected recursion.
 
-    ``states`` are the shifts reachable with at most budget - n impulses, a
-    prefix of the run's count-major state list whose impulse successors all
-    lie in Y^{n-1}'s states.  ``values[k]`` has shape (2^k, len(states));
-    ``z`` is the martingale representation of the next level, ``k_inc``
-    the reflection increment, and for n >= 1 ``obstacle``/``obstacle_argmax``
-    record the intervention value max_beta(-cost(beta) + Y^{n-1}(.,
-    state+beta)) and its first maximizer in declared impulse order.
+    ``states`` is the prefix of the run's StateSpace reachable with at most
+    budget - n impulses; their impulse successors all lie in Y^{n-1}'s
+    states.  ``values[k]`` has shape (2^k, len(states)); ``z`` is the
+    martingale representation of the next level, ``k_inc`` the reflection
+    increment, and for n >= 1 ``obstacle``/``obstacle_argmax`` record the
+    intervention value max_beta(-cost(beta) + Y^{n-1}(., state+beta)) and
+    its first maximizer in declared impulse order.
     """
 
     n: int
-    states: "tuple[ImpulseState, ...]"
+    states: StateSpace
     values: "tuple[np.ndarray, ...]"
     z: "tuple[np.ndarray, ...]"
     k_inc: "tuple[np.ndarray, ...]"
@@ -134,18 +116,22 @@ class ValueField:
     def depth(self) -> int:
         return len(self.values) - 1
 
+    @property
+    def next_states(self) -> StateSpace:
+        """Y^{n+1}'s states: those with one impulse fewer left."""
+        return self.states.prefix(self.states.budget - 1)
+
     def root_value(self) -> float:
         return float(self.values[0][0, 0])
 
 
-def reward_tables(tree: ScenarioTree, model: ImpulseModel, states):
-    """Per-level (2^k, n_states) arrays of the running reward under each
+def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace):
+    """Per-level (2^k, len(states)) arrays of the running reward under each
     state's path shift (levels 0..depth-1; left endpoint; shifts stacked)."""
-    shifts = [st.cumulative for st in states]
     tables = [np.empty((tree.level_size(k), len(states))) for k in range(tree.depth)]
     for k, arr in enumerate(tables):
-        for cols in tree.shift_blocks(k, len(shifts)):
-            arr[:, cols] = eval_expr(model.reward, tree.shifted_env(k, shifts[cols]))
+        for cols in tree.shift_blocks(k, len(states)):
+            arr[:, cols] = eval_expr(model.reward, tree.shifted_env(k, states.shifts[cols]))
     return tables
 
 
@@ -155,16 +141,17 @@ def _reward_driver(tables):
     return lambda k, z: (tables[k][:, : z.shape[1]], None)
 
 
-def _sweep(tree: ScenarioTree, model: ImpulseModel, states, driver, prev=None) -> ValueField:
+def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, prev=None) -> ValueField:
     """One backward sweep over ``states``, shared by both modes.
 
     Z_k comes from the next level, then Y_k = E[Y_{k+1}] + driver*dt,
-    reflected against the obstacle from ``prev`` when one is given.
-    ``driver(k, z_k)`` returns the level-k driver on the field's states and
-    the control-grid indices it used (None in pure impulse mode).  Terminal
-    value 0: no impulses at the horizon.
+    reflected against the obstacle from ``prev`` when one is given (then
+    ``states`` are prev.next_states).  ``driver(k, z_k)`` returns the
+    level-k driver on the field's states and the control-grid indices it
+    used (None in pure impulse mode).  Terminal value 0: no impulses at
+    the horizon.
     """
-    obs, arg = (None, None) if prev is None else obstacle(prev, model, states)
+    obs, arg = (None, None) if prev is None else obstacle(prev, model)
     depth = tree.depth
 
     values = [None] * (depth + 1)
@@ -187,7 +174,7 @@ def _sweep(tree: ScenarioTree, model: ImpulseModel, states, driver, prev=None) -
 
     return ValueField(
         n=0 if prev is None else prev.n + 1,
-        states=tuple(states),
+        states=states,
         values=tuple(values),
         z=tuple(zs),
         k_inc=tuple(k_incs),
@@ -197,53 +184,44 @@ def _sweep(tree: ScenarioTree, model: ImpulseModel, states, driver, prev=None) -
     )
 
 
-def solve_y0(tree: ScenarioTree, model: ImpulseModel, states, *, _tables=None) -> ValueField:
+def solve_y0(tree: ScenarioTree, model: ImpulseModel, states: StateSpace) -> ValueField:
     """Unreflected base field: expected remaining reward for a strategy
     already holding each state's cumulative impulse, with no further
     impulses allowed.  Terminal value 0; reflection increments identically 0."""
-    tables = _tables if _tables is not None else reward_tables(tree, model, states)
-    return _sweep(tree, model, states, _reward_driver(tables))
+    return _sweep(tree, model, _reward_driver(reward_tables(tree, model, states)), states)
 
 
-def _next_states(prev: ValueField, states):
-    """The next field's states: ``states`` if given, else prev's states
-    below its largest count (right when that count is prev's remaining
-    budget, as for a field built from enumerate_states)."""
-    if states is not None:
-        return tuple(states)
-    return field_states(prev.states, max(st.count for st in prev.states) - 1)
-
-
-def obstacle(prev: ValueField, model: ImpulseModel, states=None):
+def obstacle(prev: ValueField, model: ImpulseModel):
     """Intervention value and argmax against the previous field, on the next
-    field's ``states`` (see _next_states); their successors must lie in
-    prev's states.
+    field's states (prev.next_states); their successors must lie in prev's
+    states.
 
     Returns (per-level obstacle arrays, per-level argmax arrays).  Ties pick
     the first impulse in declared order.
     """
-    succ = successor_table(_next_states(prev, states), model.impulses, prev.states)
+    states = prev.next_states
+    missing = (states.succ < 0) | (states.succ >= len(prev.states))
+    if missing.any():
+        s, b = np.argwhere(missing)[0]
+        raise SolverError(f"missing successor state {shift_key(states.shifts[s] + model.impulses[b])}")
     psi = np.array([model.costs[beta] for beta in model.impulses])
 
     obstacles = []
     argmaxes = []
     for level_values in prev.values:
-        cand = level_values[:, succ] - psi[None, None, :]
+        cand = level_values[:, states.succ] - psi[None, None, :]
         obstacles.append(cand.max(axis=2))
         argmaxes.append(cand.argmax(axis=2))
     return tuple(obstacles), tuple(argmaxes)
 
 
-def iterate_value(
-    prev: ValueField, tree: ScenarioTree, model: ImpulseModel, states=None, *, _tables=None
-) -> ValueField:
+def iterate_value(prev: ValueField, tree: ScenarioTree, model: ImpulseModel) -> ValueField:
     """One reflected step: Y_k = max(E[Y_{k+1}] + h*dt, obstacle from the
-    previous field) on the next field's ``states`` (see _next_states).
-    Terminal value stays 0 (no impulses at the horizon; the terminal
-    obstacle is <= -cost floor and never binds)."""
-    states = _next_states(prev, states)
-    tables = _tables if _tables is not None else reward_tables(tree, model, states)
-    return _sweep(tree, model, states, _reward_driver(tables), prev)
+    previous field) on prev.next_states.  Terminal value stays 0 (no
+    impulses at the horizon; the terminal obstacle is <= -cost floor and
+    never binds)."""
+    states = prev.next_states
+    return _sweep(tree, model, _reward_driver(reward_tables(tree, model, states)), states, prev)
 
 
 @dataclass
@@ -253,7 +231,7 @@ class ValueIterationResult:
     stall_index: "int | None"
     sup_increments: "list[float]"
     budget: int
-    states: "tuple[ImpulseState, ...]"
+    states: StateSpace
 
     @property
     def top(self) -> ValueField:
@@ -268,18 +246,18 @@ class ValueIterationResult:
         return [f.root_value() for f in self.fields]
 
 
-def _reflect_until_stall(states, budget: int, tol: float, sweep) -> ValueIterationResult:
-    """The value iteration both modes share: Y^0 = sweep(None, states of
-    Y^0), then Y^n = sweep(Y^{n-1}, states of Y^n) until the sup-norm of
-    Y^n - Y^{n-1} over Y^n's (node, state) pairs drops to ``tol`` or n
-    reaches the budget.  Y^n covers the states reachable with at most
-    budget - n impulses."""
-    fields = [sweep(None, field_states(states, budget))]
+def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver):
+    """The value iteration both modes share: Y^0 is the unreflected sweep
+    over ``states``, then Y^n the sweep reflected against Y^{n-1} over its
+    next states, until the sup-norm of Y^n - Y^{n-1} over Y^n's (node,
+    state) pairs drops to ``tol`` or n reaches the budget."""
+    budget = states.budget
+    fields = [_sweep(tree, model, driver, states)]
     stalled = budget == 0  # no impulse is ever admissible, Y0 is the value
     stall_index = 0 if stalled else None
     sups = []
     for n in range(1, budget + 1):
-        nxt = sweep(fields[-1], field_states(states, budget - n))
+        nxt = _sweep(tree, model, driver, fields[-1].next_states, fields[-1])
         sup = max(
             float(np.max(np.abs(b - a[:, : b.shape[1]]))) for a, b in zip(fields[-1].values, nxt.values)
         )
@@ -295,17 +273,12 @@ def _reflect_until_stall(states, budget: int, tol: float, sweep) -> ValueIterati
         stall_index=stall_index,
         sup_increments=sups,
         budget=budget,
-        states=tuple(states),
+        states=states,
     )
 
 
 def value_iteration(
-    tree: ScenarioTree,
-    model: ImpulseModel,
-    tol: float = DEFAULT_TOL,
-    budget: "int | None" = None,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
+    tree: ScenarioTree, model: ImpulseModel, tol: float = DEFAULT_TOL, budget: "int | None" = None
 ) -> ValueIterationResult:
     """Iterate the reflected recursion until the sup-norm increment over all
     (node, state) pairs drops to ``tol`` or the impulse budget is reached.
@@ -316,15 +289,8 @@ def value_iteration(
     """
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
-    states = enumerate_states(model.impulses, budget, max_states)
-    tables = reward_tables(tree, model, states)
-
-    def sweep(prev, domain):
-        if prev is None:
-            return solve_y0(tree, model, domain, _tables=tables)
-        return iterate_value(prev, tree, model, domain, _tables=tables)
-
-    return _reflect_until_stall(states, budget, tol, sweep)
+    states = enumerate_states(model.impulses, budget)
+    return _reflect_until_stall(tree, model, states, tol, _reward_driver(reward_tables(tree, model, states)))
 
 
 def _check_fields_consistent(fields, tol):
@@ -352,7 +318,7 @@ def _extract_walk(fields, tree, model, tol):
     _check_fields_consistent(fields, tol)
 
     top = len(fields) - 1
-    succ = successor_table(fields[1].states, model.impulses, fields[0].states) if top else None
+    succ = fields[0].states.succ
     s = np.zeros(1, dtype=np.int64)
     m = np.full(1, top, dtype=np.int64)
     chains, posts = [], []

@@ -151,30 +151,30 @@ def _scan(columns, rule, level, control, values, predicate, describe):
         entries.append(AuditViolation(rule, message, level, key, control))
 
 
-def _audit_level(process, impulse, grid, tree, level, states):
+def _audit_level(process, impulse, grid, tree, level, keys):
     """The violations at one level, one (state key, entries) column per
-    state, from one evaluation over the states' stacked shifts (per
-    control): sigma first, then per control A1 and the tilt, which is
+    state key (shift, count), from one evaluation over the stacked shifts
+    (per control): sigma first, then per control A1 and the tilt, which is
     scanned only where sigma is positive at every node.  With one state an
     EvalError is that state's violation; with several it propagates, and
     the caller re-runs each state alone."""
-    env = tree.shifted_env(level, [st.cumulative for st in states])
-    columns = [(st.key, []) for st in states]
+    env = tree.shifted_env(level, [cum for cum, _ in keys])
+    columns = [(key, []) for key in keys]
 
     def evaluate(expr, env, rule, what, control=None):
         try:
             return np.asarray(eval_expr(expr, env))
         except EvalError as exc:
-            if len(states) > 1:
+            if len(keys) > 1:
                 raise
-            columns[0][1].append(AuditViolation(rule, f"{what} failed: {exc}", level, states[0].key, control))
+            columns[0][1].append(AuditViolation(rule, f"{what} failed: {exc}", level, keys[0], control))
             return None
 
     sigma = evaluate(process.sigma, env, "sigma", "evaluation")
     if sigma is None:
         return columns
     _scan(columns, "sigma", level, None, sigma, lambda v: v > 0, "sigma not strictly positive")
-    positive = np.flatnonzero(np.all(sigma > 0, axis=0) if sigma.ndim else np.full(len(states), sigma > 0))
+    positive = np.flatnonzero(np.all(sigma > 0, axis=0) if sigma.ndim else np.full(len(keys), sigma > 0))
     tilted = [columns[j] for j in positive.tolist()]
     pick = lambda v: v[:, positive] if v.ndim else v
     gamma = impulse.reward_bound
@@ -219,27 +219,27 @@ def validate_model(process, impulse, grid, tree, budget=None) -> AuditReport:
     if impulse.reward_bound < 0:
         violations.append(AuditViolation("A1", f"reward bound must be non-negative, got {impulse.reward_bound!r}"))
 
-    if impulse.cost_floor > 0 and impulse.reward_bound >= 0:
-        if budget is None:
-            budget = impulse_budget(impulse.reward_bound, impulse.cost_floor, tree.horizon)
-    else:
+    if not (impulse.cost_floor > 0 and impulse.reward_bound >= 0):
         budget = 0
+    elif budget is None:
+        budget = impulse_budget(impulse.reward_bound, impulse.cost_floor, tree.horizon)
     states = enumerate_states(impulse.impulses, budget)
+    keys = list(zip(states.shifts.tolist(), states.counts.tolist()))
 
-    by_state = [[] for _ in states]
+    by_state = [[] for _ in keys]
     for level in range(tree.depth + 1):
-        for cols in tree.shift_blocks(level, len(states)):
+        for cols in tree.shift_blocks(level, len(keys)):
             try:
-                columns = _audit_level(process, impulse, grid, tree, level, states[cols])
+                columns = _audit_level(process, impulse, grid, tree, level, keys[cols])
             except EvalError:
-                columns = [_audit_level(process, impulse, grid, tree, level, [st])[0] for st in states[cols]]
+                columns = [_audit_level(process, impulse, grid, tree, level, [key])[0] for key in keys[cols]]
             for entries, (_, found) in zip(by_state[cols], columns):
                 entries.extend(found)
 
     return AuditReport(
         violations=tuple(violations) + tuple(v for entries in by_state for v in entries),
         nodes_checked=tree.node_count,
-        states_checked=len(states),
+        states_checked=len(keys),
         controls_checked=len(grid.controls) if grid is not None else 0,
     )
 

@@ -1,0 +1,17 @@
+"""The lattice checks of test_lattice.py at depth 16, where a tree solve
+takes about a second.  The file name does not match pytest's default
+`test_*.py` pattern, so the default test run does not collect it; run it
+with
+
+    PYTHONPATH=src python -m pytest tests/lattice_deep.py
+"""
+
+from test_lattice import BASELINE, check_against_lattice, combined_config
+
+
+def test_impulse_tree_matches_the_lattice_at_depth_16():
+    check_against_lattice({**BASELINE, "numerics": {**BASELINE["numerics"], "depth": 16}})
+
+
+def test_combined_tree_matches_the_lattice_at_depth_16():
+    check_against_lattice(combined_config(16, [-1.0, 0.0, 1.0]))

@@ -209,9 +209,9 @@ def test_criterion_09_combined_control(combined_batch):
             for _ in range(200):
                 k = int(rng.integers(0, tree.depth))
                 i = int(rng.integers(0, tree.level_size(k)))
-                state = result.states[int(rng.integers(0, len(result.states)))]
+                shift = float(result.states.shifts[int(rng.integers(0, len(result.states)))])
                 z = float(rng.normal(scale=2.0))
-                env = tree.node_env(NodeRef(k, i), shift=state.cumulative)
+                env = tree.node_env(NodeRef(k, i), shift=shift)
                 h_star, _ = hamiltonian_max(float(tree.times[k]), env, z, spec)
                 for u in loaded.grid.controls:
                     assert h_star >= hamiltonian(float(tree.times[k]), env, z, u, spec) - 1e-12

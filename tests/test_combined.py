@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,7 +182,7 @@ def test_no_reward_extracts_empty_strategy_and_argmax_controls():
     for level in range(tree.depth):
         for index, u in enumerate(controls.levels[level].tolist()):
             cum = float(states.cum[level][index])
-            state_idx = [s.cumulative for s in top.states].index(cum)
+            state_idx = top.states.shifts.tolist().index(cum)
             z = float(top.z[level][index, state_idx])
             env = tree.node_env(NodeRef(level, index), shift=cum)
             _, best = hamiltonian_max(float(tree.times[level]), env, z, spec)
@@ -200,7 +202,7 @@ def test_pointwise_driver_dominance():
         i = int(rng.integers(0, tree.level_size(k)))
         j = int(rng.integers(0, len(states)))
         z = float(rng.normal(scale=2.0))
-        env = tree.node_env(NodeRef(k, i), shift=states[j].cumulative)
+        env = tree.node_env(NodeRef(k, i), shift=float(states.shifts[j]))
         h_star, _ = hamiltonian_max(float(tree.times[k]), env, z, spec)
         for u in loaded.grid.controls:
             assert h_star >= hamiltonian(float(tree.times[k]), env, z, u, spec) - 1e-12
@@ -252,3 +254,23 @@ def test_tilt_violation_raises_solver_error():
     spec = _spec(loaded)
     with pytest.raises(SolverError, match="tilt"):
         combined_value_iteration(tree, loaded.impulse, spec)
+
+
+def test_tilt_zero_over_zero_raises_solver_error_without_a_warning():
+    # sigma = f = 0 at the root: theta = 0/0 = nan must fail the tilt
+    # bound like any value not below 1, naming the level, with no numpy
+    # RuntimeWarning (the audit, skipped here, would reject this sigma)
+    config = {
+        **COMBINED_CONFIG,
+        "process": {**COMBINED_CONFIG["process"], "sigma": "max(x, 0)"},
+        "control": {"V": [1.0], "f": "u*max(x, 0)"},
+    }
+    loaded = load_config(config)
+    tree = build_tree(loaded.process, 3)
+    states = enumerate_states(loaded.impulse.impulses, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="at level 0"):
+            driver_tables(tree, _spec(loaded), states)
+        with pytest.raises(SolverError, match="at level 0"):
+            combined_value_iteration(tree, loaded.impulse, _spec(loaded))

@@ -43,9 +43,9 @@ def _values_rows(fields):
     for fld in fields:
         for level, y in enumerate(fld.values):
             for i in range(y.shape[0]):
-                for j, st in enumerate(fld.states):
+                for j, (cum, count) in enumerate(zip(fld.states.shifts.tolist(), fld.states.counts.tolist())):
                     yield (
-                        fld.n, level, i, float(st.cumulative), st.count,
+                        fld.n, level, i, cum, count,
                         float(y[i, j]), float(fld.z[level][i, j]), float(fld.k_inc[level][i, j]),
                     )
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from impulsetree import (
     PolicyValue,
     Strategy,
     StrategyRowError,
+    build_tree,
     enumerate_optimal,
     enumerate_states,
     evaluate_pair,
@@ -17,6 +20,7 @@ from impulsetree import (
     girsanov_weights,
     impulse_budget,
     impulse_count_distribution,
+    load_config,
     mc_evaluate_strategy,
     parse_expr,
     state_key,
@@ -151,6 +155,18 @@ def test_girsanov_tilt_bound_enforced(pinned_problem):
     spec = _driftless_spec(sigma="0.1", f="u", controls=(2.0,))
     with pytest.raises(ValueError, match="tilt"):
         girsanov_weights(tree, spec, ControlTable.uniform(2.0))
+
+
+def test_girsanov_tilt_zero_over_zero_is_rejected_without_a_warning():
+    # sigma = f = 0 on the whole zero-shift path from x0 = 0: theta = 0/0
+    # = nan fails the tilt bound, naming the level, with no RuntimeWarning
+    config = {**PINNED_CONFIG, "process": {"x0": 0.0, "T": 1.0, "sigma": "max(x, 0)", "drift": None}}
+    tree = build_tree(load_config(config).process, 2)
+    spec = _driftless_spec(sigma="max(x, 0)", f="u*max(x, 0)", controls=(1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at level 0"):
+            girsanov_weights(tree, spec, ControlTable.uniform(1.0))
 
 
 def test_evaluate_pair_weights_average_out_for_constant_reward(pinned_problem):

@@ -25,7 +25,7 @@ from impulsetree import (
     strategy_from_rule,
     value_iteration,
 )
-from impulsetree.impulse import ValueField, successor_table
+from impulsetree.impulse import StateSpace, ValueField
 
 from conftest import (
     PINNED_CONFIG,
@@ -59,15 +59,21 @@ def _brute_force_states(impulses, budget):
     return {(cum, count) for cum, count in found.items()}
 
 
+def _pairs(states):
+    """(shift, count) of each state, in order."""
+    return list(zip(states.shifts.tolist(), states.counts.tolist()))
+
+
 def test_enumerate_states_single_impulse():
     states = enumerate_states((1.0,), 2)
-    assert [(s.cumulative, s.count) for s in states] == [(0.0, 0), (1.0, 1), (2.0, 2)]
+    assert _pairs(states) == [(0.0, 0), (1.0, 1), (2.0, 2)]
+    assert states.budget == 2 and len(states) == 3
 
 
 def test_enumerate_states_symmetric_pair_order():
     states = enumerate_states((1.0, -1.0), 2)
     # the shift 0.0 is reached again by two impulses; it keeps count 0
-    assert [(s.cumulative, s.count) for s in states] == [
+    assert _pairs(states) == [
         (0.0, 0),
         (1.0, 1),
         (-1.0, 1),
@@ -79,13 +85,14 @@ def test_enumerate_states_symmetric_pair_order():
 def test_enumerate_states_count_against_brute_force():
     impulses = (0.5, 1.0)
     states = enumerate_states(impulses, 3)
-    assert [(s.cumulative, s.count) for s in states] == [
+    assert _pairs(states) == [
         (0.0, 0), (0.5, 1), (1.0, 1), (1.5, 2), (2.0, 2), (2.5, 3), (3.0, 3)
     ]
-    assert {s.key for s in states} == _brute_force_states(impulses, 3)
+    assert set(_pairs(states)) == _brute_force_states(impulses, 3)
     # order is deterministic
     again = enumerate_states(impulses, 3)
-    assert [s.key for s in states] == [s.key for s in again]
+    assert _pairs(states) == _pairs(again)
+    assert np.array_equal(states.succ, again.succ)
 
 
 def test_enumerate_states_limit():
@@ -96,11 +103,27 @@ def test_enumerate_states_limit():
 def test_successor_table():
     impulses = (1.0, -1.0)
     states = enumerate_states(impulses, 2)  # shifts 0, 1, -1, 2, -2
-    # rows: the states one impulse short of the budget
-    table = successor_table(states[:3], impulses, states)
-    assert table.tolist() == [[1, 2], [3, 0], [0, 4]]
-    with pytest.raises(SolverError, match="missing successor"):
-        successor_table(states, impulses, states)  # 2 + 1 is out of budget
+    # 2 + 1 and -2 - 1 need more impulses than the budget: -1
+    assert states.succ.tolist() == [[1, 2], [3, 0], [0, 4], [-1, 1], [2, -1]]
+    # a prefix keeps the rows and the indices of the full space
+    short = states.prefix(1)
+    assert _pairs(short) == _pairs(states)[:3] and short.budget == 1
+    assert short.succ.tolist() == [[1, 2], [3, 0], [0, 4]]
+    assert len(states.prefix(-1)) == 0
+    # independent check: each successor is the rounded shift sum
+    for s, (cum, _) in enumerate(_pairs(states)):
+        for b, beta in enumerate(impulses):
+            j = int(states.succ[s, b])
+            target = state_key(cum + beta, 0)[0]
+            assert (j == -1 and target not in states.shifts.tolist()) or states.shifts[j] == target
+    # the obstacle rejects a successor outside the previous field (here a
+    # hand-made field that claims one impulse more than was enumerated)
+    model = _model("1", impulses=impulses)
+    tree = build_problem(PINNED_CONFIG)[1]
+    y0 = solve_y0(tree, model, states)
+    lying = ValueField(**{**vars(y0), "states": StateSpace(states.shifts, states.counts, states.succ, 3)})
+    with pytest.raises(SolverError, match="missing successor state 3.0"):
+        obstacle(lying, model)
 
 
 def _model(h, impulses=(1.0,), psi=None, c=0.1, gamma=1.0):
@@ -139,7 +162,7 @@ def test_solve_y0_shifted_state_unlocks_reward(pinned_problem):
     loaded, tree = pinned_problem
     states = enumerate_states(loaded.impulse.impulses, 2)
     field = solve_y0(tree, loaded.impulse, states)
-    shifted = [s.key for s in states].index(state_key(1.0, 1))
+    shifted = _pairs(states).index(state_key(1.0, 1))
     assert field.values[0][0, shifted] == pytest.approx(1.0, abs=1e-8)
     assert field.values[0][0, 0] == pytest.approx(0.0, abs=1e-8)
 
@@ -162,12 +185,13 @@ def test_field_states_shrink_with_the_remaining_budget(pinned_problem):
     budget = 3
     result = value_iteration(tree, model, tol=-1.0, budget=budget)  # never stalls
     states = enumerate_states(model.impulses, budget)
-    assert result.states == tuple(states)
+    assert _pairs(result.states) == _pairs(states) and result.states.budget == budget
     assert len(result.fields) == budget + 1
     for field in result.fields:
         # exactly the states with count <= budget - n, in state-list order
-        expected = [st for st in states if st.count <= budget - field.n]
-        assert list(field.states) == expected
+        expected = [(cum, count) for cum, count in _pairs(states) if count <= budget - field.n]
+        assert _pairs(field.states) == expected and field.states.budget == budget - field.n
+        assert np.array_equal(field.states.succ, states.succ[: len(expected)])
         for arr in field.values:
             assert arr.shape[1] == len(expected)
         if field.n:
@@ -212,7 +236,7 @@ def test_iterate_unprofitable_costs_keep_y0(pinned_problem):
     states = enumerate_states(model.impulses, 3)
     y0 = solve_y0(tree, model, states)
     y1 = iterate_value(y0, tree, model)
-    assert y1.states == y0.states[: len(y1.states)]
+    assert _pairs(y1.states) == _pairs(y0.states)[: len(y1.states)]
     for a, b in zip(y0.values, y1.values):
         np.testing.assert_array_equal(a[:, : b.shape[1]], b)
 
@@ -245,13 +269,38 @@ def test_zero_impulse_keeps_the_shift(impulses, n_states, y0, stall_index):
     result = value_iteration(tree, loaded.impulse, tol=1e-12)
     assert result.budget == 10
     assert len(result.states) == n_states
-    assert all(f.states[0] == result.states[0] for f in result.fields)
+    assert all(_pairs(f.states)[:1] == [(0.0, 0)] for f in result.fields)
     assert result.stalled and result.stall_index == stall_index
     assert result.y0 == pytest.approx(y0, rel=1e-12)
     oracle_value, oracle_strategy = enumerate_optimal(tree, loaded.impulse, stall_index)
     assert abs(result.y0 - oracle_value) <= 1e-12
     strategy = extract_strategy(result.fields, tree, loaded.impulse)
     assert strategy.decisions == oracle_strategy.decisions
+
+
+def test_default_next_field_keeps_a_zero_impulse_state():
+    # U = [0.0] has the single state {0} whatever the budget: the next
+    # field's states are the previous ones with one impulse fewer left, not
+    # those below the previous field's largest count (there 0, so none)
+    config = {
+        **PINNED_CONFIG,
+        "process": {**PINNED_CONFIG["process"], "sigma": "0.3"},
+        "impulse": {
+            **PINNED_CONFIG["impulse"], "U": [0.0], "psi": {"0.0": 0.1}, "gamma": 0.3, "h": "0.3*clamp(x, 0, 1)"
+        },
+        "numerics": {**PINNED_CONFIG["numerics"], "depth": 3, "budget": 3},
+    }
+    loaded, tree = build_problem(config)
+    model = loaded.impulse
+    y0 = solve_y0(tree, model, enumerate_states((0.0,), 3))
+    obs, _ = obstacle(y0, model)
+    assert obs[0].shape == (1, 1)
+    y1 = iterate_value(y0, tree, model)
+    assert len(y1.states) == 1 and y1.states.budget == 2
+    want = value_iteration(tree, model, tol=-1.0, budget=3).fields[1]
+    for got, ref in zip((y1.values, y1.z, y1.k_inc, y1.obstacle), (want.values, want.z, want.k_inc, want.obstacle)):
+        assert all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in zip(got, ref))
+    assert y1.root_value() == want.root_value()
 
 
 def test_budget_zero_returns_base_field(pinned_problem):
@@ -441,9 +490,9 @@ def _depth_first_extract(fields, tree, model, tol, grid=None):
     """The depth-first extraction walk the level-wise one replaced, one node
     at a time: a {(level, index, state_key): (action, beta)} table and, with
     a control grid, the control at each continue key below the horizon."""
-    states = fields[0].states
+    states = fields[0].states.shifts.tolist()
+    position = {cum: j for j, cum in enumerate(states)}
     top = len(fields) - 1
-    succ = successor_table(fields[1].states, model.impulses, states) if top else None
     decisions, controls = {}, {}
     stack = [(0, 0, 0, 0, top)]
     while stack:
@@ -453,11 +502,11 @@ def _depth_first_extract(fields, tree, model, tol, grid=None):
             if not abs(fld.values[level][index, s_idx] - fld.obstacle[level][index, s_idx]) <= tol:
                 break
             b_idx = int(fld.obstacle_argmax[level][index, s_idx])
-            decisions[(level, index, state_key(states[s_idx].cumulative, count))] = ("impulse", model.impulses[b_idx])
-            s_idx = int(succ[s_idx, b_idx])
+            decisions[(level, index, state_key(states[s_idx], count))] = ("impulse", model.impulses[b_idx])
+            s_idx = position[state_key(states[s_idx] + model.impulses[b_idx], 0)[0]]
             count += 1
             m -= 1
-        key = (level, index, state_key(states[s_idx].cumulative, count))
+        key = (level, index, state_key(states[s_idx], count))
         decisions[key] = ("continue", None)
         if level < tree.depth:
             if grid is not None:

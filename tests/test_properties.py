@@ -42,7 +42,9 @@ small = settings(max_examples=25, deadline=None)
 def _check_monotone_and_bounded(result, tree, gamma):
     for prev, nxt in zip(result.fields, result.fields[1:]):
         # Y^n covers a prefix of Y^{n-1}'s states
-        assert nxt.states == prev.states[: len(nxt.states)]
+        assert nxt.states.budget == prev.states.budget - 1
+        for a, b in ((prev.states.shifts, nxt.states.shifts), (prev.states.counts, nxt.states.counts)):
+            assert np.array_equal(a[: b.size], b)
         for a, b in zip(prev.values, nxt.values):
             assert np.all(b >= a[:, : b.shape[1]] - TOL)
     for field in result.fields:

@@ -21,7 +21,7 @@ from conftest import PINNED_CONFIG, random_combined_config, random_impulse_confi
 # -- the one-shift-at-a-time references -----------------------------------
 
 
-def _reference_scan(violations, rule, state, level, control, values, predicate, describe):
+def _reference_scan(violations, rule, key, level, control, values, predicate, describe):
     bad = ~predicate(values)
     if np.any(bad):
         count = int(np.count_nonzero(bad))
@@ -32,7 +32,7 @@ def _reference_scan(violations, rule, state, level, control, values, predicate, 
                 rule=rule,
                 message=f"{describe} at {count} node(s), e.g. value {sample!r}",
                 level=level,
-                state=state.key if state is not None else None,
+                state=key,
                 control=control,
             )
         )
@@ -60,35 +60,35 @@ def reference_validate_model(process, impulse, grid, tree, budget=None) -> Audit
     states = enumerate_states(impulse.impulses, budget)
     controls = grid.controls if grid is not None else (None,)
     gamma = impulse.reward_bound
-    for state in states:
+    for key in zip(states.shifts.tolist(), states.counts.tolist()):
         for level in range(tree.depth + 1):
-            env = tree.env(level, shift=state.cumulative)
+            env = tree.env(level, shift=key[0])
             try:
                 sigma = np.asarray(eval_expr(process.sigma, env))
             except EvalError as exc:
-                violations.append(AuditViolation("sigma", f"evaluation failed: {exc}", level, state.key))
+                violations.append(AuditViolation("sigma", f"evaluation failed: {exc}", level, key))
                 continue
-            _reference_scan(violations, "sigma", state, level, None, sigma, lambda v: v > 0,
+            _reference_scan(violations, "sigma", key, level, None, sigma, lambda v: v > 0,
                             "sigma not strictly positive")
             for u in controls:
                 env_u = env if u is None else {**env, "u": u}
                 try:
                     h = np.asarray(eval_expr(impulse.reward, env_u))
                 except EvalError as exc:
-                    violations.append(AuditViolation("A1", f"reward evaluation failed: {exc}", level, state.key, u))
+                    violations.append(AuditViolation("A1", f"reward evaluation failed: {exc}", level, key, u))
                     continue
-                _reference_scan(violations, "A1", state, level, u, h, lambda v: (v >= 0) & (v <= gamma),
+                _reference_scan(violations, "A1", key, level, u, h, lambda v: (v >= 0) & (v <= gamma),
                                 f"reward outside [0, {gamma!r}]")
                 if grid is not None and np.all(sigma > 0):
                     try:
                         f_val = np.asarray(eval_expr(grid.controlled_drift, env_u))
                     except EvalError as exc:
                         violations.append(
-                            AuditViolation("tilt", f"drift evaluation failed: {exc}", level, state.key, u)
+                            AuditViolation("tilt", f"drift evaluation failed: {exc}", level, key, u)
                         )
                         continue
                     theta = f_val / sigma
-                    _reference_scan(violations, "tilt", state, level, u, np.abs(theta) * tree.sqrt_dt,
+                    _reference_scan(violations, "tilt", key, level, u, np.abs(theta) * tree.sqrt_dt,
                                     lambda v: v < 1, "measure tilt |f/sigma|*sqrt(dt) not below 1")
     return AuditReport(
         violations=tuple(violations),
@@ -102,8 +102,8 @@ def reference_reward_tables(tree, model, states):
     tables = []
     for k in range(tree.depth):
         arr = np.empty((tree.level_size(k), len(states)))
-        for j, st in enumerate(states):
-            arr[:, j] = eval_expr(model.reward, tree.env(k, shift=st.cumulative))
+        for j, shift in enumerate(states.shifts.tolist()):
+            arr[:, j] = eval_expr(model.reward, tree.env(k, shift=shift))
         tables.append(arr)
     return tables
 
@@ -114,8 +114,8 @@ def reference_driver_tables(tree, spec, states):
     for k in range(tree.depth):
         theta_k = np.empty((n_controls, tree.level_size(k), len(states)))
         reward_k = np.empty_like(theta_k)
-        for j, st in enumerate(states):
-            env = tree.env(k, shift=st.cumulative)
+        for j, shift in enumerate(states.shifts.tolist()):
+            env = tree.env(k, shift=shift)
             sigma = np.asarray(eval_expr(spec.sigma, env))
             for c, u in enumerate(spec.grid.controls):
                 env_u = {**env, "u": u}
