@@ -31,7 +31,7 @@ from .evaluate import (
     mc_evaluate_strategy,
     walk_strategy_states,
 )
-from .impulse import extract_strategy, impulse_budget, value_iteration
+from .impulse import extract_strategy, value_iteration
 from .model import ConfigError, load_config, validate_model
 from .snell import snell_envelope
 from .tree import build_tree
@@ -69,9 +69,7 @@ def _resolve_numerics(loaded, args):
     depth = args.depth if args.depth is not None else loaded.numerics.depth
     tol = args.tol if args.tol is not None else loaded.numerics.tol
     budget = args.budget if getattr(args, "budget", None) is not None else loaded.numerics.budget
-    if budget is None:
-        budget = impulse_budget(loaded.impulse.reward_bound, loaded.impulse.cost_floor, loaded.process.horizon)
-    return depth, tol, budget
+    return depth, tol, budget  # None: the audit and the solvers take ceil(gamma*T/c)
 
 
 def _cmd_solve(args, combined: bool) -> int:
@@ -178,6 +176,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_eval(args) -> int:
     loaded = load_config(args.config)
     depth, _, budget = _resolve_numerics(loaded, args)
+    if "u" in loaded.impulse.reward.variables():
+        raise CliUsageError("eval evaluates an impulse strategy without controls, but impulse.h reads 'u'")
     strategy = read_strategy_csv(Path(args.strategy), loaded.impulse.impulses)
     if strategy.depth != depth:
         raise CliUsageError(f"strategy depth {strategy.depth} does not match configured depth {depth}")

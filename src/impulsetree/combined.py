@@ -74,7 +74,7 @@ def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace)
         theta_k = np.empty((n_controls, tree.level_size(k), len(states)))
         reward_k = np.empty_like(theta_k)
         for cols in tree.shift_blocks(k, len(states)):
-            env = tree.shifted_env(k, states.shifts[cols])
+            env = tree.env(k, states.shifts[None, cols])
             sigma = np.asarray(eval_expr(spec.sigma, env))
             for c, u in enumerate(spec.grid.controls):
                 env_u = {**env, "u": u}

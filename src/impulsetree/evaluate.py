@@ -11,7 +11,7 @@ from .expr import eval_expr
 from .impulse import ImpulseModel
 from .model import LimitError, ProcessModel
 from .strategy import Strategy, state_key, strategy_from_rule
-from .tree import NodeRef, ScenarioTree
+from .tree import ScenarioTree, path_env
 
 MC_GENERATOR = "numpy.random.PCG64"
 DEFAULT_ORACLE_CALL_LIMIT = 5_000_000
@@ -86,7 +86,7 @@ def evaluate_strategy_exact(
         weight = 2.0 ** (-k)
         cost += weight * float(np.sum(ps.cost[k]))
         if k < tree.depth:
-            h = np.asarray(eval_expr(model.reward, tree.env(k, shift=ps.cum[k])))
+            h = np.asarray(eval_expr(model.reward, tree.env(k, ps.cum[k])))
             reward += weight * float(np.sum(np.broadcast_to(h, ps.cum[k].shape))) * tree.dt
     return PolicyValue(value=reward - cost, reward_integral=reward, impulse_cost=cost, method="exact")
 
@@ -99,7 +99,7 @@ def _weight_levels(tree: ScenarioTree, spec: HamiltonianSpec, controls: ControlT
     weights = [np.ones(1)]
     for k in range(tree.depth):
         size = tree.level_size(k)
-        env = tree.env(k, shift=shifts[k], control=controls.levels[k])
+        env = {**tree.env(k, shifts[k]), "u": controls.levels[k]}
         sigma = np.asarray(eval_expr(spec.sigma, env))
         drift = np.asarray(eval_expr(spec.grid.controlled_drift, env))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -146,7 +146,7 @@ def evaluate_pair(
         prob = 2.0 ** (-k)
         cost += prob * float(np.sum(weights[k] * ps.cost[k]))
         if k < tree.depth:
-            env = tree.env(k, shift=ps.cum[k], control=controls.levels[k])
+            env = {**tree.env(k, ps.cum[k]), "u": controls.levels[k]}
             h = np.broadcast_to(np.asarray(eval_expr(spec.reward, env)), (tree.level_size(k),))
             reward += prob * float(np.sum(weights[k] * h)) * tree.dt
     return PolicyValue(value=reward - cost, reward_integral=reward, impulse_cost=cost, method="exact")
@@ -185,7 +185,8 @@ def enumerate_optimal(
     calls = [0]
 
     def reward_at(level, index, cum):
-        return eval_expr(model.reward, tree.node_env(NodeRef(level, index), shift=cum))
+        values = (float(a[level][index]) for a in (tree.state, tree.running_max, tree.running_min, tree.running_avg))
+        return eval_expr(model.reward, path_env(float(tree.times[level]), *values, shift=cum))
 
     def best(level, index, cum, count, remaining):
         calls[0] += 1
@@ -269,15 +270,19 @@ def mc_evaluate_strategy(
         t_k = k * dt
         cum = ps.cum[k][node]
         cost_acc += ps.cost[k][node]
-        env = {"t": t_k, "x": x + cum, "xmax": xmax + cum, "xmin": xmin + cum, "xavg": xsum / (k + 1) + cum}
-        reward_acc += np.broadcast_to(np.asarray(eval_expr(model.reward, env)), x.shape) * dt
-
-        env_plain = {"t": t_k, "x": x, "xmax": xmax, "xmin": xmin, "xavg": xsum / (k + 1)}
-        sigma = np.broadcast_to(np.asarray(eval_expr(process.sigma, env_plain)), x.shape)
+        # The shifted env comes last, so its arrays live until the next
+        # level's replace them and their memory is reused, not returned to
+        # the OS and faulted in again: freeing them before sigma was
+        # evaluated took several times the page faults (glibc, 100k samples).
+        xavg = xsum / (k + 1)
+        env = path_env(t_k, x, xmax, xmin, xavg)
+        sigma = np.broadcast_to(np.asarray(eval_expr(process.sigma, env)), x.shape)
         if process.drift is not None:
-            drift = np.broadcast_to(np.asarray(eval_expr(process.drift, env_plain)), x.shape)
+            drift = np.broadcast_to(np.asarray(eval_expr(process.drift, env)), x.shape)
         else:
             drift = 0.0
+        env = path_env(t_k, x, xmax, xmin, xavg, cum)
+        reward_acc += np.broadcast_to(np.asarray(eval_expr(model.reward, env)), x.shape) * dt
         db = sqrt_dt * (1.0 - 2.0 * downs[:, k])
         x = x + drift * dt + sigma * db
         xmax = np.maximum(xmax, x)

@@ -131,7 +131,7 @@ def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace):
     tables = [np.empty((tree.level_size(k), len(states))) for k in range(tree.depth)]
     for k, arr in enumerate(tables):
         for cols in tree.shift_blocks(k, len(states)):
-            arr[:, cols] = eval_expr(model.reward, tree.shifted_env(k, states.shifts[cols]))
+            arr[:, cols] = eval_expr(model.reward, tree.env(k, states.shifts[None, cols]))
     return tables
 
 

@@ -158,7 +158,7 @@ def _audit_level(process, impulse, grid, tree, level, keys):
     scanned only where sigma is positive at every node.  With one state an
     EvalError is that state's violation; with several it propagates, and
     the caller re-runs each state alone."""
-    env = tree.shifted_env(level, [cum for cum, _ in keys])
+    env = tree.env(level, np.array([[cum for cum, _ in keys]]))
     columns = [(key, []) for key in keys]
 
     def evaluate(expr, env, rule, what, control=None):

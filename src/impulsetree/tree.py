@@ -17,23 +17,22 @@ DEFAULT_MAX_NODES = 2**22
 STACK_CELLS = 2**13
 
 
-@dataclass(frozen=True)
-class NodeRef:
-    """Node (level k, index i); children are (k+1, 2i) [up] and (k+1, 2i+1) [down]."""
+def path_env(t, x, xmax, xmin, xavg, shift=0.0) -> dict:
+    """Expression environment of paths at time ``t`` from their features.
 
-    level: int
-    index: int
-
-    def up(self) -> "NodeRef":
-        return NodeRef(self.level + 1, 2 * self.index)
-
-    def down(self) -> "NodeRef":
-        return NodeRef(self.level + 1, 2 * self.index + 1)
-
-    def parent(self) -> "NodeRef":
-        if self.level == 0:
-            raise ValueError("root has no parent")
-        return NodeRef(self.level - 1, self.index // 2)
+    ``shift`` is the cumulative impulse, a scalar, one per path, or a 2-D
+    row of shifts (features become columns, giving (paths, shifts)
+    arrays): the whole path is shifted uniformly, so every running
+    functional moves by the same amount.  A feature keeps its bits
+    wherever the shift is +-0.0, and a scalar zero shift returns the
+    features themselves.
+    """
+    if np.ndim(shift) or shift != 0.0:
+        neg = 0.0 - shift  # v - (0.0 - s) is v + s bit for bit, and v itself for s = +-0.0
+        if np.ndim(neg) == 2:
+            x, xmax, xmin, xavg = (v[:, None] for v in (x, xmax, xmin, xavg))
+        x, xmax, xmin, xavg = (v - neg for v in (x, xmax, xmin, xavg))
+    return {"t": t, "x": x, "xmax": xmax, "xmin": xmin, "xavg": xavg}
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -71,60 +70,17 @@ class ScenarioTree:
     def level_size(self, level: int) -> int:
         return 2**level
 
-    def env(self, level: int, shift=0.0, control=None) -> dict:
-        """Expression environment at every node of a level.
-
-        ``shift`` (scalar or per-node array) is the cumulative impulse: the
-        whole path is shifted uniformly, so every running functional moves
-        by the same amount.
-        """
-        plain = isinstance(shift, float) and shift == 0.0
-        env = {
-            "t": float(self.times[level]),
-            "x": self.state[level] if plain else self.state[level] + shift,
-            "xmax": self.running_max[level] if plain else self.running_max[level] + shift,
-            "xmin": self.running_min[level] if plain else self.running_min[level] + shift,
-            "xavg": self.running_avg[level] if plain else self.running_avg[level] + shift,
-        }
-        if control is not None:
-            env["u"] = control
-        return env
-
-    def shifted_env(self, level: int, shifts) -> dict:
-        """Expression environment at every node of a level under every
-        shift at once: ``x``, ``xmax``, ``xmin`` and ``xavg`` have shape
-        (2^level, len(shifts)), column j being ``env(level, shifts[j])``
-        bit for bit (a zero shift leaves its column unshifted)."""
-        shifts = np.asarray(shifts, dtype=np.float64)
-        plain = shifts == 0.0
-        env = {"t": float(self.times[level])}
-        for name, arrays in (
-            ("x", self.state), ("xmax", self.running_max), ("xmin", self.running_min), ("xavg", self.running_avg)
-        ):
-            column = arrays[level][:, None]
-            env[name] = column + shifts
-            np.copyto(env[name], column, where=plain)  # x + 0.0 would turn -0.0 into 0.0
-        return env
+    def env(self, level: int, shift=0.0) -> dict:
+        """Expression environment at every node of a level under ``shift``
+        (a scalar, one per node or a 2-D row of shifts; see path_env)."""
+        features = (self.state, self.running_max, self.running_min, self.running_avg)
+        return path_env(float(self.times[level]), *(a[level] for a in features), shift=shift)
 
     def shift_blocks(self, level: int, n_shifts: int) -> "list[slice]":
         """Consecutive blocks of shift indices, each stacked level at most
         STACK_CELLS cells (one shift per block on levels wider than that)."""
         width = max(1, STACK_CELLS >> level)
         return [slice(j, j + width) for j in range(0, n_shifts, width)]
-
-    def node_env(self, node: NodeRef, shift=0.0, control=None) -> dict:
-        """Scalar expression environment at one node."""
-        k, i = node.level, node.index
-        env = {
-            "t": float(self.times[k]),
-            "x": float(self.state[k][i]) + shift,
-            "xmax": float(self.running_max[k][i]) + shift,
-            "xmin": float(self.running_min[k][i]) + shift,
-            "xavg": float(self.running_avg[k][i]) + shift,
-        }
-        if control is not None:
-            env["u"] = control
-        return env
 
 
 def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_NODES) -> ScenarioTree:
@@ -152,13 +108,7 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
     noise = [np.zeros(1)]
 
     for k in range(depth):
-        env = {
-            "t": float(times[k]),
-            "x": state[k],
-            "xmax": running_max[k],
-            "xmin": running_min[k],
-            "xavg": running_sum[k] / (k + 1),
-        }
+        env = path_env(float(times[k]), state[k], running_max[k], running_min[k], running_sum[k] / (k + 1))
         sigma = np.broadcast_to(np.asarray(eval_expr(process.sigma, env), dtype=np.float64), state[k].shape)
         if process.drift is not None:
             drift = np.broadcast_to(np.asarray(eval_expr(process.drift, env), dtype=np.float64), state[k].shape)

@@ -127,6 +127,11 @@ def build_problem(config):
     return loaded, tree
 
 
+def node_env(tree, level, index, shift=0.0):
+    """Scalar environment at one node: the entries of ``tree.env`` there."""
+    return {name: v if name == "t" else float(v[index]) for name, v in tree.env(level, shift).items()}
+
+
 @pytest.fixture
 def pinned_problem():
     return build_problem(PINNED_CONFIG)

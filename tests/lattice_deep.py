@@ -6,7 +6,15 @@ with
     PYTHONPATH=src python -m pytest tests/lattice_deep.py
 """
 
-from test_lattice import BASELINE, check_against_lattice, combined_config
+from test_lattice import (
+    BASELINE,
+    GRID_5,
+    RUNNING_MAX,
+    check_against_lattice,
+    combined_config,
+    running_max_combined_config,
+    running_max_lattice,
+)
 
 
 def test_impulse_tree_matches_the_lattice_at_depth_16():
@@ -15,3 +23,11 @@ def test_impulse_tree_matches_the_lattice_at_depth_16():
 
 def test_combined_tree_matches_the_lattice_at_depth_16():
     check_against_lattice(combined_config(16, [-1.0, 0.0, 1.0]))
+
+
+def test_impulse_tree_matches_the_running_max_lattice_at_depth_16():
+    check_against_lattice({**RUNNING_MAX, "numerics": {**RUNNING_MAX["numerics"], "depth": 16}}, running_max_lattice)
+
+
+def test_combined_tree_matches_the_running_max_lattice_at_depth_16():
+    check_against_lattice(running_max_combined_config(16, GRID_5), running_max_lattice)

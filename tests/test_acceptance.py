@@ -30,11 +30,11 @@ from impulsetree import (
     value_iteration,
 )
 from impulsetree.cli import run
-from impulsetree.tree import NodeRef
 
 from conftest import (
     PINNED_CONFIG,
     build_problem,
+    node_env,
     random_combined_config,
     random_comparison_pair,
     random_impulse_config,
@@ -211,7 +211,7 @@ def test_criterion_09_combined_control(combined_batch):
                 i = int(rng.integers(0, tree.level_size(k)))
                 shift = float(result.states.shifts[int(rng.integers(0, len(result.states)))])
                 z = float(rng.normal(scale=2.0))
-                env = tree.node_env(NodeRef(k, i), shift=shift)
+                env = node_env(tree, k, i, shift)
                 h_star, _ = hamiltonian_max(float(tree.times[k]), env, z, spec)
                 for u in loaded.grid.controls:
                     assert h_star >= hamiltonian(float(tree.times[k]), env, z, u, spec) - 1e-12

@@ -97,6 +97,37 @@ def test_solve_audit_failure_exit_code(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "change, summary",
+    [
+        ({"c": 0.0}, "A2: cost floor must be positive, got 0.0"),
+        ({"gamma": -1.0}, "A1: reward bound must be non-negative, got -1.0"),
+    ],
+    ids=["c-zero", "gamma-negative"],
+)
+@pytest.mark.parametrize("command", ["solve", "solve-combined", "oracle", "eval"])
+def test_bound_failures_reach_the_audit(tmp_path, capsys, command, change, summary):
+    """Without a budget, the audit resolves it: an unusable cost floor or
+    reward bound is an audit failure (exit 2), not an internal error."""
+    if command == "eval":
+        _solved_strategy(tmp_path)  # the pinned instance's strategy.csv under solve/
+    base = random_combined_config(202, depth=2) if command == "solve-combined" else PINNED_CONFIG
+    config = _write_config(tmp_path, {**base, "impulse": {**base["impulse"], **change}}, "bad.json")
+    args = {"oracle": ["--max-impulses", "1"], "eval": ["--strategy", str(tmp_path / "solve" / "strategy.csv")]}
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run([command, "--config", str(config), "--out", str(out)] + args.get(command, [])) == 2
+    assert summary in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("change", [{"c": 0.0}, {"gamma": -1.0}], ids=["c-zero", "gamma-negative"])
+def test_dump_needs_no_budget(tmp_path, capsys, change):
+    config = _write_config(tmp_path, {**PINNED_CONFIG, "impulse": {**PINNED_CONFIG["impulse"], **change}})
+    assert run(["dump", "--config", str(config), "--level", "1"]) == 0
+    assert capsys.readouterr().out.startswith("level,index,t,L,xmax,xmin,xavg\r\n1,0,")
+
+
 def test_missing_config_is_an_error(tmp_path, capsys):
     assert run(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
     assert "not found" in capsys.readouterr().err
@@ -347,6 +378,22 @@ def _solved_strategy(tmp_path):
     solve_out = tmp_path / "solve"
     assert run(["solve", "--config", str(config), "--out", str(solve_out)]) == 0
     return config, (solve_out / "strategy.csv").read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_eval_rejects_a_reward_that_reads_the_control(tmp_path, capsys, mode):
+    config = _write_config(tmp_path, random_combined_config(202, depth=3))
+    solve_out = tmp_path / "solve"
+    assert run(["solve-combined", "--config", str(config), "--out", str(solve_out)]) == 0
+    capsys.readouterr()
+    mc = ["--mc-samples", "100", "--seed", "1"] if mode == "mc" else []
+    out = tmp_path / "o"
+    args = ["eval", "--config", str(config), "--strategy", str(solve_out / "strategy.csv"), "--out", str(out)]
+    assert run(args + mc) == 1
+    assert capsys.readouterr().err == (
+        "error: eval evaluates an impulse strategy without controls, but impulse.h reads 'u'\n"
+    )
+    assert not (out / "policy_value.json").exists()
 
 
 def test_eval_rejects_strategy_header_mismatch(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from impulsetree import (
     ControlGrid,
     HamiltonianSpec,
-    NodeRef,
     SolverError,
     build_tree,
     combined_value_iteration,
@@ -22,7 +21,7 @@ from impulsetree import (
 from impulsetree.combined import driver_tables
 from impulsetree.impulse import enumerate_states
 
-from conftest import build_problem, random_combined_config
+from conftest import build_problem, node_env, random_combined_config
 
 # pinned combined instance: driftless unit volatility, control u in {-1, +1}
 # steering via f = u, reward clamp(x, 0, 1), one impulse of +1 costing 0.4
@@ -184,7 +183,7 @@ def test_no_reward_extracts_empty_strategy_and_argmax_controls():
             cum = float(states.cum[level][index])
             state_idx = top.states.shifts.tolist().index(cum)
             z = float(top.z[level][index, state_idx])
-            env = tree.node_env(NodeRef(level, index), shift=cum)
+            env = node_env(tree, level, index, cum)
             _, best = hamiltonian_max(float(tree.times[level]), env, z, spec)
             assert u == best
 
@@ -202,7 +201,7 @@ def test_pointwise_driver_dominance():
         i = int(rng.integers(0, tree.level_size(k)))
         j = int(rng.integers(0, len(states)))
         z = float(rng.normal(scale=2.0))
-        env = tree.node_env(NodeRef(k, i), shift=float(states.shifts[j]))
+        env = node_env(tree, k, i, float(states.shifts[j]))
         h_star, _ = hamiltonian_max(float(tree.times[k]), env, z, spec)
         for u in loaded.grid.controls:
             assert h_star >= hamiltonian(float(tree.times[k]), env, z, u, spec) - 1e-12

@@ -1,10 +1,10 @@
 """The model audit, the reward tables and the driver tables evaluate each
 coefficient once per level over the level's impulse shifts stacked
-(``shifted_env``, in blocks of at most ``STACK_CELLS`` cells).  They are
-checked here against copies, kept in this file, of the loops that
-evaluated one shift at a time: the same violations in the same order
-with the same text, and bit-equal tables, with one block per level and
-with many."""
+(``ScenarioTree.env`` with a row of shifts, in blocks of at most
+``STACK_CELLS`` cells).  They are checked here against copies, kept in
+this file, of the loops that evaluated one shift at a time: the same
+violations in the same order with the same text, and bit-equal tables,
+with one block per level and with many."""
 
 import numpy as np
 import pytest
@@ -199,17 +199,26 @@ def test_shift_blocks_cover_every_shift_once_within_the_cell_budget():
 
 
 def test_shifted_env_columns_are_the_per_shift_envs():
+    """A row of shifts, a scalar shift and one shift per node give the same
+    bits; a zero shift of either sign keeps x0 = -0.0 at the root."""
     loaded = load_config(_config(x0=-0.0, sigma="0.6*x + 0.5"))
     tree = build_tree(loaded.process, 3)
-    shifts = [0.0, 0.25, -1.5, 3.0]
+    shifts = [0.0, 0.25, -1.5, 3.0, -0.0]
     for level in range(tree.depth + 1):
-        stacked = tree.shifted_env(level, shifts)
-        assert stacked["t"] == tree.env(level)["t"]
+        size = tree.level_size(level)
+        stacked = tree.env(level, np.array([shifts]))
+        plain = tree.env(level)
+        assert stacked["t"] == plain["t"]
+        assert plain["x"] is tree.state[level]  # a scalar zero shift copies nothing
         for j, shift in enumerate(shifts):
             single = tree.env(level, shift=shift)
+            per_node = tree.env(level, np.full(size, shift))
             for name in ("x", "xmax", "xmin", "xavg"):
-                assert stacked[name].shape == (tree.level_size(level), len(shifts))
-                assert stacked[name][:, j].tobytes() == single[name].tobytes()
+                assert stacked[name].shape == (size, len(shifts))
+                assert stacked[name][:, j].tobytes() == single[name].tobytes() == per_node[name].tobytes()
+                if shift == 0.0:
+                    assert single[name].tobytes() == plain[name].tobytes()
+    assert str(tree.env(0, np.zeros(1))["x"][0]) == "-0.0"
 
 
 # -- tables ----------------------------------------------------------------

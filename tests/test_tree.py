@@ -3,7 +3,6 @@ import pytest
 
 from impulsetree import (
     LimitError,
-    NodeRef,
     ProcessModel,
     build_tree,
     cond_expect,
@@ -118,15 +117,6 @@ def test_depth_and_size_limits():
         build_tree(_process("1"), 0)
     with pytest.raises(LimitError, match="over the limit"):
         build_tree(_process("1"), 8, max_nodes=100)
-
-
-def test_node_ref_children():
-    node = NodeRef(2, 3)
-    assert node.up() == NodeRef(3, 6)
-    assert node.down() == NodeRef(3, 7)
-    assert node.up().parent() == node
-    with pytest.raises(ValueError):
-        NodeRef(0, 0).parent()
 
 
 def test_cond_expect_examples():
