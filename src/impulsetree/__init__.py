@@ -8,8 +8,6 @@ from .combined import (
     combined_value_iteration,
     driver_tables,
     extract_pair,
-    hamiltonian,
-    hamiltonian_max,
 )
 from .evaluate import (
     PathStates,
@@ -35,6 +33,7 @@ from .impulse import (
     StateSpace,
     ValueField,
     ValueIterationResult,
+    compact_field,
     enumerate_states,
     extract_strategy,
     impulse_budget,
@@ -59,6 +58,6 @@ from .model import (
 )
 from .snell import EnvelopeResult, PayoffProcess, snell_envelope, stopping_rule_value
 from .strategy import Decision, Strategy, StrategyRowError, state_key, strategy_from_rule
-from .tree import ScenarioTree, build_tree, cond_expect, dump_level_rows, z_repr
+from .tree import ScenarioTree, build_tree, cond_expect, z_repr
 
 __version__ = "0.1.0"

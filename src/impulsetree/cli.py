@@ -15,13 +15,14 @@ from pathlib import Path
 from .combined import HamiltonianSpec, combined_value_iteration, extract_pair
 from .csvio import (
     CsvFormatError,
+    open_values_csv,
     read_payoff_csv,
     read_strategy_csv,
     write_controls_csv,
     write_dump,
     write_envelope_csv,
     write_strategy_csv,
-    write_values_csv,
+    write_value_rows,
 )
 from .evaluate import (
     evaluate_pair,
@@ -31,7 +32,7 @@ from .evaluate import (
     mc_evaluate_strategy,
     walk_strategy_states,
 )
-from .impulse import extract_strategy, value_iteration
+from .impulse import compact_field, extract_strategy, value_iteration
 from .model import ConfigError, load_config, validate_model
 from .snell import snell_envelope
 from .tree import build_tree
@@ -87,66 +88,82 @@ def _cmd_solve(args, combined: bool) -> int:
     _audit_or_fail(loaded, tree, budget)
     timings["audit"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    if combined:
-        spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
-        result = combined_value_iteration(tree, loaded.impulse, spec, tol=tol, budget=budget)
-    else:
-        result = value_iteration(tree, loaded.impulse, tol=tol, budget=budget)
-    timings["solve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if combined:
-        strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=tol)
-    else:
-        strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=tol)
-    states = walk_strategy_states(loaded.impulse, strategy)
-    if combined:
-        forward = evaluate_pair(tree, loaded.impulse, spec, strategy, controls, path_states=states)
-    else:
-        forward = evaluate_strategy_exact(tree, loaded.impulse, strategy, path_states=states)
-    distribution = impulse_count_distribution(tree, loaded.impulse, strategy, path_states=states)
-    timings["extract_evaluate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    residual = abs(result.y0 - forward.value)
-    status = "ok" if residual <= RESIDUAL_TOLERANCE else "inconsistent"
-    report = {
-        "Y0": result.y0,
-        "iterations": len(result.fields) - 1,
-        "stalled": result.stalled,
-        "stall_index": result.stall_index,
-        "budget_used": result.budget,
-        "per_iteration_Y0": result.per_iteration_y0,
-        "sup_increments": result.sup_increments,
-        "config": loaded.raw,
-        "config_hash": loaded.config_hash,
-        "mode": "solve-combined" if combined else "solve",
-        "tree": {"depth": tree.depth, "node_count": tree.node_count, "state_count": len(result.states)},
-        "forward_value": forward.value,
-        "consistency_residual": residual,
-        "residual_tolerance": RESIDUAL_TOLERANCE,
-        "status": status,
-        "tol": tol,
-        "strategy_summary": {
-            "impulse_count_distribution": {str(k): v for k, v in distribution.items()},
-            "impulse_decisions": strategy.impulse_decision_count,
-            "decision_count": tree.node_count + strategy.impulse_decision_count,
-        },
-    }
-
     out = Path(args.out)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report)
-    write_strategy_csv(out / "strategy.csv", strategy)
-    write_values_csv(out / "values.csv", result.fields)
-    if combined:
-        write_controls_csv(out / "controls.csv", controls, states)
-    timings["write"] = time.perf_counter() - t0
-    _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
+    writing = 0.0
+    try:
+        t0 = time.perf_counter()
+        with open_values_csv(out / "values.csv") as fh:
 
-    print(f"Y0 = {result.y0!r}  forward = {forward.value!r}  residual = {residual:.3e}  status = {status}")
-    return 0 if status == "ok" else 1
+            def keep(field):  # stream the field's values.csv rows, keep its compacted form
+                nonlocal writing
+                w0 = time.perf_counter()
+                write_value_rows(fh, field)
+                writing += time.perf_counter() - w0
+                return compact_field(field, tol)
+
+            if combined:
+                spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
+                result = combined_value_iteration(tree, loaded.impulse, spec, tol=tol, budget=budget, on_field=keep)
+            else:
+                result = value_iteration(tree, loaded.impulse, tol=tol, budget=budget, on_field=keep)
+        timings["solve"] = time.perf_counter() - t0 - writing
+
+        t0 = time.perf_counter()
+        if combined:
+            strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=tol)
+        else:
+            strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=tol)
+        states = walk_strategy_states(loaded.impulse, strategy)
+        if combined:
+            forward = evaluate_pair(tree, loaded.impulse, spec, strategy, controls, path_states=states)
+        else:
+            forward = evaluate_strategy_exact(tree, loaded.impulse, strategy, path_states=states)
+        distribution = impulse_count_distribution(tree, loaded.impulse, strategy, path_states=states)
+        timings["extract_evaluate"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        residual = abs(result.y0 - forward.value)
+        status = "ok" if residual <= RESIDUAL_TOLERANCE else "inconsistent"
+        report = {
+            "Y0": result.y0,
+            "iterations": len(result.fields) - 1,
+            "stalled": result.stalled,
+            "stall_index": result.stall_index,
+            "budget_used": result.budget,
+            "per_iteration_Y0": result.per_iteration_y0,
+            "sup_increments": result.sup_increments,
+            "config": loaded.raw,
+            "config_hash": loaded.config_hash,
+            "mode": "solve-combined" if combined else "solve",
+            "tree": {"depth": tree.depth, "node_count": tree.node_count, "state_count": len(result.states)},
+            "forward_value": forward.value,
+            "consistency_residual": residual,
+            "residual_tolerance": RESIDUAL_TOLERANCE,
+            "status": status,
+            "tol": tol,
+            "strategy_summary": {
+                "impulse_count_distribution": {str(k): v for k, v in distribution.items()},
+                "impulse_decisions": strategy.impulse_decision_count,
+                "decision_count": tree.node_count + strategy.impulse_decision_count,
+            },
+        }
+
+        _write_json(out / "report.json", report)
+        write_strategy_csv(out / "strategy.csv", strategy)
+        if combined:
+            write_controls_csv(out / "controls.csv", controls, states)
+        timings["write"] = time.perf_counter() - t0 + writing
+        _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
+
+        print(f"Y0 = {result.y0!r}  forward = {forward.value!r}  residual = {residual:.3e}  status = {status}")
+        return 0 if status == "ok" else 1
+    except BaseException:
+        (out / "values.csv").unlink(missing_ok=True)  # leave no partial file
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
 
 
 def _cmd_oracle(args) -> int:
@@ -184,13 +201,14 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    if args.mc_samples is not None and args.seed is None:
+        raise CliUsageError("--mc-samples needs --seed for a reproducible report")
+    tree = build_tree(loaded.process, depth)
+    _audit_or_fail(loaded, tree, budget)
     if args.mc_samples is not None:
-        if args.seed is None:
-            raise CliUsageError("--mc-samples needs --seed for a reproducible report")
+        del tree  # Monte Carlo samples its own paths
         policy = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, args.mc_samples, args.seed)
     else:
-        tree = build_tree(loaded.process, depth)
-        _audit_or_fail(loaded, tree, budget)
         policy = evaluate_strategy_exact(tree, loaded.impulse, strategy)
 
     payload = {

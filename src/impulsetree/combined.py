@@ -34,31 +34,6 @@ class HamiltonianSpec:
     reward: CoefficientExpr
 
 
-def hamiltonian(t: float, env: dict, z: float, u: float, spec: HamiltonianSpec) -> float:
-    """Driver value z * f(t,w,u)/sigma(t,w) + h(t,w,u) at one environment."""
-    bound = {**env, "t": t, "u": u}
-    sigma = eval_expr(spec.sigma, bound)
-    drift = eval_expr(spec.grid.controlled_drift, bound)
-    reward = eval_expr(spec.reward, bound)
-    return z * drift / sigma + reward
-
-
-def hamiltonian_max(t: float, env: dict, z: float, spec: HamiltonianSpec):
-    """Exhaustive maximum of the driver over the control grid.
-
-    Returns (best value, maximizer); ties pick the control with the
-    smallest index in the declared grid order.
-    """
-    best_value = None
-    best_u = None
-    for u in spec.grid.controls:
-        value = hamiltonian(t, env, z, u, spec)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_u = u
-    return best_value, best_u
-
-
 def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace):
     """Per-level (n_controls, 2^k, len(states)) arrays of the tilt
     theta = f/sigma and the reward, both on the state-shifted path, each
@@ -96,6 +71,7 @@ def combined_value_iteration(
     budget: "int | None" = None,
     *,
     fixed_controls=None,
+    on_field=None,
 ) -> ValueIterationResult:
     """The impulse value iteration with the driver h replaced by the
     maximized Hamiltonian: Z from the next level, then
@@ -104,22 +80,24 @@ def combined_value_iteration(
     ``fixed_controls`` (per-level (2^k, n_states) arrays of control-grid
     indices over the run's states, levels 0..depth-1) evaluates the
     recursion under a frozen control table instead of the pointwise
-    maximum; the value fields then record that table.
+    maximum; the value fields then record that table.  ``on_field`` is as
+    in value_iteration.
     """
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
     states = enumerate_states(model.impulses, budget)
     thetas, rewards = driver_tables(tree, spec, states)
+    dtype = np.min_scalar_type(-len(spec.grid.controls))  # the smallest signed dtype holding a grid index
 
     def driver(k, z):
         n_cols = z.shape[1]
         candidates = z[None, :, :] * thetas[k][:, :, :n_cols] + rewards[k][:, :, :n_cols]
         if fixed_controls is not None:
             u_idx = np.asarray(fixed_controls[k], dtype=np.int64)[:, :n_cols]
-            return np.take_along_axis(candidates, u_idx[None, :, :], axis=0)[0], u_idx
-        return candidates.max(axis=0), candidates.argmax(axis=0)
+            return np.take_along_axis(candidates, u_idx[None, :, :], axis=0)[0], u_idx.astype(dtype)
+        return candidates.max(axis=0), candidates.argmax(axis=0).astype(dtype)
 
-    return _reflect_until_stall(tree, model, states, tol, driver)
+    return _reflect_until_stall(tree, model, states, tol, driver, on_field)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +120,10 @@ def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: Hamilton
     The strategy walk is identical to the pure-impulse extraction; at each
     node the control is the recorded driver argmax of the field with the
     walker's remaining budget, at the walker's post-chain state (the
-    segment-wise reading of the optimal control).
+    segment-wise reading of the optimal control).  Whole fields are
+    compacted with ``tol`` first (compact_field).
     """
-    chains, posts, top = _extract_walk(fields, tree, model, tol)
+    chains, posts, top = _extract_walk(fields, tree.depth, tol)
     grid = np.asarray(spec.grid.controls, dtype=float)
     levels = []
     for k, (s, m) in enumerate(posts):

@@ -63,18 +63,27 @@ def _open_csv(path: Path, header):
     return fh
 
 
+def open_values_csv(path: Path):
+    """values.csv opened for writing, with its header written."""
+    return _open_csv(path, ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"])
+
+
+def write_value_rows(fh, fld):
+    """One field's values.csv rows, one per (level, node, state) with Y, Z
+    and K_inc, to a file from open_values_csv."""
+    states = [f"{cum!r},{n}" for cum, n in zip(fld.states.shifts.tolist(), fld.states.counts.tolist())]
+    for level, y in enumerate(fld.values):
+        for nodes in _node_chunks(y.shape[0], len(states)):
+            rows = slice(nodes.start, nodes.stop)
+            prefixes = [node + s for node in [f"{fld.n},{level},{i}," for i in nodes] for s in states]
+            fh.write(_csv_lines(prefixes, _reprs(y[rows]), _reprs(fld.z[level][rows]), _reprs(fld.k_inc[level][rows])))
+
+
 def write_values_csv(path: Path, fields):
-    """One row per (iterate, level, node, state) with Y, Z and K_inc."""
-    with _open_csv(path, ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"]) as fh:
+    """values.csv of a field sequence, in order of n."""
+    with open_values_csv(path) as fh:
         for fld in fields:
-            states = [f"{cum!r},{n}" for cum, n in zip(fld.states.shifts.tolist(), fld.states.counts.tolist())]
-            for level, y in enumerate(fld.values):
-                for nodes in _node_chunks(y.shape[0], len(states)):
-                    rows = slice(nodes.start, nodes.stop)
-                    prefixes = [node + s for node in [f"{fld.n},{level},{i}," for i in nodes] for s in states]
-                    fh.write(
-                        _csv_lines(prefixes, _reprs(y[rows]), _reprs(fld.z[level][rows]), _reprs(fld.k_inc[level][rows]))
-                    )
+            write_value_rows(fh, fld)
 
 
 def write_strategy_csv(path: Path, strategy: Strategy):

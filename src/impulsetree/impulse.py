@@ -3,7 +3,7 @@ Y0, Y1, ... with impulse obstacle, stall detection and optimal strategy
 extraction."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,21 +100,20 @@ class ValueField:
     martingale representation of the next level, ``k_inc`` the reflection
     increment, and for n >= 1 ``obstacle``/``obstacle_argmax`` record the
     intervention value max_beta(-cost(beta) + Y^{n-1}(., state+beta)) and
-    its first maximizer in declared impulse order.
+    its first maximizer in declared impulse order.  A compacted field
+    (compact_field) keeps only ``values``, ``controls`` and, for n >= 1,
+    ``decisions``.
     """
 
     n: int
     states: StateSpace
     values: "tuple[np.ndarray, ...]"
-    z: "tuple[np.ndarray, ...]"
-    k_inc: "tuple[np.ndarray, ...]"
+    z: "tuple[np.ndarray, ...] | None" = None
+    k_inc: "tuple[np.ndarray, ...] | None" = None
     obstacle: "tuple[np.ndarray, ...] | None" = None
     obstacle_argmax: "tuple[np.ndarray, ...] | None" = None
     controls: "tuple[np.ndarray, ...] | None" = None  # combined mode, levels 0..depth-1
-
-    @property
-    def depth(self) -> int:
-        return len(self.values) - 1
+    decisions: "tuple[np.ndarray, ...] | None" = None  # compacted, n >= 1
 
     @property
     def next_states(self) -> StateSpace:
@@ -246,18 +245,42 @@ class ValueIterationResult:
         return [f.root_value() for f in self.fields]
 
 
-def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver):
+def compact_field(field: ValueField, tol: float) -> ValueField:
+    """What extraction and the next obstacle read of a field: its values,
+    its control indices and, for n >= 1, per level the obstacle argmax
+    where |Y - obstacle| <= tol, else -1.  A field without an obstacle (Y^0,
+    or one already compacted, whose decisions keep the tol they were made
+    with) only loses ``z`` and ``k_inc``.  Raises SolverError where a value
+    lies below its obstacle beyond tol."""
+    if field.obstacle is None:
+        return replace(field, z=None, k_inc=None)
+    dtype = np.min_scalar_type(-field.states.succ.shape[1])  # signed, holds -1..B-1: int8 up to 128 impulses
+    decisions = []
+    for y, obs, arg in zip(field.values, field.obstacle, field.obstacle_argmax):
+        if np.any(y < obs - tol):
+            raise SolverError(f"field {field.n}: value below obstacle beyond tolerance (solver bug)")
+        dec = arg.astype(dtype)
+        dec[~(np.abs(y - obs) <= tol)] = -1
+        decisions.append(dec)
+    return ValueField(field.n, field.states, field.values, controls=field.controls, decisions=tuple(decisions))
+
+
+def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver, on_field=None):
     """The value iteration both modes share: Y^0 is the unreflected sweep
     over ``states``, then Y^n the sweep reflected against Y^{n-1} over its
     next states, until the sup-norm of Y^n - Y^{n-1} over Y^n's (node,
-    state) pairs drops to ``tol`` or n reaches the budget."""
+    state) pairs drops to ``tol`` or n reaches the budget.  Each finished
+    field goes to ``on_field``, which returns what to keep of it (whole by
+    default; at least its values): the result's entry and the next sweep's
+    obstacle source."""
+    keep = on_field if on_field is not None else (lambda field: field)
     budget = states.budget
-    fields = [_sweep(tree, model, driver, states)]
+    fields = [keep(_sweep(tree, model, driver, states))]
     stalled = budget == 0  # no impulse is ever admissible, Y0 is the value
     stall_index = 0 if stalled else None
     sups = []
     for n in range(1, budget + 1):
-        nxt = _sweep(tree, model, driver, fields[-1].next_states, fields[-1])
+        nxt = keep(_sweep(tree, model, driver, fields[-1].next_states, fields[-1]))
         sup = max(
             float(np.max(np.abs(b - a[:, : b.shape[1]]))) for a, b in zip(fields[-1].values, nxt.values)
         )
@@ -278,61 +301,52 @@ def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateS
 
 
 def value_iteration(
-    tree: ScenarioTree, model: ImpulseModel, tol: float = DEFAULT_TOL, budget: "int | None" = None
+    tree: ScenarioTree, model: ImpulseModel, tol: float = DEFAULT_TOL, budget: "int | None" = None, *, on_field=None
 ) -> ValueIterationResult:
     """Iterate the reflected recursion until the sup-norm increment over all
     (node, state) pairs drops to ``tol`` or the impulse budget is reached.
 
-    Returns the full field sequence (strategy extraction needs it) and
-    whether stabilization occurred; hitting the budget without a stall is
-    reported, not fatal.
+    Returns the field sequence (each field as ``on_field`` kept it; whole by
+    default) and whether stabilization occurred; hitting the budget without
+    a stall is reported, not fatal.
     """
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
     states = enumerate_states(model.impulses, budget)
-    return _reflect_until_stall(tree, model, states, tol, _reward_driver(reward_tables(tree, model, states)))
+    return _reflect_until_stall(tree, model, states, tol, _reward_driver(reward_tables(tree, model, states)), on_field)
 
 
-def _check_fields_consistent(fields, tol):
-    for f in fields[1:]:
-        for level_values, level_obs in zip(f.values, f.obstacle):
-            if np.any(level_values < level_obs - tol):
-                raise SolverError(f"field {f.n}: value below obstacle beyond tolerance (solver bug)")
-
-
-def _extract_walk(fields, tree, model, tol):
+def _extract_walk(fields, depth: int, tol: float):
     """Forward walk shared by strategy and strategy+control extraction,
     one level at a time over every node's (state index, remaining field m).
 
+    Reads only the fields' compacted decisions (compact_field with tol).
     From the root's zero shift and m = top iteration index: while field m
-    meets its obstacle within tol at a node's state, apply its recorded
-    argmax impulse there (chains at one date allowed) and step to field
-    m - 1; then descend.  Returns the per-level chains, the post-chain
-    (state index, m) arrays of levels 0..depth-1, and the top index.
+    records a decision at a node's state, apply that impulse there (chains
+    at one date allowed) and step to field m - 1; then descend.  Returns
+    the per-level chains, the post-chain (state index, m) arrays of levels
+    0..depth-1, and the top index.
     """
     if not fields:
         raise ValueError("empty field sequence")
     for j, f in enumerate(fields):
         if f.n != j:
             raise ValueError("fields must be the consecutive sequence Y0..Yn")
-    _check_fields_consistent(fields, tol)
+    fields = [compact_field(f, tol) for f in fields]
 
     top = len(fields) - 1
     succ = fields[0].states.succ
     s = np.zeros(1, dtype=np.int64)
     m = np.full(1, top, dtype=np.int64)
     chains, posts = [], []
-    for k in range(tree.depth):
+    for k in range(depth):
         cols = []
         live = np.flatnonzero(m > 0)
         while live.size:
-            arg = np.full(live.size, -1, dtype=np.int64)
+            arg = np.empty(live.size, dtype=np.int64)
             for n in np.unique(m[live]).tolist():
                 sel = np.flatnonzero(m[live] == n)
-                nodes, st = live[sel], s[live[sel]]
-                fld = fields[n]
-                binds = np.abs(fld.values[k][nodes, st] - fld.obstacle[k][nodes, st]) <= tol
-                arg[sel[binds]] = fld.obstacle_argmax[k][nodes[binds], st[binds]]
+                arg[sel] = fields[n].decisions[k][live[sel], s[live[sel]]]
             live, arg = live[arg >= 0], arg[arg >= 0]
             if not live.size:
                 break
@@ -354,7 +368,8 @@ def extract_strategy(fields, tree: ScenarioTree, model: ImpulseModel, tol: float
 
     Impulse wherever the remaining field meets its obstacle within tol
     (first-in-order impulse on argmax ties, simultaneous impulses allowed,
-    none at the horizon); continue elsewhere.
+    none at the horizon); continue elsewhere.  Whole fields are compacted
+    with ``tol`` first (compact_field).
     """
-    chains, _, top = _extract_walk(fields, tree, model, tol)
+    chains, _, top = _extract_walk(fields, tree.depth, tol)
     return Strategy(chains=chains, impulses=model.impulses, iteration=top, tol=tol)

@@ -176,19 +176,3 @@ def z_repr(children: np.ndarray, dt: float) -> np.ndarray:
         raise ValueError("dt must be positive")
     return (children[0::2] - children[1::2]) / (2.0 * math.sqrt(dt))
 
-
-def dump_level_rows(tree: ScenarioTree, level: int):
-    """Yield (level, index, t, L, xmax, xmin, xavg) rows for one level."""
-    if not 0 <= level <= tree.depth:
-        raise ValueError(f"level must be in [0, {tree.depth}]")
-    t = float(tree.times[level])
-    for i in range(tree.level_size(level)):
-        yield (
-            level,
-            i,
-            t,
-            float(tree.state[level][i]),
-            float(tree.running_max[level][i]),
-            float(tree.running_min[level][i]),
-            float(tree.running_avg[level][i]),
-        )

@@ -9,7 +9,7 @@ audit passes structurally.
 import numpy as np
 import pytest
 
-from impulsetree import build_tree, load_config, validate_model
+from impulsetree import build_tree, eval_expr, load_config, validate_model
 
 # The pinned deterministic instance: near-zero volatility, reward
 # clamp(x, 0, 1), single impulse of +1 costing 0.3.  One impulse at the
@@ -130,6 +130,47 @@ def build_problem(config):
 def node_env(tree, level, index, shift=0.0):
     """Scalar environment at one node: the entries of ``tree.env`` there."""
     return {name: v if name == "t" else float(v[index]) for name, v in tree.env(level, shift).items()}
+
+
+def hamiltonian(t, env, z, u, spec):
+    """Driver value z * f(t,w,u)/sigma(t,w) + h(t,w,u) at one scalar
+    environment: the pointwise reference for driver_tables."""
+    bound = {**env, "t": t, "u": u}
+    sigma = eval_expr(spec.sigma, bound)
+    drift = eval_expr(spec.grid.controlled_drift, bound)
+    reward = eval_expr(spec.reward, bound)
+    return z * drift / sigma + reward
+
+
+def hamiltonian_max(t, env, z, spec):
+    """Exhaustive maximum of the driver over the control grid: (best value,
+    maximizer), ties to the control with the smallest grid index."""
+    best_value = None
+    best_u = None
+    for u in spec.grid.controls:
+        value = hamiltonian(t, env, z, u, spec)
+        if best_value is None or value > best_value:
+            best_value = value
+            best_u = u
+    return best_value, best_u
+
+
+def dump_level_rows(tree, level):
+    """Yield (level, index, t, L, xmax, xmin, xavg) rows for one level: the
+    row-wise reference for the dump command."""
+    if not 0 <= level <= tree.depth:
+        raise ValueError(f"level must be in [0, {tree.depth}]")
+    t = float(tree.times[level])
+    for i in range(tree.level_size(level)):
+        yield (
+            level,
+            i,
+            t,
+            float(tree.state[level][i]),
+            float(tree.running_max[level][i]),
+            float(tree.running_min[level][i]),
+            float(tree.running_avg[level][i]),
+        )
 
 
 @pytest.fixture

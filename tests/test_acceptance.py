@@ -22,8 +22,6 @@ from impulsetree import (
     extract_pair,
     extract_strategy,
     girsanov_weights,
-    hamiltonian,
-    hamiltonian_max,
     mc_evaluate_strategy,
     snell_envelope,
     stopping_rule_value,
@@ -34,6 +32,8 @@ from impulsetree.cli import run
 from conftest import (
     PINNED_CONFIG,
     build_problem,
+    hamiltonian,
+    hamiltonian_max,
     node_env,
     random_combined_config,
     random_comparison_pair,

@@ -121,6 +121,26 @@ def test_bound_failures_reach_the_audit(tmp_path, capsys, command, change, summa
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "section, change",
+    [("impulse", {"c": 0.0}), ("impulse", {"gamma": -1.0}), ("process", {"sigma": "0"}), ("process", {"sigma": "-0.5"})],
+    ids=["c-zero", "gamma-negative", "sigma-zero", "sigma-negative"],
+)
+def test_mc_eval_runs_the_audit_of_exact_eval(tmp_path, capsys, section, change):
+    _solved_strategy(tmp_path)
+    bad = {**PINNED_CONFIG, section: {**PINNED_CONFIG[section], **change}}
+    config = _write_config(tmp_path, bad, "bad.json")
+    args = ["eval", "--config", str(config), "--strategy", str(tmp_path / "solve" / "strategy.csv")]
+    capsys.readouterr()
+    assert run(args + ["--out", str(tmp_path / "exact")]) == 2
+    exact = capsys.readouterr()
+    assert run(args + ["--mc-samples", "200", "--seed", "3", "--out", str(tmp_path / "mc")]) == 2
+    mc = capsys.readouterr()
+    assert mc.out == exact.out == "" and mc.err == exact.err
+    assert exact.err.startswith("audit failed")
+    assert not list((tmp_path / "mc").iterdir())
+
+
 @pytest.mark.parametrize("change", [{"c": 0.0}, {"gamma": -1.0}], ids=["c-zero", "gamma-negative"])
 def test_dump_needs_no_budget(tmp_path, capsys, change):
     config = _write_config(tmp_path, {**PINNED_CONFIG, "impulse": {**PINNED_CONFIG["impulse"], **change}})

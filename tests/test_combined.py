@@ -11,8 +11,6 @@ from impulsetree import (
     combined_value_iteration,
     evaluate_pair,
     extract_pair,
-    hamiltonian,
-    hamiltonian_max,
     load_config,
     parse_expr,
     value_iteration,
@@ -21,7 +19,7 @@ from impulsetree import (
 from impulsetree.combined import driver_tables
 from impulsetree.impulse import enumerate_states
 
-from conftest import build_problem, node_env, random_combined_config
+from conftest import build_problem, hamiltonian, hamiltonian_max, node_env, random_combined_config
 
 # pinned combined instance: driftless unit volatility, control u in {-1, +1}
 # steering via f = u, reward clamp(x, 0, 1), one impulse of +1 costing 0.4

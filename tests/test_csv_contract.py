@@ -14,7 +14,6 @@ from impulsetree import (
     PayoffProcess,
     build_tree,
     combined_value_iteration,
-    dump_level_rows,
     extract_strategy,
     load_config,
     snell_envelope,
@@ -23,7 +22,7 @@ from impulsetree import (
 from impulsetree import cli, csvio
 from impulsetree.combined import extract_pair
 
-from conftest import PINNED_CONFIG, random_combined_config, random_impulse_config
+from conftest import PINNED_CONFIG, dump_level_rows, random_combined_config, random_impulse_config
 
 # The default chunk size, and one small enough that chunks split levels
 # and a single node can exceed it.

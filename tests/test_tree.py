@@ -6,11 +6,12 @@ from impulsetree import (
     ProcessModel,
     build_tree,
     cond_expect,
-    dump_level_rows,
     eval_expr,
     parse_expr,
     z_repr,
 )
+
+from conftest import dump_level_rows
 
 
 def _process(sigma, drift=None, x0=0.0, horizon=1.0):
