@@ -33,7 +33,6 @@ from .impulse import (
     StateSpace,
     ValueField,
     ValueIterationResult,
-    compact_field,
     enumerate_states,
     extract_strategy,
     impulse_budget,

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .combined import HamiltonianSpec, combined_value_iteration, extract_pair
@@ -32,8 +33,8 @@ from .evaluate import (
     mc_evaluate_strategy,
     walk_strategy_states,
 )
-from .impulse import compact_field, extract_strategy, value_iteration
-from .model import ConfigError, load_config, validate_model
+from .impulse import extract_strategy, value_iteration
+from .model import DEFAULT_TOL, ConfigError, load_config, validate_model
 from .snell import snell_envelope
 from .tree import build_tree
 
@@ -69,6 +70,9 @@ def _audit_or_fail(loaded, tree, budget):
 def _resolve_numerics(loaded, args):
     depth = args.depth if args.depth is not None else loaded.numerics.depth
     tol = args.tol if args.tol is not None else loaded.numerics.tol
+    if not tol >= 0:  # NaN included
+        source = "--tol" if args.tol is not None else "numerics.tol"
+        raise CliUsageError(f"{source} must be non-negative, got {tol!r}")
     budget = args.budget if getattr(args, "budget", None) is not None else loaded.numerics.budget
     return depth, tol, budget  # None: the audit and the solvers take ceil(gamma*T/c)
 
@@ -96,12 +100,12 @@ def _cmd_solve(args, combined: bool) -> int:
         t0 = time.perf_counter()
         with open_values_csv(out / "values.csv") as fh:
 
-            def keep(field):  # stream the field's values.csv rows, keep its compacted form
+            def keep(field):  # stream the field's values.csv rows, keep what extraction reads
                 nonlocal writing
                 w0 = time.perf_counter()
                 write_value_rows(fh, field)
                 writing += time.perf_counter() - w0
-                return compact_field(field, tol)
+                return replace(field, z=None, k_inc=None, obstacle=None)
 
             if combined:
                 spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
@@ -229,7 +233,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_snell(args) -> int:
     payoff = read_payoff_csv(Path(args.payoff))
-    result = snell_envelope(payoff, tol=args.tol if args.tol is not None else 1e-12)
+    result = snell_envelope(payoff, tol=args.tol if args.tol is not None else DEFAULT_TOL)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

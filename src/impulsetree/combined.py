@@ -107,11 +107,10 @@ class ControlTable:
     0..depth-1 (a uniform table maps every level to its one control)."""
 
     levels: "tuple[np.ndarray, ...]"
-    grid_values: "tuple[float, ...]" = ()
 
     @classmethod
-    def uniform(cls, u: float, grid_values=()) -> "ControlTable":
-        return cls(levels=defaultdict(lambda: np.float64(u)), grid_values=tuple(grid_values))
+    def uniform(cls, u: float) -> "ControlTable":
+        return cls(levels=defaultdict(lambda: np.float64(u)))
 
 
 def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: HamiltonianSpec, tol: float = DEFAULT_TOL):
@@ -120,10 +119,10 @@ def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: Hamilton
     The strategy walk is identical to the pure-impulse extraction; at each
     node the control is the recorded driver argmax of the field with the
     walker's remaining budget, at the walker's post-chain state (the
-    segment-wise reading of the optimal control).  Whole fields are
-    compacted with ``tol`` first (compact_field).
+    segment-wise reading of the optimal control).  Reads only the fields'
+    values and control indices.
     """
-    chains, posts, top = _extract_walk(fields, tree.depth, tol)
+    chains, posts, top = _extract_walk(fields, model, tree.depth, tol)
     grid = np.asarray(spec.grid.controls, dtype=float)
     levels = []
     for k, (s, m) in enumerate(posts):
@@ -133,4 +132,4 @@ def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: Hamilton
             u_idx[nodes] = fields[n].controls[k][nodes, s[nodes]]
         levels.append(grid[u_idx])
     strategy = Strategy(chains=chains, impulses=model.impulses, iteration=top, tol=tol)
-    return strategy, ControlTable(levels=tuple(levels), grid_values=spec.grid.controls)
+    return strategy, ControlTable(levels=tuple(levels))

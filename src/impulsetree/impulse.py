@@ -3,7 +3,7 @@ Y0, Y1, ... with impulse obstacle, stall detection and optimal strategy
 extraction."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,11 +98,9 @@ class ValueField:
     budget - n impulses; their impulse successors all lie in Y^{n-1}'s
     states.  ``values[k]`` has shape (2^k, len(states)); ``z`` is the
     martingale representation of the next level, ``k_inc`` the reflection
-    increment, and for n >= 1 ``obstacle``/``obstacle_argmax`` record the
-    intervention value max_beta(-cost(beta) + Y^{n-1}(., state+beta)) and
-    its first maximizer in declared impulse order.  A compacted field
-    (compact_field) keeps only ``values``, ``controls`` and, for n >= 1,
-    ``decisions``.
+    increment, and for n >= 1 ``obstacle`` records the intervention value
+    max_beta(-cost(beta) + Y^{n-1}(., state+beta)).  Extraction reads only
+    ``values`` and ``controls``, so a field may keep just those.
     """
 
     n: int
@@ -111,9 +109,7 @@ class ValueField:
     z: "tuple[np.ndarray, ...] | None" = None
     k_inc: "tuple[np.ndarray, ...] | None" = None
     obstacle: "tuple[np.ndarray, ...] | None" = None
-    obstacle_argmax: "tuple[np.ndarray, ...] | None" = None
     controls: "tuple[np.ndarray, ...] | None" = None  # combined mode, levels 0..depth-1
-    decisions: "tuple[np.ndarray, ...] | None" = None  # compacted, n >= 1
 
     @property
     def next_states(self) -> StateSpace:
@@ -150,7 +146,7 @@ def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, 
     used (None in pure impulse mode).  Terminal value 0: no impulses at
     the horizon.
     """
-    obs, arg = (None, None) if prev is None else obstacle(prev, model)
+    obs = None if prev is None else obstacle(prev, model)
     depth = tree.depth
 
     values = [None] * (depth + 1)
@@ -178,7 +174,6 @@ def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, 
         z=tuple(zs),
         k_inc=tuple(k_incs),
         obstacle=obs,
-        obstacle_argmax=arg,
         controls=None if controls[0] is None else tuple(controls),
     )
 
@@ -191,27 +186,16 @@ def solve_y0(tree: ScenarioTree, model: ImpulseModel, states: StateSpace) -> Val
 
 
 def obstacle(prev: ValueField, model: ImpulseModel):
-    """Intervention value and argmax against the previous field, on the next
+    """Per-level intervention value against the previous field, on the next
     field's states (prev.next_states); their successors must lie in prev's
-    states.
-
-    Returns (per-level obstacle arrays, per-level argmax arrays).  Ties pick
-    the first impulse in declared order.
-    """
+    states."""
     states = prev.next_states
     missing = (states.succ < 0) | (states.succ >= len(prev.states))
     if missing.any():
         s, b = np.argwhere(missing)[0]
         raise SolverError(f"missing successor state {shift_key(states.shifts[s] + model.impulses[b])}")
     psi = np.array([model.costs[beta] for beta in model.impulses])
-
-    obstacles = []
-    argmaxes = []
-    for level_values in prev.values:
-        cand = level_values[:, states.succ] - psi[None, None, :]
-        obstacles.append(cand.max(axis=2))
-        argmaxes.append(cand.argmax(axis=2))
-    return tuple(obstacles), tuple(argmaxes)
+    return tuple((level[:, states.succ] - psi[None, None, :]).max(axis=2) for level in prev.values)
 
 
 def iterate_value(prev: ValueField, tree: ScenarioTree, model: ImpulseModel) -> ValueField:
@@ -243,26 +227,6 @@ class ValueIterationResult:
     @property
     def per_iteration_y0(self) -> "list[float]":
         return [f.root_value() for f in self.fields]
-
-
-def compact_field(field: ValueField, tol: float) -> ValueField:
-    """What extraction and the next obstacle read of a field: its values,
-    its control indices and, for n >= 1, per level the obstacle argmax
-    where |Y - obstacle| <= tol, else -1.  A field without an obstacle (Y^0,
-    or one already compacted, whose decisions keep the tol they were made
-    with) only loses ``z`` and ``k_inc``.  Raises SolverError where a value
-    lies below its obstacle beyond tol."""
-    if field.obstacle is None:
-        return replace(field, z=None, k_inc=None)
-    dtype = np.min_scalar_type(-field.states.succ.shape[1])  # signed, holds -1..B-1: int8 up to 128 impulses
-    decisions = []
-    for y, obs, arg in zip(field.values, field.obstacle, field.obstacle_argmax):
-        if np.any(y < obs - tol):
-            raise SolverError(f"field {field.n}: value below obstacle beyond tolerance (solver bug)")
-        dec = arg.astype(dtype)
-        dec[~(np.abs(y - obs) <= tol)] = -1
-        decisions.append(dec)
-    return ValueField(field.n, field.states, field.values, controls=field.controls, decisions=tuple(decisions))
 
 
 def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver, on_field=None):
@@ -316,15 +280,17 @@ def value_iteration(
     return _reflect_until_stall(tree, model, states, tol, _reward_driver(reward_tables(tree, model, states)), on_field)
 
 
-def _extract_walk(fields, depth: int, tol: float):
+def _extract_walk(fields, model: ImpulseModel, depth: int, tol: float):
     """Forward walk shared by strategy and strategy+control extraction,
     one level at a time over every node's (state index, remaining field m).
 
-    Reads only the fields' compacted decisions (compact_field with tol).
-    From the root's zero shift and m = top iteration index: while field m
-    records a decision at a node's state, apply that impulse there (chains
-    at one date allowed) and step to field m - 1; then descend.  Returns
-    the per-level chains, the post-chain (state index, m) arrays of levels
+    Reads only the fields' values.  From the root's zero shift and m = top
+    iteration index: while field m meets its obstacle (built from field
+    m - 1 as in ``obstacle``) within tol at a node's state, apply the first
+    maximizing impulse in declared order there (chains at one date
+    allowed) and step to field m - 1; then descend.  Raises SolverError
+    where a walked value lies below its obstacle beyond tol.  Returns the
+    per-level chains, the post-chain (state index, m) arrays of levels
     0..depth-1, and the top index.
     """
     if not fields:
@@ -332,7 +298,7 @@ def _extract_walk(fields, depth: int, tol: float):
     for j, f in enumerate(fields):
         if f.n != j:
             raise ValueError("fields must be the consecutive sequence Y0..Yn")
-    fields = [compact_field(f, tol) for f in fields]
+    psi = np.array([model.costs[beta] for beta in model.impulses])
 
     top = len(fields) - 1
     succ = fields[0].states.succ
@@ -346,7 +312,13 @@ def _extract_walk(fields, depth: int, tol: float):
             arg = np.empty(live.size, dtype=np.int64)
             for n in np.unique(m[live]).tolist():
                 sel = np.flatnonzero(m[live] == n)
-                arg[sel] = fields[n].decisions[k][live[sel], s[live[sel]]]
+                nodes, st = live[sel], s[live[sel]]
+                cand = fields[n - 1].values[k][nodes[:, None], succ[st]] - psi
+                obs = cand.max(axis=1)
+                y = fields[n].values[k][nodes, st]
+                if np.any(y < obs - tol):
+                    raise SolverError(f"field {n}: value below obstacle beyond tolerance (solver bug)")
+                arg[sel] = np.where(np.abs(y - obs) <= tol, cand.argmax(axis=1), -1)
             live, arg = live[arg >= 0], arg[arg >= 0]
             if not live.size:
                 break
@@ -368,8 +340,8 @@ def extract_strategy(fields, tree: ScenarioTree, model: ImpulseModel, tol: float
 
     Impulse wherever the remaining field meets its obstacle within tol
     (first-in-order impulse on argmax ties, simultaneous impulses allowed,
-    none at the horizon); continue elsewhere.  Whole fields are compacted
-    with ``tol`` first (compact_field).
+    none at the horizon); continue elsewhere.  Reads only the fields'
+    values.
     """
-    chains, _, top = _extract_walk(fields, tree.depth, tol)
+    chains, _, top = _extract_walk(fields, model, tree.depth, tol)
     return Strategy(chains=chains, impulses=model.impulses, iteration=top, tol=tol)

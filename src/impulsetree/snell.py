@@ -5,9 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import DEFAULT_TOL
 from .tree import cond_expect
-
-DEFAULT_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,8 @@ def with_impulse_chains(config, seed):
     the reward window, so that optimal strategies apply chains of several
     impulses at several nodes."""
     rng = np.random.default_rng(seed)
-    impulses = [0.3] if config["control"] else [0.3, round(float(rng.uniform(0.2, 0.6)), 3)]
+    # the second size may round to 0.3: an impulse set holds no duplicates
+    impulses = [0.3] if config["control"] else list(dict.fromkeys([0.3, round(float(rng.uniform(0.2, 0.6)), 3)]))
     impulse = {
         "U": impulses,
         "psi": {repr(b): round(0.1 + float(rng.uniform(0.0, 0.05)), 4) for b in impulses},

@@ -208,6 +208,31 @@ def test_solve_combined_requires_control_section(tmp_path, capsys):
     assert "control section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "solve-combined"])
+@pytest.mark.parametrize(
+    "flag, value, source",
+    [("--tol", "-1", "--tol"), ("--tol", "nan", "--tol"), (None, -1, "numerics.tol")],
+    ids=["flag-negative", "flag-nan", "config-negative"],
+)
+def test_a_negative_or_nan_tol_is_a_usage_error(tmp_path, capsys, command, flag, value, source):
+    base = PINNED_CONFIG if command == "solve" else random_combined_config(202, depth=3)
+    numerics = {**base["numerics"], "tol": value} if flag is None else base["numerics"]
+    config = _write_config(tmp_path, {**base, "numerics": numerics})
+    out = tmp_path / "run"
+    assert run([command, "--config", str(config), "--out", str(out)] + ([flag, value] if flag else [])) == 1
+    shown = "nan" if value == "nan" else "-1.0"
+    assert capsys.readouterr() == ("", f"error: {source} must be non-negative, got {shown}\n")
+    assert not out.exists()
+
+
+def test_a_zero_tol_is_accepted(tmp_path):
+    config = _write_config(tmp_path, PINNED_CONFIG)
+    out = tmp_path / "run"
+    assert run(["solve", "--config", str(config), "--out", str(out), "--tol", "0"]) == 0
+    report = _read_json(out / "report.json")
+    assert report["tol"] == 0.0 and report["strategy_summary"]["impulse_decisions"] == 1
+
+
 def test_oracle_command(tmp_path):
     config = _write_config(tmp_path, PINNED_CONFIG)
     out = tmp_path / "run"

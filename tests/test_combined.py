@@ -151,7 +151,6 @@ def test_extract_pair_records_grid_controls():
     # one control per node below the horizon, each from the grid
     assert [u.shape for u in controls.levels] == [(tree.level_size(k),) for k in range(tree.depth)]
     assert set(np.concatenate(controls.levels).tolist()) <= set(loaded.grid.controls)
-    assert controls.grid_values == loaded.grid.controls
 
 
 def test_extract_pair_u_independent_model_takes_first_grid_element():

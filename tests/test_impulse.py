@@ -172,7 +172,7 @@ def test_obstacle_never_binds_when_costs_exceed_total_reward(pinned_problem):
     model = _model("1", psi={1.0: 1.5})  # psi >= gamma*T = 1
     states = enumerate_states(model.impulses, 2)
     y0 = solve_y0(tree, model, states)
-    obs, arg = obstacle(y0, model)
+    obs = obstacle(y0, model)
     for k in range(tree.depth + 1):
         assert np.all(np.isfinite(obs[k]))
         assert np.all(obs[k] <= model.reward_bound * (tree.horizon - tree.times[k]) - 1.5 + 1e-12)
@@ -195,19 +195,17 @@ def test_field_states_shrink_with_the_remaining_budget(pinned_problem):
         for arr in field.values:
             assert arr.shape[1] == len(expected)
         if field.n:
-            for y, obs, arg in zip(field.values, field.obstacle, field.obstacle_argmax):
-                assert obs.shape == arg.shape == y.shape
+            for y, obs in zip(field.values, field.obstacle):
+                assert obs.shape == y.shape
                 assert np.all(np.isfinite(obs))
-                assert np.all(arg >= 0)
 
 
 def test_obstacle_pinned_value(pinned_problem):
     loaded, tree = pinned_problem
     states = enumerate_states(loaded.impulse.impulses, 2)
     y0 = solve_y0(tree, loaded.impulse, states)
-    obs, arg = obstacle(y0, loaded.impulse)
+    obs = obstacle(y0, loaded.impulse)
     assert obs[0][0, 0] == pytest.approx(0.7, abs=1e-8)  # -0.3 + Y0(., shift 1)
-    assert arg[0][0, 0] == 0
 
 
 def test_iterate_zero_reward_stays_zero(pinned_problem):
@@ -293,7 +291,7 @@ def test_default_next_field_keeps_a_zero_impulse_state():
     loaded, tree = build_problem(config)
     model = loaded.impulse
     y0 = solve_y0(tree, model, enumerate_states((0.0,), 3))
-    obs, _ = obstacle(y0, model)
+    obs = obstacle(y0, model)
     assert obs[0].shape == (1, 1)
     y1 = iterate_value(y0, tree, model)
     assert len(y1.states) == 1 and y1.states.budget == 2
@@ -359,6 +357,29 @@ def test_extract_pinned_strategy(pinned_problem):
     assert strategy.iteration == result.fields[-1].n
 
 
+@pytest.mark.parametrize("impulses", [(1.0, 2.0), (2.0, 1.0)])
+def test_extraction_breaks_ties_in_declared_impulse_order(pinned_problem, impulses):
+    # both shifts saturate the reward, so the two impulses tie exactly
+    _, tree = pinned_problem
+    model = _model("clamp(x + 0.5, 0, 1)", impulses=impulses)
+    result = value_iteration(tree, model, budget=1)
+    y0, y1 = result.fields
+    succ = y1.states.succ[0]
+    assert y0.values[0][0, succ[0]] == y0.values[0][0, succ[1]]
+    strategy = extract_strategy(result.fields, tree, model)
+    assert strategy.decision_at(0, 0, 0.0, 0) == Decision("impulse", impulses[0])
+    assert strategy.rows() == _depth_first_extract(result.fields, tree, model, 1e-12)[0]
+
+
+def test_extraction_with_zero_tol_impulses_where_the_value_meets_the_obstacle(pinned_problem):
+    # Y = max(cont, obstacle) equals the obstacle exactly where it binds
+    loaded, tree = pinned_problem
+    result = value_iteration(tree, loaded.impulse, tol=0.0)
+    strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=0.0)
+    assert strategy.decision_at(0, 0, 0.0, 0) == Decision("impulse", 1.0)
+    assert strategy.rows() == _depth_first_extract(result.fields, tree, loaded.impulse, 0.0)[0]
+
+
 def test_extract_rejects_inconsistent_fields(pinned_problem):
     loaded, tree = pinned_problem
     result = value_iteration(tree, loaded.impulse)
@@ -375,7 +396,6 @@ def test_extract_rejects_inconsistent_fields(pinned_problem):
             z=broken.z,
             k_inc=broken.k_inc,
             obstacle=broken.obstacle,
-            obstacle_argmax=broken.obstacle_argmax,
         )
     ]
     with pytest.raises(SolverError):
@@ -488,8 +508,9 @@ def test_state_consistency_single_entry_per_node_state():
 
 def _depth_first_extract(fields, tree, model, tol, grid=None):
     """The depth-first extraction walk the level-wise one replaced, one node
-    at a time: a {(level, index, state_key): (action, beta)} table and, with
-    a control grid, the control at each continue key below the horizon."""
+    at a time and from the fields' values alone: a {(level, index,
+    state_key): (action, beta)} table and, with a control grid, the control
+    at each continue key below the horizon."""
     states = fields[0].states.shifts.tolist()
     position = {cum: j for j, cum in enumerate(states)}
     top = len(fields) - 1
@@ -498,10 +519,13 @@ def _depth_first_extract(fields, tree, model, tol, grid=None):
     while stack:
         level, index, s_idx, count, m = stack.pop()
         while level < tree.depth and m > 0:
-            fld = fields[m]
-            if not abs(fld.values[level][index, s_idx] - fld.obstacle[level][index, s_idx]) <= tol:
+            # the obstacle from field m - 1's values, its first maximizer in declared order
+            targets = [position[state_key(states[s_idx] + beta, 0)[0]] for beta in model.impulses]
+            prev = fields[m - 1].values[level][index]
+            cands = [prev[j] - model.costs[beta] for j, beta in zip(targets, model.impulses)]
+            if not abs(fields[m].values[level][index, s_idx] - max(cands)) <= tol:
                 break
-            b_idx = int(fld.obstacle_argmax[level][index, s_idx])
+            b_idx = cands.index(max(cands))
             decisions[(level, index, state_key(states[s_idx], count))] = ("impulse", model.impulses[b_idx])
             s_idx = position[state_key(states[s_idx] + model.impulses[b_idx], 0)[0]]
             count += 1

@@ -1,8 +1,8 @@
 """The streamed value iteration: the CLI writes each iterate's values.csv
-rows as the iterate finishes and keeps only its compacted field, and
-extraction reads compacted decisions.  Everything here is checked against
-the full fields that value_iteration and combined_value_iteration return
-by default."""
+rows as the iterate finishes and keeps only its values (and control
+indices), which is all extraction reads.  Everything here is checked
+against the full fields that value_iteration and combined_value_iteration
+return by default."""
 
 import copy
 import json
@@ -12,8 +12,8 @@ import pytest
 
 from impulsetree import (
     HamiltonianSpec,
+    ValueField,
     combined_value_iteration,
-    compact_field,
     extract_pair,
     extract_strategy,
     value_iteration,
@@ -86,9 +86,10 @@ def test_streamed_outputs_match_the_full_fields(tmp_path, name):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_extraction_from_compacted_fields_matches_the_full_fields(name):
+    # a compacted field holds only what the CLI keeps: values and controls
     loaded, tree, spec, result = _library(CASES[name])
     tol = loaded.numerics.tol
-    compact = [compact_field(f, tol) for f in result.fields]
+    compact = [ValueField(f.n, f.states, f.values, controls=f.controls) for f in result.fields]
     if spec is None:
         got = extract_strategy(compact, tree, loaded.impulse, tol=tol)
         want = extract_strategy(result.fields, tree, loaded.impulse, tol=tol)
@@ -97,45 +98,29 @@ def test_extraction_from_compacted_fields_matches_the_full_fields(name):
         want, want_controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=tol)
         assert all(np.array_equal(a, b) for a, b in zip(got_controls.levels, want_controls.levels))
     assert got.rows() == want.rows()
-
-
-@pytest.mark.parametrize("name", ["impulse-912-chains", "combined-922-chains"])
-def test_a_compacted_field_keeps_values_and_int8_decisions(name):
-    loaded, _, spec, result = _library(CASES[name])
-    tol = loaded.numerics.tol
-    binding = 0
-    for field in result.fields:
-        compact = compact_field(field, tol)
-        assert compact.z is compact.k_inc is compact.obstacle is compact.obstacle_argmax is None
-        assert compact.values is field.values and compact.controls is field.controls
-        if spec is not None:
-            assert all(c.dtype == np.int8 for c in compact.controls)
-        if field.n == 0:
-            assert compact.decisions is None
-            continue
-        for y, obs, arg, dec in zip(field.values, field.obstacle, field.obstacle_argmax, compact.decisions):
-            binds = np.abs(y - obs) <= tol
-            assert dec.dtype == np.int8 and dec.shape == y.shape
-            assert np.array_equal(dec[binds], arg[binds]) and (dec[~binds] == -1).all()
-            binding += int(binds.sum())
-        again = compact_field(compact, tol)
-        assert again.decisions is compact.decisions and again.values is compact.values
-    assert binding
+    assert got.impulse_decision_count or "chains" not in name
 
 
 def test_the_cli_keeps_only_compacted_fields(tmp_path, monkeypatch):
     kept = []
 
-    def recording(*args, **kwargs):
-        kept.append(value_iteration(*args, **kwargs))
-        return kept[-1]
+    def recording(solver):
+        def run(*args, **kwargs):
+            kept.append(solver(*args, **kwargs))
+            return kept[-1]
 
-    monkeypatch.setattr(cli, "value_iteration", recording)
-    assert _solve(tmp_path, CASES["impulse-912-chains"], tmp_path / "out") == 0
-    fields = kept[0].fields
-    assert len(fields) > 1
-    assert all(f.z is f.k_inc is f.obstacle is f.obstacle_argmax is None for f in fields)
-    assert all(f.decisions is not None for f in fields[1:])
+        return run
+
+    monkeypatch.setattr(cli, "value_iteration", recording(value_iteration))
+    monkeypatch.setattr(cli, "combined_value_iteration", recording(combined_value_iteration))
+    for name in ("impulse-912-chains", "combined-922-chains"):
+        assert _solve(tmp_path, CASES[name], tmp_path / name) == 0
+    impulse, combined = (result.fields for result in kept)
+    assert len(impulse) > 1 and len(combined) > 1
+    for field in impulse + combined:
+        assert field.z is field.k_inc is field.obstacle is None and field.values is not None
+    assert all(f.controls is None for f in impulse)
+    assert all(c.dtype == np.int8 for f in combined for c in f.controls)
 
 
 @pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "new-out"])
