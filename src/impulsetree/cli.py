@@ -249,7 +249,8 @@ def _cmd_dump(args) -> int:
     level = args.level
     if not 0 <= level <= tree.depth:
         raise CliUsageError(f"level must be in [0, {tree.depth}]")
-    write_dump(sys.stdout, tree, level)
+    sys.stdout.flush()
+    write_dump(sys.stdout.buffer, tree, level)
     return 0
 
 

@@ -127,7 +127,7 @@ def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: Hamilton
     levels = []
     for k, (s, m) in enumerate(posts):
         u_idx = np.empty(s.size, dtype=np.int64)
-        for n in np.unique(m).tolist():
+        for n in sorted(set(m.tolist())):
             nodes = np.flatnonzero(m == n)
             u_idx[nodes] = fields[n].controls[k][nodes, s[nodes]]
         levels.append(grid[u_idx])

@@ -1,12 +1,19 @@
-"""The CLI's CSV files: column-wise writers and strict readers.
+"""The CLI's CSV files: columnar writers and strict readers.
 
 Byte contract of every file written here (that of csv.writer's default
 dialect for these fields): fields joined by ",", "\\r\\n" line ends,
 floats as repr (the shortest round trip), ints as str and an empty field
-for no value.  The writers work column-wise from the arrays: node and
-state prefixes are formatted once, repr runs once per distinct value of a
-column, and each write holds at most CHUNK_ROWS rows, so no file is built
-in memory whole.
+for no value.
+
+The writers format column by column.  A column is a pool, the text of
+each distinct value of the column within one level (within the file for
+strategy.csv): repr once per distinct bit pattern of a float, so -0.0 and
+0.0 keep their own reprs, and an int in decimal.  Each row's field is
+looked up in the pool.  A chunk of at most CHUNK_ROWS rows becomes one
+(rows x width) byte matrix, each field padded with NULs to its column's
+width and "," and "\\r\\n" in columns of their own; the NULs are dropped
+and the rest goes out in one write, so neither a file nor a whole-level
+column of strings is held in memory.
 
 The readers parse whole columns and check them as arrays.  A file that
 fails a check is read again row by row, which names the first faulty line.
@@ -23,7 +30,8 @@ import numpy as np
 from .strategy import Strategy, StrategyRowError
 from .snell import PayoffProcess
 
-CHUNK_ROWS = 512
+# Rows per write: about 256 kB of byte matrix at values.csv's ~110 bytes a row.
+CHUNK_ROWS = 2048
 STRATEGY_HEADER = ["level", "index", "state_cum", "state_count", "action", "beta"]
 PAYOFF_HEADER = ["level", "index", "value"]
 # The largest payoff magnitude read: the mean of two siblings, (a + b) / 2,
@@ -35,48 +43,87 @@ class CsvFormatError(ValueError):
     """An input CSV that breaks its format; the message names the line."""
 
 
-def _reprs(arr) -> "list[str]":
-    """repr of each element of a float64 or int64 array, computed once per
-    distinct bit pattern (so -0.0 and 0.0 keep their own reprs)."""
-    flat = np.ascontiguousarray(arr).ravel()
-    keys, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    return np.array(list(map(repr, keys.view(flat.dtype).tolist())), dtype=object)[inverse].tolist()
+def _keys(values):
+    """What a pool is keyed on: the bit pattern of a float64 (so -0.0 and
+    0.0 keep their own repr), the value of an int."""
+    return values.view(np.int64) if values.dtype == np.float64 else values.astype(np.int64, copy=False)
 
 
-def _csv_lines(*columns) -> str:
-    """CSV text of the rows ``",".join(fields)``, each column holding one
-    (already formatted) field per row; there must be at least one row."""
-    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+def _decimal(ints):
+    """str of each element of an int64 array, as an S array just wide
+    enough for them."""
+    return ints.astype(f"S{max(len(str(int(ints.min()))), len(str(int(ints.max()))))}")
 
 
-def _node_chunks(size: int, rows_per_node: int = 1):
-    """Consecutive node ranges covering ``size`` nodes, each with at most
-    CHUNK_ROWS rows (at least one node)."""
-    step = max(1, CHUNK_ROWS // rows_per_node)
-    for i0 in range(0, size, step):
-        yield range(i0, min(i0 + step, size))
+def _pool(values):
+    """(the sorted distinct _keys of a float64 or integer array, the text of
+    each as an S array): repr of a float, str of an int."""
+    bits = np.sort(_keys(np.ravel(values)))
+    first = np.ones(bits.size, dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    keys = bits[first]
+    if values.dtype != np.float64:
+        return keys, _decimal(keys)
+    return keys, np.array(list(map(repr, keys.view(np.float64).tolist())), dtype="S")
+
+
+def _column(values):
+    """A column's fields as a function of a row slice: ``values`` itself
+    for bytes (the same field on every row), else the text of each row's
+    value looked up in the array's _pool."""
+    if isinstance(values, bytes):
+        return lambda rows: values
+    keys, text = _pool(values)
+    return lambda rows: text[np.searchsorted(keys, _keys(values[rows]))]
+
+
+def _write_rows(fh, *columns):
+    """One chunk's CSV rows, written at once to a binary stream.  Each
+    column is an S array with one field per row or bytes shared by every
+    row; at least one is an array."""
+    fields = [np.frombuffer(c, np.uint8).reshape(-1, len(c) if isinstance(c, bytes) else c.itemsize) for c in columns]
+    mat = np.empty((max(f.shape[0] for f in fields), sum(f.shape[1] + 1 for f in fields) + 1), dtype=np.uint8)
+    at = 0
+    for f in fields:
+        mat[:, at : at + f.shape[1]] = f
+        mat[:, at + f.shape[1]] = ord(",")
+        at += f.shape[1] + 1
+    mat[:, -2:] = (ord("\r"), ord("\n"))
+    fh.write(mat[mat != 0])
+
+
+def _write_table(fh, size, *columns):
+    """Rows 0..size-1, CHUNK_ROWS to a write; each column is a function of
+    a row slice, as from _column."""
+    for r0 in range(0, size, CHUNK_ROWS):
+        rows = slice(r0, min(r0 + CHUNK_ROWS, size))
+        _write_rows(fh, *(column(rows) for column in columns))
 
 
 def _open_csv(path: Path, header):
-    fh = path.open("w", newline="", encoding="utf-8")
-    fh.write(",".join(header) + "\r\n")
+    fh = path.open("wb")
+    fh.write((",".join(header) + "\r\n").encode())
     return fh
 
 
 def open_values_csv(path: Path):
-    """values.csv opened for writing, with its header written."""
+    """values.csv opened for binary writing, with its header written."""
     return _open_csv(path, ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"])
 
 
 def write_value_rows(fh, fld):
     """One field's values.csv rows, one per (level, node, state) with Y, Z
     and K_inc, to a file from open_values_csv."""
-    states = [f"{cum!r},{n}" for cum, n in zip(fld.states.shifts.tolist(), fld.states.counts.tolist())]
+    shifts, counts = fld.states.shifts.tolist(), fld.states.counts.tolist()
+    states = np.array([f"{cum!r},{n}" for cum, n in zip(shifts, counts)], dtype="S")
+    index = _decimal(np.arange(fld.values[-1].shape[0]))
     for level, y in enumerate(fld.values):
-        for nodes in _node_chunks(y.shape[0], len(states)):
-            rows = slice(nodes.start, nodes.stop)
-            prefixes = [node + s for node in [f"{fld.n},{level},{i}," for i in nodes] for s in states]
-            fh.write(_csv_lines(prefixes, _reprs(y[rows]), _reprs(fld.z[level][rows]), _reprs(fld.k_inc[level][rows])))
+        _write_table(
+            fh, y.size, _column(f"{fld.n},{level}".encode()),
+            lambda rows: index[np.arange(rows.start, rows.stop) // states.size],
+            lambda rows: states[np.arange(rows.start, rows.stop) % states.size],
+            *(_column(np.ravel(c[level])) for c in (fld.values, fld.z, fld.k_inc)),
+        )
 
 
 def write_values_csv(path: Path, fields):
@@ -89,52 +136,43 @@ def write_values_csv(path: Path, fields):
 def write_strategy_csv(path: Path, strategy: Strategy):
     """Strategy.rows() as CSV, formatted from Strategy.row_arrays()."""
     level, index, cum, count, code = strategy.row_arrays()
-    actions = np.array(["continue,"] + [f"impulse,{float(beta)!r}" for beta in strategy.impulses], dtype=object)
+    actions = np.array(["continue,"] + [f"impulse,{float(beta)!r}" for beta in strategy.impulses], dtype="S")
     with _open_csv(path, STRATEGY_HEADER) as fh:
-        for r0 in range(0, level.size, CHUNK_ROWS):
-            rows = slice(r0, r0 + CHUNK_ROWS)
-            fh.write(
-                _csv_lines(
-                    _reprs(level[rows]), _reprs(index[rows]), _reprs(cum[rows]), _reprs(count[rows]),
-                    actions[code[rows] + 1].tolist(),
-                )
-            )
+        _write_table(
+            fh, level.size, *map(_column, (level, index, cum, count)), lambda rows: actions[code[rows] + 1]
+        )
 
 
 def write_controls_csv(path: Path, controls, states):
     """One row per node below the horizon: its post-chain state, from
     walk_strategy_states, and its control."""
+    index = _decimal(np.arange(states.cum[-1].size))
     with _open_csv(path, ["level", "index", "state_cum", "state_count", "u_star"]) as fh:
         for k in range(len(states.cum) - 1):
-            for nodes in _node_chunks(states.cum[k].size):
-                rows = slice(nodes.start, nodes.stop)
-                cums, counts = states.cum[k][rows].tolist(), states.count[k][rows].tolist()
-                prefixes = [f"{k},{i},{cum!r},{n}" for i, cum, n in zip(nodes, cums, counts)]
-                fh.write(_csv_lines(prefixes, _reprs(controls.levels[k][rows])))
+            _write_table(
+                fh, states.cum[k].size, _column(str(k).encode()), index.__getitem__,
+                *map(_column, (states.cum[k], states.count[k], controls.levels[k])),
+            )
 
 
 def write_envelope_csv(path: Path, payoff: PayoffProcess, result):
+    index = _decimal(np.arange(2**payoff.depth))
     with _open_csv(path, ["level", "index", "payoff", "envelope", "stop", "first_stop"]) as fh:
         for k in range(payoff.depth + 1):
-            columns = [
-                _reprs(payoff.values[k]),
-                _reprs(result.envelope[k]),
-                _reprs(result.stop_region[k].astype(np.int64)),
-                _reprs(result.first_optimal_stop[k]),
-            ]
-            for nodes in _node_chunks(2**k):
-                fh.write(_csv_lines([f"{k},{i}" for i in nodes], *(c[nodes.start : nodes.stop] for c in columns)))
+            columns = (payoff.values[k], result.envelope[k], result.stop_region[k], result.first_optimal_stop[k])
+            _write_table(fh, 2**k, _column(str(k).encode()), index.__getitem__, *map(_column, columns))
 
 
 def write_dump(fh, tree, level: int):
     """One tree level's (level, index, t, L, xmax, xmin, xavg) rows to an
-    open text stream."""
-    t = repr(float(tree.times[level]))
+    open binary stream."""
+    size = tree.level_size(level)
     columns = (tree.state[level], tree.running_max[level], tree.running_min[level], tree.running_avg[level])
-    fh.write("level,index,t,L,xmax,xmin,xavg\r\n")
-    for nodes in _node_chunks(tree.level_size(level)):
-        rows = slice(nodes.start, nodes.stop)
-        fh.write(_csv_lines([f"{level},{i},{t}" for i in nodes], *(_reprs(c[rows]) for c in columns)))
+    fh.write(b"level,index,t,L,xmax,xmin,xavg\r\n")
+    _write_table(
+        fh, size, _column(str(level).encode()), _decimal(np.arange(size)).__getitem__,
+        _column(repr(float(tree.times[level])).encode()), *map(_column, columns),
+    )
 
 
 def _csv_records(path: Path, header, what, parsers=None):

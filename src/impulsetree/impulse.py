@@ -310,7 +310,7 @@ def _extract_walk(fields, model: ImpulseModel, depth: int, tol: float):
         live = np.flatnonzero(m > 0)
         while live.size:
             arg = np.empty(live.size, dtype=np.int64)
-            for n in np.unique(m[live]).tolist():
+            for n in sorted(set(m[live].tolist())):
                 sel = np.flatnonzero(m[live] == n)
                 nodes, st = live[sel], s[live[sel]]
                 cand = fields[n - 1].values[k][nodes[:, None], succ[st]] - psi

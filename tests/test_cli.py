@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,3 +547,20 @@ def test_mc_eval_reports_are_byte_identical(tmp_path):
         ) == 0
         outs.append((out / "policy_value.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("solve", PINNED_CONFIG), ("solve-combined", random_combined_config(212, depth=3))],
+    ids=["solve", "solve-combined"],
+)
+def test_a_solve_does_not_import_numpy_ma(tmp_path, command, config):
+    """numpy.ma takes ~15 ms to import, and a bare np.unique loads it; a
+    fresh interpreter shows whether any step of a solve does."""
+    path = _write_config(tmp_path, config)
+    child = "import sys\nfrom impulsetree import cli\nprint(cli.run(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    args = [command, "--config", str(path), "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr

@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from impulsetree import (
     HamiltonianSpec,
@@ -21,6 +23,7 @@ from impulsetree import (
 )
 from impulsetree import cli, csvio
 from impulsetree.combined import extract_pair
+from impulsetree.impulse import StateSpace, ValueField
 
 from conftest import PINNED_CONFIG, dump_level_rows, random_combined_config, random_impulse_config
 
@@ -168,3 +171,66 @@ def test_dump_bytes(tmp_path, capsysbinary, monkeypatch, chunk_rows, level):
     assert capsysbinary.readouterr().out == _reference_csv(
         ["level", "index", "t", "L", "xmax", "xmin", "xavg"], dump_level_rows(tree, level)
     )
+
+
+MAX = float(np.finfo(np.float64).max)
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e16, MAX, -MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+INT64 = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, -1, 0]), st.integers(-(2**63), 2**63 - 1))
+# Chunks of one row, of three rows (which split a node's states) and the default.
+CHUNK_ROWS = st.sampled_from([1, 3, csvio.CHUNK_ROWS])
+
+
+def _body(header, rows) -> bytes:
+    """The csv.writer reference without its header line."""
+    return _reference_csv(header, rows).split(b"\r\n", 1)[1]
+
+
+def _written(chunk_rows, write) -> bytes:
+    buf = io.BytesIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+        write(buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), chunk_rows=CHUNK_ROWS)
+def test_formatter_matches_csv_writer(data, chunk_rows):
+    """Floats, int64 extremes, a column of one distinct value and the
+    strategy writer's action pool, whose continue rows end in an empty
+    beta field."""
+    size = data.draw(st.integers(1, 30))
+    floats = data.draw(st.lists(FINITE, min_size=size, max_size=size))
+    ints = data.draw(st.lists(INT64, min_size=size, max_size=size))
+    single = data.draw(FINITE)
+    codes = np.array(data.draw(st.lists(st.integers(-1, 0), min_size=size, max_size=size)))
+    actions = np.array([b"continue,", b"impulse,1.5"])
+    columns = (np.array(floats), np.array(ints, dtype=np.int64), np.full(size, single))
+    got = _written(
+        chunk_rows,
+        lambda fh: csvio._write_table(fh, size, *map(csvio._column, columns), lambda rows: actions[codes[rows] + 1]),
+    )
+    decisions = [("continue", None), ("impulse", 1.5)]
+    rows = [(f, i, single, *decisions[c + 1]) for f, i, c in zip(floats, ints, codes.tolist())]
+    assert got == _body(["f", "i", "single", "action", "beta"], rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), chunk_rows=CHUNK_ROWS)
+def test_value_rows_match_csv_writer(data, chunk_rows):
+    """values.csv rows of a drawn field: chunks may end inside a node's
+    states, and Y, Z and K_inc hold -0.0 beside 0.0 and the extremes."""
+    depth, width = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 4))
+    shifts = data.draw(arrays(np.float64, width, elements=FINITE))
+    counts = data.draw(arrays(np.int64, width, elements=st.integers(0, 12)))
+    states = StateSpace(shifts, counts, np.full((width, 1), -1), budget=12)
+    levels = [
+        tuple(data.draw(arrays(np.float64, (2**k, width), elements=FINITE)) for k in range(depth + 1))
+        for _ in range(3)
+    ]
+    fld = ValueField(data.draw(st.integers(0, 12)), states, *levels)
+    got = _written(chunk_rows, lambda fh: csvio.write_value_rows(fh, fld))
+    assert got == _body(["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows([fld]))
