@@ -27,9 +27,10 @@ from impulsetree.impulse import StateSpace, ValueField
 
 from conftest import PINNED_CONFIG, dump_level_rows, random_combined_config, random_impulse_config
 
-# The default chunk size, and one small enough that chunks split levels
-# and a single node can exceed it.
-CHUNK_SIZES = [csvio.CHUNK_ROWS, 3]
+# The default chunk size, 512 rows (the former default, which splits the
+# larger files into several chunks), and one small enough that chunks split
+# levels and a single node can exceed it.
+CHUNK_SIZES = list(dict.fromkeys([csvio.CHUNK_ROWS, 512, 3]))
 
 
 def _reference_csv(header, rows) -> bytes:
