@@ -195,6 +195,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.mc_samples is not None:
+        if args.seed is None:
+            raise CliUsageError("--mc-samples needs --seed for a reproducible report")
+        if args.mc_samples < 1:
+            raise CliUsageError(f"--mc-samples must be positive, got {args.mc_samples}")
+        if args.seed < 0:
+            raise CliUsageError(f"--seed must be non-negative, got {args.seed}")
     loaded = load_config(args.config)
     depth, _, budget = _resolve_numerics(loaded, args)
     if "u" in loaded.impulse.reward.variables():
@@ -205,8 +212,6 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.mc_samples is not None and args.seed is None:
-        raise CliUsageError("--mc-samples needs --seed for a reproducible report")
     tree = build_tree(loaded.process, depth)
     _audit_or_fail(loaded, tree, budget)
     if args.mc_samples is not None:

@@ -15,14 +15,14 @@ width and "," and "\\r\\n" in columns of their own; the NULs are dropped
 and the rest goes out in one write, so neither a file nor a whole-level
 column of strings is held in memory.
 
-The readers parse whole columns and check them as arrays.  A file that
-fails a check is read again row by row, which names the first faulty line.
+The readers parse a file of plain bytes (see _PAYOFF_BYTES) with
+np.loadtxt and check its columns as arrays.  Any other file, or one that
+fails a check, is read again row by row, which names the first faulty line.
 """
 
 import csv
 import math
 import warnings
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -215,14 +215,6 @@ def _beta(field: str) -> "float | None":
 STRATEGY_PARSERS = (_int64, _int64, float, _int64, str, _beta)
 
 
-def _parsed(column, parse, dtype) -> np.ndarray:
-    """``parse`` of each field as an array of ``dtype``, calling ``parse``
-    once per distinct field (np.fromiter raises OverflowError for an int
-    outside int64)."""
-    values = {field: parse(field) for field in set(column)}
-    return np.fromiter(map(values.__getitem__, column), dtype, len(column))
-
-
 def read_strategy_csv(path: Path, impulses) -> Strategy:
     """The strategy a CSV of Strategy.rows() describes, over ``impulses``;
     a row that breaks a rule of Strategy.from_columns is reported by line.
@@ -240,45 +232,74 @@ def read_strategy_csv(path: Path, impulses) -> Strategy:
         raise CsvFormatError(f"strategy CSV line {lines[exc.position]}: {exc}") from None
 
 
-def _read_strategy_columns(path: Path):
-    """The parsed columns of a strategy CSV split on its line ends and
-    commas, or None where that could differ from the csv module's reading
-    or a row is faulty: bytes that are not UTF-8, a quote (quoting), a NUL
-    (an error in Python 3.10's csv), a line longer than the csv field
-    limit, another header, a wrong field count, or a field its parser
-    rejects."""
-    try:
-        text = path.read_text(encoding="utf-8")  # "\r\n" and "\r" become "\n", as csv ends rows
-    except UnicodeDecodeError:
-        return None
-    header, *lines = text.split("\n")
-    lines = list(filter(None, lines))
-    if (
-        '"' in text
-        or "\0" in text
-        or header.split(",") != STRATEGY_HEADER
-        or max(map(len, lines), default=0) > csv.field_size_limit()
-        or set(map(str.count, lines, repeat(","))) - {len(STRATEGY_HEADER) - 1}
-    ):
-        return None
-    fields = ",".join(lines).split(",")
-    level, index, cum, count, action, beta = (fields[j :: len(STRATEGY_HEADER)] for j in range(len(STRATEGY_HEADER)))
-    try:
-        return (
-            _parsed(level, int, np.int64),
-            np.fromiter(map(int, index), np.int64, len(index)),  # nearly all distinct
-            _parsed(cum, float, float),
-            _parsed(count, int, np.int64),
-            action,
-            list(map(_beta, beta)),
-        )
-    except (ValueError, OverflowError):
-        return None
-
-
 # np.loadtxt and the csv module with int/float read a file made only of
-# these bytes alike; the array reader leaves any other file to the rows.
+# these bytes alike (and the strategy's action fields as they are); the
+# array readers leave any other file to the rows.
 _PAYOFF_BYTES = b"0123456789,.+-eE\r\n"
+_STRATEGY_BYTES = _PAYOFF_BYTES + b"continueimpulse"
+# The beta field's width; a beta this long or longer (loadtxt would cut it
+# short) is left to the rows.  repr of a float64 takes at most 24 bytes.
+BETA_WIDTH = 25
+_STRATEGY_DTYPE = [
+    ("level", "i8"), ("index", "i8"), ("cum", "f8"), ("count", "i8"), ("action", "S9"), ("beta", f"S{BETA_WIDTH}")
+]
+_ACTIONS = np.array(["continue", "impulse"], dtype=object)
+
+
+def _plain_body(path: Path, header, allowed) -> "bytes | None":
+    """The bytes after a CSV's header line, or None unless the file starts
+    with ``header`` and a line end and holds only ``allowed`` bytes after
+    them."""
+    header = ",".join(header).encode()
+    with path.open("rb") as fh:
+        head = fh.read(len(header) + 1)
+        body = fh.read()
+    if head[:-1] != header or head[-1:] not in (b"\r", b"\n") or body.translate(None, allowed):
+        return None
+    return body
+
+
+def _loadtxt(path: Path, dtype):
+    """The rows after a CSV's header as np.loadtxt parses them, or None if
+    it raises or warns (numpy 1.x reads "1.0" as an int with a
+    DeprecationWarning, and a file of no rows warns)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                path, dtype=dtype, delimiter=",", skiprows=1, comments=None, encoding="utf-8", ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+
+
+def _read_strategy_columns(path: Path):
+    """The parsed columns of a strategy CSV, or None where that could
+    differ from the csv module's reading or a row is faulty: a byte other
+    than _STRATEGY_BYTES (a quote, a NUL, a space, ...), a line longer than
+    the csv field limit, another header, a wrong field count, a field its
+    parser rejects, an action other than continue and impulse, or a beta of
+    BETA_WIDTH bytes or more.  Each distinct beta is parsed once."""
+    body = _plain_body(path, STRATEGY_HEADER, _STRATEGY_BYTES)
+    if body is None:
+        return None
+    ends = np.flatnonzero(np.frombuffer(body, np.uint8) < ord(","))  # "\r" and "\n", the only allowed bytes below ","
+    longest = int(np.diff(ends, prepend=-1, append=len(body)).max()) - 1
+    del body
+    table = None if longest > csv.field_size_limit() else _loadtxt(path, _STRATEGY_DTYPE)
+    if table is None:
+        return None
+    impulse = table["action"] == b"impulse"
+    given = np.flatnonzero(table["beta"] != b"")  # few rows: a continue row's beta is empty
+    betas, inverse = np.unique(table["beta"][given], return_inverse=True)
+    if not (impulse | (table["action"] == b"continue")).all() or max(map(len, betas.tolist()), default=0) >= BETA_WIDTH:
+        return None
+    beta = np.full(impulse.size, None, dtype=object)
+    try:
+        beta[given] = np.array([float(b.decode()) for b in betas.tolist()], dtype=object)[inverse]
+    except ValueError:
+        return None
+    return table["level"], table["index"], table["cum"], table["count"], _ACTIONS[impulse.view(np.int8)], beta
 
 
 def read_payoff_csv(path: Path) -> PayoffProcess:
@@ -292,24 +313,10 @@ def read_payoff_csv(path: Path) -> PayoffProcess:
 def _read_payoff_columns(path: Path) -> "PayoffProcess | None":
     """The payoff parsed by np.loadtxt and checked as arrays, or None for
     a file that holds other bytes or fails a parse or a check."""
-    header = ",".join(PAYOFF_HEADER).encode()
-    data = path.read_bytes()
-    body = data[len(header) :]
-    if (
-        not data.startswith(header)
-        or not body.startswith((b"\r", b"\n"))
-        or not body.strip(b"\r\n")
-        or body.translate(None, _PAYOFF_BYTES)
-    ):
+    if _plain_body(path, PAYOFF_HEADER, _PAYOFF_BYTES) is None:
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy 1.x reads "1.0" as an int, with a DeprecationWarning
-            table = np.loadtxt(
-                path, dtype=[("level", "i8"), ("index", "i8"), ("value", "f8")], delimiter=",", skiprows=1,
-                comments=None, encoding="utf-8", ndmin=1,
-            )
-    except (ValueError, DeprecationWarning):
+    table = _loadtxt(path, [("level", "i8"), ("index", "i8"), ("value", "f8")])
+    if table is None:
         return None
     level, index, value = table["level"], table["index"], table["value"]
     depth = int(level.max())

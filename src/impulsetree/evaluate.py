@@ -11,7 +11,7 @@ from .expr import eval_expr
 from .impulse import ImpulseModel
 from .model import LimitError, ProcessModel
 from .strategy import Strategy, state_key, strategy_from_rule
-from .tree import ScenarioTree, path_env
+from .tree import STACK_CELLS, ScenarioTree, path_env
 
 MC_GENERATOR = "numpy.random.PCG64"
 DEFAULT_ORACLE_CALL_LIMIT = 5_000_000
@@ -244,7 +244,10 @@ def mc_evaluate_strategy(
     for a fixed seed.
 
     The tree depth is the strategy's.  Each sample gathers its node's
-    post-chain shift and chain cost from walk_strategy_states.
+    post-chain shift and chain cost from walk_strategy_states.  The
+    samples are walked STACK_CELLS at a time, each block drawing its own
+    signs (consecutive draws of one generator continue a single draw), so
+    memory beyond the per-sample reward and cost is one block's.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -255,40 +258,37 @@ def mc_evaluate_strategy(
     sqrt_dt = float(np.sqrt(dt))
 
     rng = np.random.default_rng(seed)
-    downs = rng.integers(0, 2, size=(samples, depth))
-
-    x = np.full(samples, float(process.x0))
-    xmax = x.copy()
-    xmin = x.copy()
-    xsum = x.copy()
-    node = np.zeros(samples, dtype=np.int64)
     ps = walk_strategy_states(model, strategy)
     reward_acc = np.zeros(samples)
     cost_acc = np.zeros(samples)
-
-    for k in range(depth):
-        t_k = k * dt
-        cum = ps.cum[k][node]
-        cost_acc += ps.cost[k][node]
-        # The shifted env comes last, so its arrays live until the next
-        # level's replace them and their memory is reused, not returned to
-        # the OS and faulted in again: freeing them before sigma was
-        # evaluated took several times the page faults (glibc, 100k samples).
-        xavg = xsum / (k + 1)
-        env = path_env(t_k, x, xmax, xmin, xavg)
-        sigma = np.broadcast_to(np.asarray(eval_expr(process.sigma, env)), x.shape)
-        if process.drift is not None:
-            drift = np.broadcast_to(np.asarray(eval_expr(process.drift, env)), x.shape)
-        else:
-            drift = 0.0
-        env = path_env(t_k, x, xmax, xmin, xavg, cum)
-        reward_acc += np.broadcast_to(np.asarray(eval_expr(model.reward, env)), x.shape) * dt
-        db = sqrt_dt * (1.0 - 2.0 * downs[:, k])
-        x = x + drift * dt + sigma * db
-        xmax = np.maximum(xmax, x)
-        xmin = np.minimum(xmin, x)
-        xsum = xsum + x
-        node = 2 * node + downs[:, k]
+    for start in range(0, samples, STACK_CELLS):
+        reward = reward_acc[start : start + STACK_CELLS]  # views: the block's sums land in place
+        cost = cost_acc[start : start + STACK_CELLS]
+        downs = rng.integers(0, 2, size=(reward.size, depth))
+        x = np.full(reward.size, float(process.x0))
+        xmax = x.copy()
+        xmin = x.copy()
+        xsum = x.copy()
+        node = np.zeros(x.size, dtype=np.int64)
+        for k in range(depth):
+            t_k = k * dt
+            cum = ps.cum[k][node]
+            cost += ps.cost[k][node]
+            xavg = xsum / (k + 1)
+            env = path_env(t_k, x, xmax, xmin, xavg)
+            sigma = np.broadcast_to(np.asarray(eval_expr(process.sigma, env)), x.shape)
+            if process.drift is not None:
+                drift = np.broadcast_to(np.asarray(eval_expr(process.drift, env)), x.shape)
+            else:
+                drift = 0.0
+            env = path_env(t_k, x, xmax, xmin, xavg, cum)
+            reward += np.broadcast_to(np.asarray(eval_expr(model.reward, env)), x.shape) * dt
+            db = sqrt_dt * (1.0 - 2.0 * downs[:, k])
+            x = x + drift * dt + sigma * db
+            xmax = np.maximum(xmax, x)
+            xmin = np.minimum(xmin, x)
+            xsum = xsum + x
+            node = 2 * node + downs[:, k]
 
     values = reward_acc - cost_acc
     mean = float(np.mean(values))

@@ -1,10 +1,17 @@
-"""A memory guard for the streamed value iteration: a depth-16 `solve` of
-the Baseline config (the `solve-d11` workload's config at depth 16) in a
-fresh interpreter, whose peak RSS (VmHWM) must stay at most 140 MB.
-Keeping every field whole until values.csv is written at the end took
-about 275 MB, and keeping an int8 decision array per level beside the
-values about 157 MB; keeping only the values takes about 122 MB.  The
-file name does not match pytest's default `test_*.py` pattern, so the
+"""Memory guards for a fresh interpreter's peak RSS (VmHWM):
+
+- the streamed value iteration: a depth-16 `solve` of the Baseline config
+  (the `solve-d11` workload's config at depth 16) must stay at most
+  140 MB.  Keeping every field whole until values.csv is written at the
+  end took about 275 MB, and keeping an int8 decision array per level
+  beside the values about 157 MB; keeping only the values takes about
+  122 MB;
+- the blocked Monte Carlo walk: `eval --mc-samples 1000000` of the
+  Baseline strategy at depth 14 must stay at most 120 MB.  Walking every
+  sample at once took about 300 MB; a block of samples at a time takes
+  about 75 MB.
+
+The file name does not match pytest's default `test_*.py` pattern, so the
 default test run does not collect it; run it (on Linux) with
 
     PYTHONPATH=src python -m pytest tests/memory_deep.py
@@ -16,7 +23,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-PEAK_LIMIT_MB = 140
+from impulsetree import build_tree, extract_strategy, load_config, value_iteration
+from impulsetree.csvio import write_strategy_csv
+
+SOLVE_PEAK_LIMIT_MB = 140
+MC_PEAK_LIMIT_MB = 120
 
 BASELINE = {
     "process": {"x0": -0.041266, "T": 1.0, "sigma": "0.3 + 0.1*abs(xmax - x)", "drift": None},
@@ -42,18 +53,40 @@ sys.exit(code)
 """
 
 
+def _cli_peak_mb(args) -> float:
+    """Run the CLI with ``args`` in a fresh interpreter; its peak RSS in MB."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *args], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1]) * 1024 / 1e6
+
+
 def test_depth_16_solve_peak_rss(tmp_path):
     config = tmp_path / "baseline.json"
     config.write_text(json.dumps(BASELINE), encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, "solve", "--config", str(config), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
+    peak_mb = _cli_peak_mb(["solve", "--config", str(config), "--out", str(out)])
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["status"] == "ok"
-    peak_mb = int(proc.stdout.splitlines()[-1]) * 1024 / 1e6
-    assert peak_mb <= PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {PEAK_LIMIT_MB} MB"
+    assert peak_mb <= SOLVE_PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {SOLVE_PEAK_LIMIT_MB} MB"
+
+
+def test_million_sample_monte_carlo_eval_peak_rss(tmp_path):
+    raw = {**BASELINE, "numerics": {**BASELINE["numerics"], "depth": 14}}
+    config = tmp_path / "baseline.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    loaded = load_config(raw)
+    tree = build_tree(loaded.process, 14)
+    result = value_iteration(tree, loaded.impulse, tol=loaded.numerics.tol)
+    strategy = tmp_path / "strategy.csv"
+    write_strategy_csv(strategy, extract_strategy(result.fields, tree, loaded.impulse, tol=loaded.numerics.tol))
+    del tree, result
+    out = tmp_path / "out"
+    args = ["eval", "--config", str(config), "--strategy", str(strategy), "--mc-samples", "1000000", "--seed", "7"]
+    peak_mb = _cli_peak_mb(args + ["--out", str(out)])
+    payload = json.loads((out / "policy_value.json").read_text(encoding="utf-8"))
+    assert payload["samples"] == 1_000_000
+    assert peak_mb <= MC_PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {MC_PEAK_LIMIT_MB} MB"

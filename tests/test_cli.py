@@ -312,6 +312,26 @@ def test_eval_mc_requires_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mc_args, message",
+    [
+        (["--mc-samples", "0", "--seed", "1"], "--mc-samples must be positive, got 0"),
+        (["--mc-samples", "-3", "--seed", "1"], "--mc-samples must be positive, got -3"),
+        (["--mc-samples", "100", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        (["--mc-samples", "100"], "--mc-samples needs --seed for a reproducible report"),
+    ],
+    ids=["samples-zero", "samples-negative", "seed-negative", "seed-missing"],
+)
+def test_eval_rejects_bad_monte_carlo_arguments_before_making_out(tmp_path, capsys, mc_args, message):
+    config, _ = _solved_strategy(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "mc"
+    args = ["eval", "--config", str(config), "--strategy", str(tmp_path / "solve" / "strategy.csv")]
+    assert run(args + mc_args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_snell_command(tmp_path):
     payoff = tmp_path / "payoff.csv"
     with payoff.open("w", newline="") as fh:

@@ -346,8 +346,8 @@ def test_strategy_column_reader_equals_the_row_loop_on_valid_files(file):
         result = csvio.read_strategy_csv(path, IMPULSES)
     assert result.rows() == reference.rows()
     assert all(np.array_equal(a, b) for a, b in zip(result.chains, reference.chains))
-    if '"' not in "".join(lines):
-        assert columns is not None  # files without quotes take the column reader
+    if not any(c in "".join(lines[1:]) for c in ' \t"_'):
+        assert columns is not None  # plain files take the column reader
 
 
 @examples
@@ -363,6 +363,44 @@ def test_strategy_readers_agree_on_corrupted_files(file):
         assert result == reference
     else:
         assert result.rows() == reference.rows()
+
+
+STRATEGY_ROW = ["1", "0", "0.5", "1", "continue", ""]
+
+
+@examples
+@given(st.integers(0, 5), st.text(alphabet="0123456789.+-eEcontiumpls", max_size=10))
+def test_strategy_column_reader_parses_a_plain_field_as_the_row_parsers_do(column, text):
+    """On the bytes the strategy column reader takes, it parses a field of
+    any column exactly when that column's row parser does (or the action is
+    continue or impulse), to the same value and bits; any other file is
+    left to the rows."""
+    row = STRATEGY_ROW[:column] + [text] + STRATEGY_ROW[column + 1 :]
+    try:
+        expected = [parse(field) for parse, field in zip(csvio.STRATEGY_PARSERS, row)]
+    except (ValueError, OverflowError):
+        expected = None
+    if column == 4 and text not in ("continue", "impulse"):
+        expected = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "strategy.csv"
+        _write(path, [",".join(csvio.STRATEGY_HEADER), ",".join(row)], "\n")
+        columns = csvio._read_strategy_columns(path)
+    got = None if columns is None else [c[0] for c in columns]
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got == expected
+        assert [np.array(v).tobytes() for v in got[:4]] == [np.array(v).tobytes() for v in expected[:4]]
+        assert [type(v) for v in got[4:]] == [type(v) for v in expected[4:]]
+
+
+def test_strategy_column_reader_leaves_long_betas_and_other_actions_to_the_rows(tmp_path):
+    path = tmp_path / "strategy.csv"
+    long_beta = "0." + "5" * (csvio.BETA_WIDTH - 2)  # loadtxt would cut it to BETA_WIDTH bytes
+    for fields in (["impulse", long_beta], ["continueimpulse", ""], ["", ""]):
+        _write(path, [",".join(csvio.STRATEGY_HEADER), ",".join(["0", "0", "0.0", "0", *fields])], "\n")
+        assert csvio._read_strategy_columns(path) is None
+        assert _outcome(csvio.read_strategy_csv, path, IMPULSES) == _outcome(_reference_read_strategy, path, IMPULSES)
 
 
 def test_strategy_field_beyond_int64_is_named_by_line(tmp_path):

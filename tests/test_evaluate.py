@@ -30,6 +30,7 @@ from impulsetree import (
 )
 from impulsetree.combined import combined_value_iteration, extract_pair
 from impulsetree.expr import eval_expr
+from impulsetree.tree import STACK_CELLS
 
 from conftest import (
     PINNED_CONFIG,
@@ -404,14 +405,17 @@ def _mc_masked_reference(model, process, strategy, samples, seed):
         impulse_cost=float(np.mean(cost_acc)),
         method="monte-carlo",
         samples=samples,
-        std_error=float(np.std(values, ddof=1) / np.sqrt(samples)),
+        std_error=float(np.std(values, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0,
         seed=seed,
         generator="numpy.random.PCG64",
     )
 
 
+@pytest.mark.parametrize("samples", [1, 2, 300, STACK_CELLS - 1, STACK_CELLS, STACK_CELLS + 1, 2 * STACK_CELLS + 3])
 @pytest.mark.parametrize("config_seed", [107, 108])
-def test_mc_matches_per_node_masked_reference(config_seed):
+def test_mc_matches_per_node_masked_reference(config_seed, samples):
+    """The blocked walk against one draw of every sign, at sample counts
+    around the block size."""
     loaded, tree = build_problem(random_impulse_config(config_seed, depth=5))
     beta = loaded.impulse.impulses[0]
     # impulses at many nodes, chains of up to two at some of them
@@ -421,6 +425,21 @@ def test_mc_matches_per_node_masked_reference(config_seed):
     )
     impulse_nodes = {key[:2] for key, d in strategy.decisions.items() if d.action == "impulse"}
     assert len(impulse_nodes) >= 5
-    estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=300, seed=config_seed)
-    assert estimate == _mc_masked_reference(loaded.impulse, loaded.process, strategy, 300, config_seed)
-    assert estimate.impulse_cost > 0
+    estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=samples, seed=config_seed)
+    assert estimate == _mc_masked_reference(loaded.impulse, loaded.process, strategy, samples, config_seed)
+    if samples > 2:
+        assert estimate.impulse_cost > 0
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+@pytest.mark.parametrize("depth", [1, 4, 5])
+def test_block_draws_continue_one_draw(block, depth):
+    """The premise of the blocked Monte Carlo walk: consecutive
+    integers(0, 2) draws of one generator, a block of samples at a time,
+    are the rows of a single draw, for odd and even block sizes and
+    depths."""
+    samples = 3 * block + 1
+    whole = np.random.default_rng(5).integers(0, 2, size=(samples, depth))
+    rng = np.random.default_rng(5)
+    blocks = [rng.integers(0, 2, size=(min(block, samples - s), depth)) for s in range(0, samples, block)]
+    assert np.array_equal(np.concatenate(blocks), whole)
