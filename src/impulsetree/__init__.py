@@ -35,6 +35,7 @@ from .impulse import (
     ValueIterationResult,
     enumerate_states,
     extract_strategy,
+    field_terms,
     impulse_budget,
     iterate_value,
     obstacle,

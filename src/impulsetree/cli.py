@@ -10,20 +10,18 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .combined import HamiltonianSpec, combined_value_iteration, extract_pair
 from .csvio import (
     CsvFormatError,
-    open_values_csv,
     read_payoff_csv,
     read_strategy_csv,
     write_controls_csv,
     write_dump,
     write_envelope_csv,
     write_strategy_csv,
-    write_value_rows,
+    write_values_csv,
 )
 from .evaluate import (
     evaluate_pair,
@@ -67,14 +65,30 @@ def _audit_or_fail(loaded, tree, budget):
     return report
 
 
+def _at_least(source: str, value, low, what: str):
+    if value is not None and not value >= low:  # NaN included
+        raise CliUsageError(f"{source} must be {what}, got {value!r}")
+    return value
+
+
 def _resolve_numerics(loaded, args):
-    depth = args.depth if args.depth is not None else loaded.numerics.depth
-    tol = args.tol if args.tol is not None else loaded.numerics.tol
-    if not tol >= 0:  # NaN included
-        source = "--tol" if args.tol is not None else "numerics.tol"
-        raise CliUsageError(f"{source} must be non-negative, got {tol!r}")
-    budget = args.budget if getattr(args, "budget", None) is not None else loaded.numerics.budget
-    return depth, tol, budget  # None: the audit and the solvers take ceil(gamma*T/c)
+    """(depth, tol, budget), each from its flag, else from the config; a
+    budget of None lets the audit and the solvers take ceil(gamma*T/c)."""
+
+    def pick(name, low, what):
+        flag = getattr(args, name, None)
+        if flag is None:
+            return _at_least(f"numerics.{name}", getattr(loaded.numerics, name), low, what)
+        return _at_least(f"--{name}", flag, low, what)
+
+    return pick("depth", 1, "at least 1"), pick("tol", 0, "non-negative"), pick("budget", 0, "non-negative")
+
+
+def _existing_file(flag: str, name: str) -> Path:
+    path = Path(name)
+    if not path.is_file():
+        raise CliUsageError(f"{flag} file not found: {path}")
+    return path
 
 
 def _cmd_solve(args, combined: bool) -> int:
@@ -92,85 +106,79 @@ def _cmd_solve(args, combined: bool) -> int:
     _audit_or_fail(loaded, tree, budget)
     timings["audit"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
+    if combined:
+        spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
+        result = combined_value_iteration(tree, loaded.impulse, spec, tol=tol, budget=budget)
+    else:
+        result = value_iteration(tree, loaded.impulse, tol=tol, budget=budget)
+    timings["solve"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    if combined:
+        strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=tol)
+    else:
+        strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=tol)
+    states = walk_strategy_states(loaded.impulse, strategy)
+    if combined:
+        forward = evaluate_pair(tree, loaded.impulse, spec, strategy, controls, path_states=states)
+    else:
+        forward = evaluate_strategy_exact(tree, loaded.impulse, strategy, path_states=states)
+    distribution = impulse_count_distribution(tree, loaded.impulse, strategy, path_states=states)
+    timings["extract_evaluate"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    residual = abs(result.y0 - forward.value)
+    status = "ok" if residual <= RESIDUAL_TOLERANCE else "inconsistent"
+    report = {
+        "Y0": result.y0,
+        "iterations": len(result.fields) - 1,
+        "stalled": result.stalled,
+        "stall_index": result.stall_index,
+        "budget_used": result.budget,
+        "per_iteration_Y0": result.per_iteration_y0,
+        "sup_increments": result.sup_increments,
+        "config": loaded.raw,
+        "config_hash": loaded.config_hash,
+        "mode": "solve-combined" if combined else "solve",
+        "tree": {"depth": tree.depth, "node_count": tree.node_count, "state_count": len(result.states)},
+        "forward_value": forward.value,
+        "consistency_residual": residual,
+        "residual_tolerance": RESIDUAL_TOLERANCE,
+        "status": status,
+        "tol": tol,
+        "strategy_summary": {
+            "impulse_count_distribution": {str(k): v for k, v in distribution.items()},
+            "impulse_decisions": strategy.impulse_decision_count,
+            "decision_count": tree.node_count + strategy.impulse_decision_count,
+        },
+    }
+
     out = Path(args.out)
     made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    writing = 0.0
     try:
-        t0 = time.perf_counter()
-        with open_values_csv(out / "values.csv") as fh:
-
-            def keep(field):  # stream the field's values.csv rows, keep what extraction reads
-                nonlocal writing
-                w0 = time.perf_counter()
-                write_value_rows(fh, field)
-                writing += time.perf_counter() - w0
-                return replace(field, z=None, k_inc=None, obstacle=None)
-
-            if combined:
-                spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
-                result = combined_value_iteration(tree, loaded.impulse, spec, tol=tol, budget=budget, on_field=keep)
-            else:
-                result = value_iteration(tree, loaded.impulse, tol=tol, budget=budget, on_field=keep)
-        timings["solve"] = time.perf_counter() - t0 - writing
-
-        t0 = time.perf_counter()
-        if combined:
-            strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=tol)
-        else:
-            strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=tol)
-        states = walk_strategy_states(loaded.impulse, strategy)
-        if combined:
-            forward = evaluate_pair(tree, loaded.impulse, spec, strategy, controls, path_states=states)
-        else:
-            forward = evaluate_strategy_exact(tree, loaded.impulse, strategy, path_states=states)
-        distribution = impulse_count_distribution(tree, loaded.impulse, strategy, path_states=states)
-        timings["extract_evaluate"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        residual = abs(result.y0 - forward.value)
-        status = "ok" if residual <= RESIDUAL_TOLERANCE else "inconsistent"
-        report = {
-            "Y0": result.y0,
-            "iterations": len(result.fields) - 1,
-            "stalled": result.stalled,
-            "stall_index": result.stall_index,
-            "budget_used": result.budget,
-            "per_iteration_Y0": result.per_iteration_y0,
-            "sup_increments": result.sup_increments,
-            "config": loaded.raw,
-            "config_hash": loaded.config_hash,
-            "mode": "solve-combined" if combined else "solve",
-            "tree": {"depth": tree.depth, "node_count": tree.node_count, "state_count": len(result.states)},
-            "forward_value": forward.value,
-            "consistency_residual": residual,
-            "residual_tolerance": RESIDUAL_TOLERANCE,
-            "status": status,
-            "tol": tol,
-            "strategy_summary": {
-                "impulse_count_distribution": {str(k): v for k, v in distribution.items()},
-                "impulse_decisions": strategy.impulse_decision_count,
-                "decision_count": tree.node_count + strategy.impulse_decision_count,
-            },
-        }
-
+        write_values_csv(out / "values.csv", result, tree)
         _write_json(out / "report.json", report)
         write_strategy_csv(out / "strategy.csv", strategy)
         if combined:
             write_controls_csv(out / "controls.csv", controls, states)
-        timings["write"] = time.perf_counter() - t0 + writing
-        _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
-
-        print(f"Y0 = {result.y0!r}  forward = {forward.value!r}  residual = {residual:.3e}  status = {status}")
-        return 0 if status == "ok" else 1
     except BaseException:
-        (out / "values.csv").unlink(missing_ok=True)  # leave no partial file
+        # values.csv is the one large file: leave none partly written, and
+        # no --out this run made and left empty
+        (out / "values.csv").unlink(missing_ok=True)
         if made and not any(out.iterdir()):
             out.rmdir()
         raise
+    timings["write"] = time.perf_counter() - t0
+    _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
+
+    print(f"Y0 = {result.y0!r}  forward = {forward.value!r}  residual = {residual:.3e}  status = {status}")
+    return 0 if status == "ok" else 1
 
 
 def _cmd_oracle(args) -> int:
+    _at_least("--max-impulses", args.max_impulses, 0, "non-negative")
     loaded = load_config(args.config)
     depth, _, _ = _resolve_numerics(loaded, args)
     tree = build_tree(loaded.process, depth)
@@ -198,22 +206,19 @@ def _cmd_eval(args) -> int:
     if args.mc_samples is not None:
         if args.seed is None:
             raise CliUsageError("--mc-samples needs --seed for a reproducible report")
-        if args.mc_samples < 1:
-            raise CliUsageError(f"--mc-samples must be positive, got {args.mc_samples}")
-        if args.seed < 0:
-            raise CliUsageError(f"--seed must be non-negative, got {args.seed}")
+        _at_least("--mc-samples", args.mc_samples, 1, "positive")
+        _at_least("--seed", args.seed, 0, "non-negative")
     loaded = load_config(args.config)
     depth, _, budget = _resolve_numerics(loaded, args)
     if "u" in loaded.impulse.reward.variables():
         raise CliUsageError("eval evaluates an impulse strategy without controls, but impulse.h reads 'u'")
-    strategy = read_strategy_csv(Path(args.strategy), loaded.impulse.impulses)
+    strategy = read_strategy_csv(_existing_file("--strategy", args.strategy), loaded.impulse.impulses)
     if strategy.depth != depth:
         raise CliUsageError(f"strategy depth {strategy.depth} does not match configured depth {depth}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     tree = build_tree(loaded.process, depth)
     _audit_or_fail(loaded, tree, budget)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.mc_samples is not None:
         del tree  # Monte Carlo samples its own paths
         policy = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, args.mc_samples, args.seed)
@@ -237,7 +242,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_snell(args) -> int:
-    payoff = read_payoff_csv(Path(args.payoff))
+    payoff = read_payoff_csv(_existing_file("--payoff", args.payoff))
     result = snell_envelope(payoff, tol=args.tol if args.tol is not None else DEFAULT_TOL)
 
     out = Path(args.out)

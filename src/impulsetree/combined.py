@@ -20,7 +20,7 @@ from .impulse import (
 )
 from .model import DEFAULT_TOL, ControlGrid
 from .strategy import Strategy
-from .tree import ScenarioTree
+from .tree import ScenarioTree, z_repr
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,15 @@ def combined_value_iteration(
     budget: "int | None" = None,
     *,
     fixed_controls=None,
-    on_field=None,
 ) -> ValueIterationResult:
     """The impulse value iteration with the driver h replaced by the
-    maximized Hamiltonian: Z from the next level, then
+    maximized Hamiltonian: Z_k = z_repr(Y_{k+1}), then
     Y_k = max(E[Y_{k+1}] + H*(t_k, shifted path, Z_k)*dt, obstacle).
 
     ``fixed_controls`` (per-level (2^k, n_states) arrays of control-grid
     indices over the run's states, levels 0..depth-1) evaluates the
     recursion under a frozen control table instead of the pointwise
-    maximum; the value fields then record that table.  ``on_field`` is as
-    in value_iteration.
+    maximum; the value fields then record that table.
     """
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
@@ -89,15 +87,19 @@ def combined_value_iteration(
     thetas, rewards = driver_tables(tree, spec, states)
     dtype = np.min_scalar_type(-len(spec.grid.controls))  # the smallest signed dtype holding a grid index
 
-    def driver(k, z):
-        n_cols = z.shape[1]
-        candidates = z[None, :, :] * thetas[k][:, :, :n_cols] + rewards[k][:, :, :n_cols]
-        if fixed_controls is not None:
-            u_idx = np.asarray(fixed_controls[k], dtype=np.int64)[:, :n_cols]
-            return np.take_along_axis(candidates, u_idx[None, :, :], axis=0)[0], u_idx.astype(dtype)
+    def driver(k, y_next, u_idx=None):  # at u_idx, else at fixed_controls, else maximized over the grid
+        z = z_repr(y_next, tree.dt)
+        theta, reward = thetas[k][:, :, : z.shape[1]], rewards[k][:, :, : z.shape[1]]
+        if u_idx is None and fixed_controls is not None:
+            u_idx = fixed_controls[k][:, : z.shape[1]]
+        if u_idx is not None:
+            at = np.asarray(u_idx, dtype=np.int64)[None]
+            gathered = z * np.take_along_axis(theta, at, axis=0)[0] + np.take_along_axis(reward, at, axis=0)[0]
+            return gathered, at[0].astype(dtype)
+        candidates = z[None, :, :] * theta + reward
         return candidates.max(axis=0), candidates.argmax(axis=0).astype(dtype)
 
-    return _reflect_until_stall(tree, model, states, tol, driver, on_field)
+    return _reflect_until_stall(tree, model, states, tol, driver)
 
 
 @dataclass(frozen=True, eq=False)

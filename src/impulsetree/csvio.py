@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .impulse import field_terms
 from .strategy import Strategy, StrategyRowError
 from .snell import PayoffProcess
 
@@ -106,31 +107,21 @@ def _open_csv(path: Path, header):
     return fh
 
 
-def open_values_csv(path: Path):
-    """values.csv opened for binary writing, with its header written."""
-    return _open_csv(path, ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"])
-
-
-def write_value_rows(fh, fld):
-    """One field's values.csv rows, one per (level, node, state) with Y, Z
-    and K_inc, to a file from open_values_csv."""
-    shifts, counts = fld.states.shifts.tolist(), fld.states.counts.tolist()
-    states = np.array([f"{cum!r},{n}" for cum, n in zip(shifts, counts)], dtype="S")
-    index = _decimal(np.arange(fld.values[-1].shape[0]))
-    for level, y in enumerate(fld.values):
-        _write_table(
-            fh, y.size, _column(f"{fld.n},{level}".encode()),
-            lambda rows: index[np.arange(rows.start, rows.stop) // states.size],
-            lambda rows: states[np.arange(rows.start, rows.stop) % states.size],
-            *(_column(np.ravel(c[level])) for c in (fld.values, fld.z, fld.k_inc)),
-        )
-
-
-def write_values_csv(path: Path, fields):
-    """values.csv of a field sequence, in order of n."""
-    with open_values_csv(path) as fh:
-        for fld in fields:
-            write_value_rows(fh, fld)
+def write_values_csv(path: Path, result, tree):
+    """values.csv of a value iteration, its fields in order of n: one row
+    per (level, node, state) with Y and field_terms' Z and K_inc."""
+    with _open_csv(path, ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"]) as fh:
+        for fld in result.fields:
+            shifts, counts = fld.states.shifts.tolist(), fld.states.counts.tolist()
+            states = np.array([f"{cum!r},{n}" for cum, n in zip(shifts, counts)], dtype="S")
+            index = _decimal(np.arange(fld.values[-1].shape[0]))
+            for level, (y, (z, k_inc)) in enumerate(zip(fld.values, field_terms(result, fld.n, tree))):
+                _write_table(
+                    fh, y.size, _column(f"{fld.n},{level}".encode()),
+                    lambda rows: index[np.arange(rows.start, rows.stop) // states.size],
+                    lambda rows: states[np.arange(rows.start, rows.stop) % states.size],
+                    *(_column(np.ravel(c)) for c in (y, z, k_inc)),
+                )
 
 
 def write_strategy_csv(path: Path, strategy: Strategy):

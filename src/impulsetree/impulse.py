@@ -96,20 +96,17 @@ class ValueField:
 
     ``states`` is the prefix of the run's StateSpace reachable with at most
     budget - n impulses; their impulse successors all lie in Y^{n-1}'s
-    states.  ``values[k]`` has shape (2^k, len(states)); ``z`` is the
-    martingale representation of the next level, ``k_inc`` the reflection
-    increment, and for n >= 1 ``obstacle`` records the intervention value
-    max_beta(-cost(beta) + Y^{n-1}(., state+beta)).  Extraction reads only
-    ``values`` and ``controls``, so a field may keep just those.
+    states.  ``values[k]`` has shape (2^k, len(states)); in combined mode
+    ``controls[k]`` holds the control-grid index of the driver at each
+    (node, state) of levels 0..depth-1.  The rest of the recursion is a
+    function of these: field_terms gives Z and the reflection increment,
+    obstacle(Y^{n-1}) the intervention value.
     """
 
     n: int
     states: StateSpace
     values: "tuple[np.ndarray, ...]"
-    z: "tuple[np.ndarray, ...] | None" = None
-    k_inc: "tuple[np.ndarray, ...] | None" = None
-    obstacle: "tuple[np.ndarray, ...] | None" = None
-    controls: "tuple[np.ndarray, ...] | None" = None  # combined mode, levels 0..depth-1
+    controls: "tuple[np.ndarray, ...] | None" = None
 
     @property
     def next_states(self) -> StateSpace:
@@ -133,47 +130,31 @@ def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace):
 def _reward_driver(tables):
     """Pure impulse driver: the running reward on the field's states (a
     prefix of the tables' columns), with no control."""
-    return lambda k, z: (tables[k][:, : z.shape[1]], None)
+    return lambda k, y_next, u_idx=None: (tables[k][:, : y_next.shape[1]], None)
 
 
 def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, prev=None) -> ValueField:
     """One backward sweep over ``states``, shared by both modes.
 
-    Z_k comes from the next level, then Y_k = E[Y_{k+1}] + driver*dt,
-    reflected against the obstacle from ``prev`` when one is given (then
-    ``states`` are prev.next_states).  ``driver(k, z_k)`` returns the
-    level-k driver on the field's states and the control-grid indices it
-    used (None in pure impulse mode).  Terminal value 0: no impulses at
-    the horizon.
+    Y_k = E[Y_{k+1}] + driver*dt, reflected against the obstacle from
+    ``prev`` when one is given (then ``states`` are prev.next_states).
+    ``driver(k, Y_{k+1})`` returns the level-k driver on the field's states
+    and the control-grid indices it used (None in pure impulse mode).
+    Terminal value 0: no impulses at the horizon.
     """
     obs = None if prev is None else obstacle(prev, model)
     depth = tree.depth
-
     values = [None] * (depth + 1)
-    zs = [None] * (depth + 1)
-    k_incs = [None] * (depth + 1)
     controls = [None] * depth
     values[depth] = np.zeros((tree.level_size(depth), len(states)))
-    zs[depth] = np.zeros_like(values[depth])
-    k_incs[depth] = np.zeros_like(values[depth])
     for k in range(depth - 1, -1, -1):
-        zs[k] = z_repr(values[k + 1], tree.dt)
-        drv, controls[k] = driver(k, zs[k])
+        drv, controls[k] = driver(k, values[k + 1])
         cont = cond_expect(values[k + 1]) + drv * tree.dt
-        if obs is None:
-            values[k] = cont
-            k_incs[k] = np.zeros_like(cont)
-        else:
-            values[k] = np.maximum(cont, obs[k])
-            k_incs[k] = values[k] - cont
-
+        values[k] = cont if obs is None else np.maximum(cont, obs[k])
     return ValueField(
         n=0 if prev is None else prev.n + 1,
         states=states,
         values=tuple(values),
-        z=tuple(zs),
-        k_inc=tuple(k_incs),
-        obstacle=obs,
         controls=None if controls[0] is None else tuple(controls),
     )
 
@@ -215,6 +196,7 @@ class ValueIterationResult:
     sup_increments: "list[float]"
     budget: int
     states: StateSpace
+    driver: object  # the sweeps' driver(k, Y_{k+1}, control indices=None), for field_terms
 
     @property
     def top(self) -> ValueField:
@@ -229,22 +211,18 @@ class ValueIterationResult:
         return [f.root_value() for f in self.fields]
 
 
-def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver, on_field=None):
+def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver):
     """The value iteration both modes share: Y^0 is the unreflected sweep
     over ``states``, then Y^n the sweep reflected against Y^{n-1} over its
     next states, until the sup-norm of Y^n - Y^{n-1} over Y^n's (node,
-    state) pairs drops to ``tol`` or n reaches the budget.  Each finished
-    field goes to ``on_field``, which returns what to keep of it (whole by
-    default; at least its values): the result's entry and the next sweep's
-    obstacle source."""
-    keep = on_field if on_field is not None else (lambda field: field)
+    state) pairs drops to ``tol`` or n reaches the budget."""
     budget = states.budget
-    fields = [keep(_sweep(tree, model, driver, states))]
+    fields = [_sweep(tree, model, driver, states)]
     stalled = budget == 0  # no impulse is ever admissible, Y0 is the value
     stall_index = 0 if stalled else None
     sups = []
     for n in range(1, budget + 1):
-        nxt = keep(_sweep(tree, model, driver, fields[-1].next_states, fields[-1]))
+        nxt = _sweep(tree, model, driver, fields[-1].next_states, fields[-1])
         sup = max(
             float(np.max(np.abs(b - a[:, : b.shape[1]]))) for a, b in zip(fields[-1].values, nxt.values)
         )
@@ -261,23 +239,44 @@ def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateS
         sup_increments=sups,
         budget=budget,
         states=states,
+        driver=driver,
     )
 
 
 def value_iteration(
-    tree: ScenarioTree, model: ImpulseModel, tol: float = DEFAULT_TOL, budget: "int | None" = None, *, on_field=None
+    tree: ScenarioTree, model: ImpulseModel, tol: float = DEFAULT_TOL, budget: "int | None" = None
 ) -> ValueIterationResult:
     """Iterate the reflected recursion until the sup-norm increment over all
     (node, state) pairs drops to ``tol`` or the impulse budget is reached.
 
-    Returns the field sequence (each field as ``on_field`` kept it; whole by
-    default) and whether stabilization occurred; hitting the budget without
-    a stall is reported, not fatal.
+    Returns the field sequence and whether stabilization occurred; hitting
+    the budget without a stall is reported, not fatal.
     """
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
     states = enumerate_states(model.impulses, budget)
-    return _reflect_until_stall(tree, model, states, tol, _reward_driver(reward_tables(tree, model, states)), on_field)
+    return _reflect_until_stall(tree, model, states, tol, _reward_driver(reward_tables(tree, model, states)))
+
+
+def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
+    """Yield field n's (Z_k, K_inc_k), levels 0..depth (both 0 at the
+    horizon): Z_k = z_repr(Y_{k+1}) and K_inc_k = Y_k - (E[Y_{k+1}] +
+    driver*dt), the run's driver taken at the field's recorded controls.
+
+    The sweep's own operations, so the sweep's bits.  A driver gathered at
+    a tied argmax may differ from the sweep's max in the sign of a zero,
+    which never shows: no Y is -0.0 (the horizon's zeros are +0.0 and each
+    obstacle lies a positive cost below a field), so E[Y_{k+1}] is not.
+    """
+    fld = result.fields[n]
+    for k in range(tree.depth):
+        y_next = fld.values[k + 1]
+        drv, _ = result.driver(k, y_next, None if fld.controls is None else fld.controls[k])
+        cont = cond_expect(y_next)
+        cont += drv * tree.dt
+        yield z_repr(y_next, tree.dt), np.subtract(fld.values[k], cont, out=cont)
+    horizon = fld.values[tree.depth]  # zeros: nothing is paid or reflected at the horizon
+    yield horizon, horizon
 
 
 def _extract_walk(fields, model: ImpulseModel, depth: int, tol: float):

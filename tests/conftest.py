@@ -22,6 +22,26 @@ PINNED_CONFIG = {
 }
 
 
+def _signed_zero_tie(h, x0):
+    return {
+        "process": {**PINNED_CONFIG["process"], "x0": x0},
+        "impulse": {**PINNED_CONFIG["impulse"], "h": h},
+        "control": {"V": [-1.0, 1.0], "f": "0*u"},
+        "numerics": {**PINNED_CONFIG["numerics"], "depth": 3},
+    }
+
+
+# Combined pinned instances where f = 0*u makes the tilt -0.0 at u = -1 and
+# +0.0 at u = 1.  In the second, where x*u < 1 under both controls, the
+# driver candidates are -0.0 and +0.0: the max is one zero and the first
+# argmax the other.  (clamp(x*u, 0, 1) never yields -0.0, so the first has
+# no such tie.)
+SIGNED_ZERO_TIES = {
+    "clamp": _signed_zero_tie("clamp(x*u, 0, 1)", 0.0),
+    "clamp-times-u": _signed_zero_tie("clamp(x*u - 1, 0, 1)*u", 0.5),
+}
+
+
 def random_impulse_config(seed, depth=None, tol=1e-12, budget=None):
     rng = np.random.default_rng(seed)
     if depth is None:

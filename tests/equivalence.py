@@ -1,0 +1,121 @@
+"""Byte equivalence of two source trees' CLI on the standard batches.
+
+    python tests/equivalence.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are the `src` directories of two checkouts.  Every
+invocation runs as `python -m impulsetree.cli` once against each tree, in
+a fresh directory of its own with the same relative --out.  The script
+compares the exit status, stdout, stderr, whether --out exists, and the
+sha256 of every output file but timings.json (wall-clock by design).  It
+prints each difference and a summary line, and exits 1 if any differ.
+
+The batches: `solve` of impulse seeds 300-324, `solve-combined` of
+combined seeds 400-404, with_impulse_chains seeds 300-304 in both modes,
+the pinned instance, a single zero impulse (U = [0.0]) and the
+signed-zero tie configs, each with and without `--budget 1`; then the
+benchmark's invocations (perfbench/workloads.py) for seeds 1 and 2.
+Their inputs are made once, by the library of NEW_SRC.
+
+The file name does not match pytest's default `test_*.py` pattern, so
+the default test run does not collect it.
+"""
+
+import copy
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+
+def _configs():
+    """(label, config) of every solve batch."""
+    from conftest import PINNED_CONFIG, SIGNED_ZERO_TIES, random_combined_config, random_impulse_config
+    from conftest import with_impulse_chains
+
+    zero = copy.deepcopy(PINNED_CONFIG)
+    zero["process"]["sigma"] = "0.3"
+    zero["impulse"].update(U=[0.0], psi={"0.0": 0.3})
+    zero["numerics"]["depth"] = 3
+    yield from ((f"impulse-{s}", random_impulse_config(s)) for s in range(300, 325))
+    yield from ((f"combined-{s}", random_combined_config(s)) for s in range(400, 405))
+    yield from ((f"impulse-chains-{s}", with_impulse_chains(random_impulse_config(s), s)) for s in range(300, 305))
+    yield from ((f"combined-chains-{s}", with_impulse_chains(random_combined_config(s), s)) for s in range(300, 305))
+    yield "pinned", PINNED_CONFIG
+    yield "zero-impulse", zero
+    yield from ((f"signed-zero-{name}", config) for name, config in SIGNED_ZERO_TIES.items())
+
+
+def invocations(inputs: Path):
+    """(label, CLI arguments without --out) of every invocation."""
+    for label, config in _configs():
+        path = inputs / f"{label}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        command = "solve" if config["control"] is None else "solve-combined"
+        yield label, [command, "--config", str(path)]
+        yield f"{label}-budget-1", [command, "--config", str(path), "--budget", "1"]
+
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    import workloads
+
+    for seed in (1, 2):
+        for name, prepare in workloads.PREPARE.items():
+            seed_dir = inputs / f"{name}-{seed}"
+            seed_dir.mkdir()
+            for inv in prepare(seed_dir, workloads.seed_params(seed), workloads.FULL).invocations:
+                yield f"{name}-{seed}-{inv.label}", inv.args
+
+
+def run_cli(src: Path, args, cwd: Path) -> dict:
+    """One invocation with ``src`` on PYTHONPATH; what the comparison reads."""
+    cwd.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "impulsetree.cli", *args, "--out", "out"],
+        cwd=cwd, env=env, capture_output=True, timeout=600,
+    )
+    out = cwd / "out"
+    files = {}
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            if path.name != "timings.json":
+                files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {
+        "exit status": proc.returncode,
+        "stdout": proc.stdout,
+        "stderr": proc.stderr,
+        "--out exists": out.exists(),
+        "outputs": files,
+    }
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old_src, new_src = (Path(a).resolve() for a in argv)
+    sys.path[:0] = [str(new_src), str(HERE)]
+    differing = total = 0
+    with tempfile.TemporaryDirectory(prefix="equivalence-") as tmp:
+        inputs = Path(tmp) / "inputs"
+        inputs.mkdir()
+        for i, (label, args) in enumerate(invocations(inputs)):
+            old = run_cli(old_src, args, Path(tmp) / "old" / str(i))
+            new = run_cli(new_src, args, Path(tmp) / "new" / str(i))
+            total += 1
+            diffs = [key for key in old if old[key] != new[key]]
+            if diffs:
+                differing += 1
+                print(f"DIFFERS {label}: {', '.join(diffs)}")
+                for key in diffs:
+                    print(f"  old {key}: {old[key]!r}\n  new {key}: {new[key]!r}")
+    print(f"{differing} of {total} invocations differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,11 +1,12 @@
 """Memory guards for a fresh interpreter's peak RSS (VmHWM):
 
-- the streamed value iteration: a depth-16 `solve` of the Baseline config
-  (the `solve-d11` workload's config at depth 16) must stay at most
-  140 MB.  Keeping every field whole until values.csv is written at the
-  end took about 275 MB, and keeping an int8 decision array per level
-  beside the values about 157 MB; keeping only the values takes about
-  122 MB;
+- the values-only value iteration: a depth-16 `solve` of the Baseline
+  config (the `solve-d11` workload's config at depth 16) must stay at
+  most 140 MB.  Keeping every field whole (with Z, K_inc and the
+  obstacle) until values.csv was written took about 275 MB, and keeping
+  an int8 decision array per level beside the values about 157 MB.
+  Keeping only the values, and deriving Z and K_inc one level at a time
+  while values.csv is written after the iteration, takes about 111 MB;
 - the blocked Monte Carlo walk: `eval --mc-samples 1000000` of the
   Baseline strategy at depth 14 must stay at most 120 MB.  Walking every
   sample at once took about 300 MB; a block of samples at a time takes

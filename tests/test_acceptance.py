@@ -21,8 +21,10 @@ from impulsetree import (
     evaluate_strategy_exact,
     extract_pair,
     extract_strategy,
+    field_terms,
     girsanov_weights,
     mc_evaluate_strategy,
+    obstacle,
     snell_envelope,
     stopping_rule_value,
     value_iteration,
@@ -159,12 +161,12 @@ def test_criterion_05_forward_backward_consistency(impulse_batch):
 def test_criterion_06_complementarity(impulse_batch):
     instances, _ = impulse_batch
     with criterion(6, "reflection increments satisfy the discrete Skorokhod condition"):
-        for _, tree, result in instances:
+        for loaded, tree, result in instances:
             for field in result.fields[1:]:
-                for k in range(tree.depth + 1):
+                obs = obstacle(result.fields[field.n - 1], loaded.impulse)
+                for k, (_, k_inc) in enumerate(field_terms(result, field.n, tree)):
                     y = field.values[k]
-                    o = field.obstacle[k]
-                    k_inc = field.k_inc[k]
+                    o = obs[k]
                     assert np.all(k_inc >= 0)
                     assert np.all(y >= o - COMPLEMENTARITY_TOL)
                     binding = k_inc > 0
@@ -245,10 +247,9 @@ def test_criterion_09_combined_control(combined_batch):
             for fc, fp in zip(combined.fields, plain.fields):
                 for a, b in zip(fc.values, fp.values):
                     assert np.max(np.abs(a - b)) <= DEGENERATION_TOL
-                for a, b in zip(fc.z, fp.z):
-                    assert np.max(np.abs(a - b)) <= DEGENERATION_TOL
-                for a, b in zip(fc.k_inc, fp.k_inc):
-                    assert np.max(np.abs(a - b)) <= DEGENERATION_TOL
+                for (zc, kc), (zp, kp) in zip(field_terms(combined, fc.n, tree), field_terms(plain, fp.n, tree)):
+                    assert np.max(np.abs(zc - zp)) <= DEGENERATION_TOL
+                    assert np.max(np.abs(kc - kp)) <= DEGENERATION_TOL
 
         elapsed = solve_elapsed + time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f} s"

@@ -142,7 +142,7 @@ def test_mc_eval_runs_the_audit_of_exact_eval(tmp_path, capsys, section, change)
     mc = capsys.readouterr()
     assert mc.out == exact.out == "" and mc.err == exact.err
     assert exact.err.startswith("audit failed")
-    assert not list((tmp_path / "mc").iterdir())
+    assert not (tmp_path / "exact").exists() and not (tmp_path / "mc").exists()
 
 
 @pytest.mark.parametrize("change", [{"c": 0.0}, {"gamma": -1.0}], ids=["c-zero", "gamma-negative"])
@@ -329,6 +329,39 @@ def test_eval_rejects_bad_monte_carlo_arguments_before_making_out(tmp_path, caps
     args = ["eval", "--config", str(config), "--strategy", str(tmp_path / "solve" / "strategy.csv")]
     assert run(args + mc_args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, numerics, args, message",
+    [
+        ("solve", {}, ["--depth", "0"], "--depth must be at least 1, got 0"),
+        ("solve-combined", {"depth": 0}, [], "numerics.depth must be at least 1, got 0"),
+        ("solve", {}, ["--budget", "-1"], "--budget must be non-negative, got -1"),
+        ("solve-combined", {"budget": -1}, [], "numerics.budget must be non-negative, got -1"),
+        ("eval", {"budget": -1}, [], "numerics.budget must be non-negative, got -1"),
+        ("oracle", {}, ["--max-impulses", "-1"], "--max-impulses must be non-negative, got -1"),
+        ("eval", {}, ["--strategy", "{tmp}/missing.csv"], "--strategy file not found: {tmp}/missing.csv"),
+        ("snell", None, ["--payoff", "{tmp}/missing.csv"], "--payoff file not found: {tmp}/missing.csv"),
+    ],
+    ids=[
+        "depth-flag", "depth-config", "budget-flag", "budget-config", "eval-budget-config",
+        "max-impulses", "strategy-missing", "payoff-missing",
+    ],
+)
+def test_usage_errors_name_their_flag_or_key_before_making_out(tmp_path, capsys, command, numerics, args, message):
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    if command == "eval" and "--strategy" not in args:
+        _solved_strategy(tmp_path)
+        args += ["--strategy", str(tmp_path / "solve" / "strategy.csv")]
+    if numerics is not None:  # snell reads no config
+        base = random_combined_config(202, depth=3) if command == "solve-combined" else PINNED_CONFIG
+        config = _write_config(tmp_path, {**base, "numerics": {**base["numerics"], **numerics}}, "case.json")
+        args += ["--config", str(config)]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, *args, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: " + message.replace("{tmp}", str(tmp_path)) + "\n")
     assert not out.exists()
 
 

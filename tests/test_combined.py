@@ -9,17 +9,28 @@ from impulsetree import (
     SolverError,
     build_tree,
     combined_value_iteration,
+    cond_expect,
     evaluate_pair,
     extract_pair,
+    field_terms,
     load_config,
+    obstacle,
     parse_expr,
     value_iteration,
     walk_strategy_states,
+    z_repr,
 )
 from impulsetree.combined import driver_tables
 from impulsetree.impulse import enumerate_states
 
-from conftest import build_problem, hamiltonian, hamiltonian_max, node_env, random_combined_config
+from conftest import (
+    SIGNED_ZERO_TIES,
+    build_problem,
+    hamiltonian,
+    hamiltonian_max,
+    node_env,
+    random_combined_config,
+)
 
 # pinned combined instance: driftless unit volatility, control u in {-1, +1}
 # steering via f = u, reward clamp(x, 0, 1), one impulse of +1 costing 0.4
@@ -112,10 +123,9 @@ def test_driftless_grid_degenerates_to_impulse_mode():
     for fc, fp in zip(combined.fields, plain.fields):
         for a, b in zip(fc.values, fp.values):
             assert np.max(np.abs(a - b)) <= 1e-12
-        for a, b in zip(fc.z, fp.z):
-            assert np.max(np.abs(a - b)) <= 1e-12
-        for a, b in zip(fc.k_inc, fp.k_inc):
-            assert np.max(np.abs(a - b)) <= 1e-12
+        for (zc, kc), (zp, kp) in zip(field_terms(combined, fc.n, tree), field_terms(plain, fp.n, tree)):
+            assert np.max(np.abs(zc - zp)) <= 1e-12
+            assert np.max(np.abs(kc - kp)) <= 1e-12
 
 
 def test_singleton_grid_equals_fixed_control_recursion():
@@ -174,12 +184,13 @@ def test_no_reward_extracts_empty_strategy_and_argmax_controls():
     assert strategy.impulse_decision_count == 0
     # recorded controls equal the pointwise driver argmax of z*f/sigma
     top = result.fields[-1]
+    zs = [z for z, _ in field_terms(result, top.n, tree)]
     states = walk_strategy_states(loaded.impulse, strategy)
     for level in range(tree.depth):
         for index, u in enumerate(controls.levels[level].tolist()):
             cum = float(states.cum[level][index])
             state_idx = top.states.shifts.tolist().index(cum)
-            z = float(top.z[level][index, state_idx])
+            z = float(zs[level][index, state_idx])
             env = node_env(tree, level, index, cum)
             _, best = hamiltonian_max(float(tree.times[level]), env, z, spec)
             assert u == best
@@ -270,3 +281,65 @@ def test_tilt_zero_over_zero_raises_solver_error_without_a_warning():
             driver_tables(tree, _spec(loaded), states)
         with pytest.raises(SolverError, match="at level 0"):
             combined_value_iteration(tree, loaded.impulse, _spec(loaded))
+
+
+def _candidate_sweeps(result, tree, model, spec, pick):
+    """Per field: (values, K_inc per level) by the sweep's recursion with the
+    driver pick(candidates, k, n_states) over all of driver_tables'
+    candidates, against the obstacle of the result's previous field."""
+    thetas, rewards = driver_tables(tree, spec, result.states)
+    for fld in result.fields:
+        obs = obstacle(result.fields[fld.n - 1], model) if fld.n else None
+        values, k_incs = [None] * tree.depth + [np.zeros_like(fld.values[-1])], [None] * tree.depth
+        for k in range(tree.depth - 1, -1, -1):
+            n_states = values[k + 1].shape[1]
+            candidates = z_repr(values[k + 1], tree.dt) * thetas[k][:, :, :n_states] + rewards[k][:, :, :n_states]
+            cont = cond_expect(values[k + 1]) + pick(candidates, k, n_states) * tree.dt
+            values[k] = cont if obs is None else np.maximum(cont, obs[k])
+            k_incs[k] = values[k] - cont
+        yield values, k_incs
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_fixed_controls_gather_the_candidates_at_their_indices():
+    loaded, tree = build_problem(random_combined_config(17, depth=4))
+    spec = _spec(loaded)
+    rng = np.random.default_rng(17)
+    budget = combined_value_iteration(tree, loaded.impulse, spec).budget
+    n_states = len(enumerate_states(loaded.impulse.impulses, budget))
+    fixed = [
+        rng.integers(0, len(loaded.grid.controls), size=(tree.level_size(k), n_states)) for k in range(tree.depth)
+    ]
+    result = combined_value_iteration(tree, loaded.impulse, spec, fixed_controls=fixed)
+
+    def at_fixed(candidates, k, n):
+        return np.take_along_axis(candidates, fixed[k][None, :, :n], axis=0)[0]
+
+    for fld, (values, _) in zip(result.fields, _candidate_sweeps(result, tree, loaded.impulse, spec, at_fixed)):
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(fld.values, values))
+        assert all(np.array_equal(c, f[:, : c.shape[1]]) for c, f in zip(fld.controls, fixed))
+
+
+@pytest.mark.parametrize("name", list(SIGNED_ZERO_TIES))
+def test_signed_zero_ties_never_reach_z_or_k_inc(name):
+    """field_terms gathers the driver at the recorded argmax, the sweep took
+    the max: they may differ in the sign of a zero driver, but K_inc keeps
+    the bits of the max, and no Y, Z or K_inc is -0.0."""
+    loaded, tree = build_problem(SIGNED_ZERO_TIES[name])
+    spec = _spec(loaded)
+    result = combined_value_iteration(tree, loaded.impulse, spec)
+    ties = 0
+    sweeps = _candidate_sweeps(result, tree, loaded.impulse, spec, lambda candidates, k, n: candidates.max(axis=0))
+    for fld, (values, k_incs) in zip(result.fields, sweeps):
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(fld.values, values))
+        for k, (z, k_inc) in enumerate(field_terms(result, fld.n, tree)):
+            if k < tree.depth:
+                assert np.array_equal(_bits(k_inc), _bits(k_incs[k]))
+                drv, _ = result.driver(k, fld.values[k + 1], fld.controls[k])
+                want, _ = result.driver(k, fld.values[k + 1])
+                ties += int(np.count_nonzero(_bits(drv) != _bits(want)))
+            assert not any(np.signbit(a[a == 0]).any() for a in (fld.values[k], z, k_inc))
+    assert (ties > 0) is (name == "clamp-times-u")

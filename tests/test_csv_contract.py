@@ -5,6 +5,9 @@ reference built here with csv.writer: header and fields joined by ",",
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from impulsetree import (
     build_tree,
     combined_value_iteration,
     extract_strategy,
+    field_terms,
     load_config,
     snell_envelope,
     value_iteration,
@@ -42,15 +46,12 @@ def _reference_csv(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _values_rows(fields):
-    for fld in fields:
-        for level, y in enumerate(fld.values):
+def _values_rows(result, tree, terms=field_terms):
+    for fld in result.fields:
+        for level, (y, (z, k_inc)) in enumerate(zip(fld.values, terms(result, fld.n, tree))):
             for i in range(y.shape[0]):
                 for j, (cum, count) in enumerate(zip(fld.states.shifts.tolist(), fld.states.counts.tolist())):
-                    yield (
-                        fld.n, level, i, cum, count,
-                        float(y[i, j]), float(fld.z[level][i, j]), float(fld.k_inc[level][i, j]),
-                    )
+                    yield fld.n, level, i, cum, count, float(y[i, j]), float(z[i, j]), float(k_inc[i, j])
 
 
 def _strategy_rows(strategy):
@@ -79,7 +80,7 @@ def test_solve_csv_bytes(tmp_path, monkeypatch, chunk_rows, config):
     strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=loaded.numerics.tol)
 
     assert (out / "values.csv").read_bytes() == _reference_csv(
-        ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows(result.fields)
+        ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows(result, tree)
     )
     assert (out / "strategy.csv").read_bytes() == _reference_csv(csvio.STRATEGY_HEADER, _strategy_rows(strategy))
     # a continue row ends with an empty beta field
@@ -98,7 +99,7 @@ def test_solve_combined_csv_bytes(tmp_path, monkeypatch, chunk_rows):
     strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=loaded.numerics.tol)
 
     assert (out / "values.csv").read_bytes() == _reference_csv(
-        ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows(result.fields)
+        ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows(result, tree)
     )
     assert (out / "strategy.csv").read_bytes() == _reference_csv(csvio.STRATEGY_HEADER, _strategy_rows(strategy))
     assert (out / "controls.csv").read_bytes() == _reference_csv(
@@ -222,8 +223,9 @@ def test_formatter_matches_csv_writer(data, chunk_rows):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), chunk_rows=CHUNK_ROWS)
 def test_value_rows_match_csv_writer(data, chunk_rows):
-    """values.csv rows of a drawn field: chunks may end inside a node's
-    states, and Y, Z and K_inc hold -0.0 beside 0.0 and the extremes."""
+    """values.csv rows of a drawn field, with drawn Z and K_inc in place of
+    field_terms': chunks may end inside a node's states, and Y, Z and
+    K_inc hold -0.0 beside 0.0 and the extremes."""
     depth, width = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 4))
     shifts = data.draw(arrays(np.float64, width, elements=FINITE))
     counts = data.draw(arrays(np.int64, width, elements=st.integers(0, 12)))
@@ -232,6 +234,15 @@ def test_value_rows_match_csv_writer(data, chunk_rows):
         tuple(data.draw(arrays(np.float64, (2**k, width), elements=FINITE)) for k in range(depth + 1))
         for _ in range(3)
     ]
-    fld = ValueField(data.draw(st.integers(0, 12)), states, *levels)
-    got = _written(chunk_rows, lambda fh: csvio.write_value_rows(fh, fld))
-    assert got == _body(["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows([fld]))
+    result = SimpleNamespace(fields=[ValueField(data.draw(st.integers(0, 12)), states, levels[0])])
+
+    def drawn_terms(result, n, tree):
+        return zip(levels[1], levels[2])
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+        mp.setattr(csvio, "field_terms", drawn_terms)
+        csvio.write_values_csv(Path(tmp) / "values.csv", result, None)
+        got = (Path(tmp) / "values.csv").read_bytes()
+    header = ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"]
+    assert got == _reference_csv(header, _values_rows(result, None, drawn_terms))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from impulsetree import (
     evaluate_strategy_exact,
     extract_pair,
     extract_strategy,
+    field_terms,
     impulse_budget,
     iterate_value,
     obstacle,
@@ -142,10 +144,12 @@ def test_solve_y0_constant_reward_telescopes(pinned_problem):
     model = _model("1")
     states = enumerate_states(model.impulses, 2)
     field = solve_y0(tree, model, states)
-    for k in range(tree.depth + 1):
+    result = value_iteration(tree, model, budget=2)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(field.values, result.fields[0].values))
+    for k, (_, k_inc) in enumerate(field_terms(result, 0, tree)):
         expected = 1.0 * (tree.horizon - tree.times[k])
         np.testing.assert_allclose(field.values[k], expected, rtol=0, atol=1e-15)
-        assert (field.k_inc[k] == 0).all()
+        assert (k_inc == 0).all()
 
 
 def test_solve_y0_zero_reward(pinned_problem):
@@ -195,7 +199,7 @@ def test_field_states_shrink_with_the_remaining_budget(pinned_problem):
         for arr in field.values:
             assert arr.shape[1] == len(expected)
         if field.n:
-            for y, obs in zip(field.values, field.obstacle):
+            for y, obs in zip(field.values, obstacle(result.fields[field.n - 1], model)):
                 assert obs.shape == y.shape
                 assert np.all(np.isfinite(obs))
 
@@ -295,8 +299,14 @@ def test_default_next_field_keeps_a_zero_impulse_state():
     assert obs[0].shape == (1, 1)
     y1 = iterate_value(y0, tree, model)
     assert len(y1.states) == 1 and y1.states.budget == 2
-    want = value_iteration(tree, model, tol=-1.0, budget=3).fields[1]
-    for got, ref in zip((y1.values, y1.z, y1.k_inc, y1.obstacle), (want.values, want.z, want.k_inc, want.obstacle)):
+    run = value_iteration(tree, model, tol=-1.0, budget=3)
+    want = run.fields[1]
+    # Z and K_inc of y1 with the run's driver, which shares y1's one state
+    terms = field_terms(dataclasses.replace(run, fields=[y0, y1]), 1, tree)
+    for got, ref in zip(
+        (y1.values, obs, *zip(*terms)),
+        (want.values, obstacle(run.fields[0], model), *zip(*field_terms(run, 1, tree))),
+    ):
         assert all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in zip(got, ref))
     assert y1.root_value() == want.root_value()
 
@@ -393,9 +403,6 @@ def test_extract_rejects_inconsistent_fields(pinned_problem):
             n=broken.n,
             states=broken.states,
             values=tuple(values),
-            z=broken.z,
-            k_inc=broken.k_inc,
-            obstacle=broken.obstacle,
         )
     ]
     with pytest.raises(SolverError):
@@ -450,10 +457,10 @@ def test_complementarity_properties():
         loaded, tree = build_problem(random_impulse_config(seed, depth=5))
         result = value_iteration(tree, loaded.impulse)
         for field in result.fields[1:]:
-            for k in range(tree.depth + 1):
+            obs = obstacle(result.fields[field.n - 1], loaded.impulse)
+            for k, (_, k_inc) in enumerate(field_terms(result, field.n, tree)):
                 y = field.values[k]
-                o = field.obstacle[k]
-                k_inc = field.k_inc[k]
+                o = obs[k]
                 assert np.all(k_inc >= 0)
                 assert np.all(y >= o - 1e-12)
                 binding = k_inc > 0

@@ -1,10 +1,10 @@
-"""The streamed value iteration: the CLI writes each iterate's values.csv
-rows as the iterate finishes and keeps only its values (and control
-indices), which is all extraction reads.  Everything here is checked
-against the full fields that value_iteration and combined_value_iteration
-return by default."""
+"""The CLI's outputs from fields that hold only values (and control
+indices): values.csv derives Z and K_inc from them after the iteration
+(field_terms), and extraction reads nothing else.  Everything here is
+checked against the library's own run of the same config."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +16,7 @@ from impulsetree import (
     combined_value_iteration,
     extract_pair,
     extract_strategy,
+    field_terms,
     value_iteration,
     walk_strategy_states,
 )
@@ -71,7 +72,7 @@ def test_streamed_outputs_match_the_full_fields(tmp_path, name):
 
     ref = tmp_path / "ref"
     ref.mkdir()
-    csvio.write_values_csv(ref / "values.csv", result.fields)
+    csvio.write_values_csv(ref / "values.csv", result, tree)
     tol = loaded.numerics.tol
     if spec is None:
         strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=tol)
@@ -86,7 +87,7 @@ def test_streamed_outputs_match_the_full_fields(tmp_path, name):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_extraction_from_compacted_fields_matches_the_full_fields(name):
-    # a compacted field holds only what the CLI keeps: values and controls
+    # fields rebuilt from their values and controls alone
     loaded, tree, spec, result = _library(CASES[name])
     tol = loaded.numerics.tol
     compact = [ValueField(f.n, f.states, f.values, controls=f.controls) for f in result.fields]
@@ -117,8 +118,8 @@ def test_the_cli_keeps_only_compacted_fields(tmp_path, monkeypatch):
         assert _solve(tmp_path, CASES[name], tmp_path / name) == 0
     impulse, combined = (result.fields for result in kept)
     assert len(impulse) > 1 and len(combined) > 1
-    for field in impulse + combined:
-        assert field.z is field.k_inc is field.obstacle is None and field.values is not None
+    assert [f.name for f in dataclasses.fields(ValueField)] == ["n", "states", "values", "controls"]
+    assert all(field.values is not None for field in impulse + combined)
     assert all(f.controls is None for f in impulse)
     assert all(c.dtype == np.int8 for f in combined for c in f.controls)
 
@@ -128,14 +129,13 @@ def test_the_cli_keeps_only_compacted_fields(tmp_path, monkeypatch):
 def test_a_failure_after_the_first_field_leaves_no_values_csv(tmp_path, capsys, monkeypatch, name, existing):
     written = []
 
-    def failing(fh, field):
-        csvio.write_value_rows(fh, field)
-        written.append(field.n)
-        if field.n == 1:
-            fh.flush()
+    def failing(result, n, tree):
+        if n == 2:  # every row of fields 0 and 1 is written
             raise RuntimeError("injected after field 1")
+        written.append(n)
+        return field_terms(result, n, tree)
 
-    monkeypatch.setattr(cli, "write_value_rows", failing)
+    monkeypatch.setattr(csvio, "field_terms", failing)
     out = tmp_path / "out"
     if existing:
         out.mkdir()
