@@ -242,6 +242,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_snell(args) -> int:
+    _at_least("--tol", args.tol, 0, "non-negative")
     payoff = read_payoff_csv(_existing_file("--payoff", args.payoff))
     result = snell_envelope(payoff, tol=args.tol if args.tol is not None else DEFAULT_TOL)
 

@@ -16,8 +16,9 @@ and the rest goes out in one write, so neither a file nor a whole-level
 column of strings is held in memory.
 
 The readers parse a file of plain bytes (see _PAYOFF_BYTES) with
-np.loadtxt and check its columns as arrays.  Any other file, or one that
-fails a check, is read again row by row, which names the first faulty line.
+np.loadtxt, the strategy reader a chunk of lines at a time, and check its
+columns as arrays.  Any other file, or one that fails a check, is read
+again row by row, which names the first faulty line.
 """
 
 import csv
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .impulse import field_terms
-from .strategy import Strategy, StrategyRowError
+from .strategy import CodedColumn, Strategy, StrategyRowError
 from .snell import PayoffProcess
 
 # Rows per write: about 256 kB of byte matrix at values.csv's ~110 bytes a row.
@@ -234,63 +235,85 @@ BETA_WIDTH = 25
 _STRATEGY_DTYPE = [
     ("level", "i8"), ("index", "i8"), ("cum", "f8"), ("count", "i8"), ("action", "S9"), ("beta", f"S{BETA_WIDTH}")
 ]
-_ACTIONS = np.array(["continue", "impulse"], dtype=object)
+# Bytes of the strategy CSV parsed at once (whole lines: a longer line is
+# taken whole), so that loadtxt's table of ~66 bytes a row stays small.
+READ_BYTES = 2**15
 
 
-def _plain_body(path: Path, header, allowed) -> "bytes | None":
-    """The bytes after a CSV's header line, or None unless the file starts
-    with ``header`` and a line end and holds only ``allowed`` bytes after
-    them."""
+def _plain_chunks(path: Path, header, allowed):
+    """The bytes after a CSV's header line in chunks of about READ_BYTES,
+    each ending at a line end (the last at the end of the file); or a None,
+    which ends them, unless the file starts with ``header`` and a line end
+    and holds only ``allowed`` bytes after them."""
     header = ",".join(header).encode()
     with path.open("rb") as fh:
         head = fh.read(len(header) + 1)
-        body = fh.read()
-    if head[:-1] != header or head[-1:] not in (b"\r", b"\n") or body.translate(None, allowed):
-        return None
-    return body
+        plain = head[:-1] == header and head[-1:] in (b"\r", b"\n")
+        rest = []  # the blocks of a line not yet ended
+        while plain and not (block := fh.read(READ_BYTES)).translate(None, allowed):
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+            if cut or not block:
+                yield b"".join(rest) + block[:cut]
+                rest = []
+            if not block:
+                return
+            rest.append(block[cut:])
+    yield None
 
 
-def _loadtxt(path: Path, dtype):
-    """The rows after a CSV's header as np.loadtxt parses them, or None if
-    it raises or warns (numpy 1.x reads "1.0" as an int with a
-    DeprecationWarning, and a file of no rows warns)."""
+def _loadtxt(source, dtype, skiprows):
+    """The rows of a CSV file or list of lines, after ``skiprows``, as
+    np.loadtxt parses them, or None if it raises or warns (numpy 1.x reads
+    "1.0" as an int with a DeprecationWarning, and no rows warn)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return np.loadtxt(
-                path, dtype=dtype, delimiter=",", skiprows=1, comments=None, encoding="utf-8", ndmin=1
+                source, dtype=dtype, delimiter=",", skiprows=skiprows, comments=None, encoding="utf-8", ndmin=1
             )
     except (ValueError, Warning):
         return None
 
 
 def _read_strategy_columns(path: Path):
-    """The parsed columns of a strategy CSV, or None where that could
-    differ from the csv module's reading or a row is faulty: a byte other
-    than _STRATEGY_BYTES (a quote, a NUL, a space, ...), a line longer than
-    the csv field limit, another header, a wrong field count, a field its
-    parser rejects, an action other than continue and impulse, or a beta of
-    BETA_WIDTH bytes or more.  Each distinct beta is parsed once."""
-    body = _plain_body(path, STRATEGY_HEADER, _STRATEGY_BYTES)
-    if body is None:
-        return None
-    ends = np.flatnonzero(np.frombuffer(body, np.uint8) < ord(","))  # "\r" and "\n", the only allowed bytes below ","
-    longest = int(np.diff(ends, prepend=-1, append=len(body)).max()) - 1
-    del body
-    table = None if longest > csv.field_size_limit() else _loadtxt(path, _STRATEGY_DTYPE)
-    if table is None:
-        return None
-    impulse = table["action"] == b"impulse"
-    given = np.flatnonzero(table["beta"] != b"")  # few rows: a continue row's beta is empty
-    betas, inverse = np.unique(table["beta"][given], return_inverse=True)
-    if not (impulse | (table["action"] == b"continue")).all() or max(map(len, betas.tolist()), default=0) >= BETA_WIDTH:
-        return None
-    beta = np.full(impulse.size, None, dtype=object)
+    """The parsed columns of a strategy CSV, a chunk of lines at a time,
+    action and beta as CodedColumns; or None where that could differ from
+    the csv module's reading or a row is faulty: a byte other than
+    _STRATEGY_BYTES (a quote, a NUL, a space, ...), a line longer than the
+    csv field limit, another header, a wrong field count, a field its
+    parser rejects, an action other than continue and impulse, or a beta
+    of BETA_WIDTH bytes or more.  Each distinct beta is parsed once."""
+    columns = [[] for _ in STRATEGY_HEADER]  # one piece per chunk
+    betas = {}  # beta field -> its code 1, 2, ... (0 is no beta)
+    for chunk in _plain_chunks(path, STRATEGY_HEADER, _STRATEGY_BYTES):
+        lines = None if chunk is None else chunk.decode("ascii").splitlines()
+        if lines is None or max(map(len, lines), default=0) > csv.field_size_limit():
+            return None
+        if not any(lines):
+            continue
+        table = _loadtxt(lines, _STRATEGY_DTYPE, 0)
+        if table is None:
+            return None
+        impulse = table["action"] == b"impulse"
+        given = np.flatnonzero(table["beta"] != b"")  # few rows: a continue row's beta is empty
+        fields, inverse = np.unique(table["beta"][given], return_inverse=True)
+        fields = fields.tolist()
+        if not (impulse | (table["action"] == b"continue")).all() or max(map(len, fields), default=0) >= BETA_WIDTH:
+            return None
+        beta = np.zeros(impulse.size, dtype=np.int32)
+        beta[given] = np.array([betas.setdefault(b, len(betas) + 1) for b in fields], dtype=np.int32)[inverse]
+        pieces = [table[c].copy() for c in ("level", "index", "cum", "count")] + [impulse.view(np.int8), beta]
+        for column, piece in zip(columns, pieces):
+            column.append(piece)
     try:
-        beta[given] = np.array([float(b.decode()) for b in betas.tolist()], dtype=object)[inverse]
+        values = [None] + [float(b.decode()) for b in betas]
     except ValueError:
         return None
-    return table["level"], table["index"], table["cum"], table["count"], _ACTIONS[impulse.view(np.int8)], beta
+    if not columns[0]:
+        return None
+    # Each column is joined, and its pieces dropped, before the next.
+    level, index, cum, count, action, beta = (np.concatenate(columns.pop(0)) for _ in STRATEGY_HEADER)
+    return level, index, cum, count, CodedColumn(action, ("continue", "impulse")), CodedColumn(beta, values)
 
 
 def read_payoff_csv(path: Path) -> PayoffProcess:
@@ -304,9 +327,9 @@ def read_payoff_csv(path: Path) -> PayoffProcess:
 def _read_payoff_columns(path: Path) -> "PayoffProcess | None":
     """The payoff parsed by np.loadtxt and checked as arrays, or None for
     a file that holds other bytes or fails a parse or a check."""
-    if _plain_body(path, PAYOFF_HEADER, _PAYOFF_BYTES) is None:
+    if any(chunk is None for chunk in _plain_chunks(path, PAYOFF_HEADER, _PAYOFF_BYTES)):
         return None
-    table = _loadtxt(path, [("level", "i8"), ("index", "i8"), ("value", "f8")])
+    table = _loadtxt(path, [("level", "i8"), ("index", "i8"), ("value", "f8")], 1)
     if table is None:
         return None
     level, index, value = table["level"], table["index"], table["value"]

@@ -1,10 +1,16 @@
 """Problem data: process, impulse and control specifications, model audit,
 and JSON config loading."""
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+try:  # hashlib loads OpenSSL (about 3.6 MB resident) for this one digest; the built-in module does not
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -116,10 +122,8 @@ class AuditReport:
 
     def summary(self) -> str:
         if self.passed:
-            return (
-                f"audit passed ({self.nodes_checked} nodes, "
-                f"{self.states_checked} states, {self.controls_checked} controls)"
-            )
+            checked = (self.nodes_checked, self.states_checked, self.controls_checked)
+            return "audit passed ({} nodes, {} states, {} controls)".format(*checked)
         lines = [f"audit failed with {len(self.violations)} violation(s):"]
         for v in self.violations:
             where = []
@@ -210,12 +214,8 @@ def validate_model(process, impulse, grid, tree, budget=None) -> AuditReport:
         violations.append(AuditViolation("A2", f"cost floor must be positive, got {impulse.cost_floor!r}"))
     for beta in impulse.impulses:
         if impulse.costs[beta] < impulse.cost_floor:
-            violations.append(
-                AuditViolation(
-                    "A2",
-                    f"cost of impulse {beta!r} is {impulse.costs[beta]!r}, below floor {impulse.cost_floor!r}",
-                )
-            )
+            message = f"cost of impulse {beta!r} is {impulse.costs[beta]!r}, below floor {impulse.cost_floor!r}"
+            violations.append(AuditViolation("A2", message))
     if impulse.reward_bound < 0:
         violations.append(AuditViolation("A1", f"reward bound must be non-negative, got {impulse.reward_bound!r}"))
 
@@ -266,7 +266,7 @@ class LoadedConfig:
 
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _as_number(value, what):

@@ -9,6 +9,9 @@ from types import MappingProxyType
 import numpy as np
 
 STATE_DECIMALS = 12
+# Rows (or nodes) that a check, a gather or a regeneration of rows takes
+# at once, so that its temporaries stay small beside the columns.
+BLOCK_ROWS = 2**11
 
 
 def shift_key(cumulative: float) -> float:
@@ -39,16 +42,83 @@ class StrategyRowError(ValueError):
         self.position = position
 
 
+def _blocks(n: int):
+    """Slices of at most BLOCK_ROWS rows covering rows 0..n-1."""
+    return (slice(r0, r0 + BLOCK_ROWS) for r0 in range(0, n, BLOCK_ROWS))
+
+
 def _shift_keys(values: np.ndarray) -> np.ndarray:
     """shift_key elementwise, rounding each distinct value once."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([shift_key(v) for v in distinct.tolist()], dtype=float)[inverse]
+    distinct = np.sort(values)  # then the first of each run of equal values (np.unique would import numpy.ma)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    rounded = np.array([shift_key(v) for v in distinct.tolist()], dtype=float)
+    keys = np.empty(values.size)
+    for rows in _blocks(values.size):
+        keys[rows] = rounded[np.searchsorted(distinct, values[rows])]
+    return keys
 
 
 def _level_and_index(flat: np.ndarray):
     """(level, index) of each breadth-first node number 2^level - 1 + index."""
     level = np.frexp(flat + 1.0)[1].astype(np.int64) - 1
     return level, flat + 1 - (np.int64(1) << level)
+
+
+# A row's kind: an impulse row's code into the impulses, or one of these.
+CONTINUE, CONTINUE_WITH_BETA, BAD_BETA, BAD_ACTION = -1, -2, -3, -4
+
+
+class CodedColumn:
+    """A column of few distinct values, held as each row's code into
+    ``values``: row r holds values[codes[r]]."""
+
+    def __init__(self, codes: np.ndarray, values):
+        self.codes, self.values = codes, tuple(values)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, r):
+        return self.values[self.codes[r]]
+
+
+def _coded(column) -> CodedColumn:
+    """A sequence as a CodedColumn, one code per distinct (equal) value."""
+    if isinstance(column, CodedColumn):
+        return column
+    codes = {}
+    return CodedColumn(np.fromiter((codes.setdefault(v, len(codes)) for v in column), np.int64, len(column)), codes)
+
+
+def _row_kinds(action, beta, impulses) -> np.ndarray:
+    """Each row's kind, looked up in a table over the distinct (action,
+    beta) pairs."""
+    action, beta = _coded(action), _coded(beta)
+    codes = {b: impulses.index(b) for b in impulses}
+
+    def kind(a, b):
+        if a == "continue":
+            return CONTINUE if b is None else CONTINUE_WITH_BETA
+        if a != "impulse":
+            return BAD_ACTION
+        return BAD_BETA if b is None else codes.get(b, BAD_BETA)
+
+    dtype = np.promote_types(np.int8, np.min_scalar_type(len(impulses)))
+    table = np.array([[kind(a, b) for b in beta.values] for a in action.values], dtype=dtype)
+    kinds = np.empty(len(action.codes), dtype)
+    for rows in _blocks(kinds.size):
+        kinds[rows] = table[action.codes[rows], beta.codes[rows]]
+    return kinds
+
+
+def _in_order(*columns) -> bool:
+    """Whether the rows of these equally long columns, most significant
+    column first, are in non-decreasing lexicographic order."""
+    ordered = True
+    for column in reversed(columns):
+        a, b = column[:-1], column[1:]
+        ordered = (a < b) | ((a == b) & ordered)
+    return bool(np.all(ordered))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +153,7 @@ class Strategy:
         impulses = np.asarray(self.impulses, dtype=float)
         cum = np.zeros(1)
         count = np.zeros(1, dtype=np.int64)
-        for chain in self.chains:
+        for k, chain in enumerate(self.chains):
             cols = [cum]
             for col in chain.T:
                 on = np.flatnonzero(col >= 0)
@@ -91,18 +161,25 @@ class Strategy:
                 nxt[on] = _shift_keys(nxt[on] + impulses[col[on]])
                 cols.append(nxt)
             yield np.stack(cols, axis=1), count
-            cum = np.repeat(cols[-1], 2)
-            count = np.repeat(count + np.count_nonzero(chain >= 0, axis=1), 2)
+            if k < self.depth:
+                cum = np.repeat(cols[-1], 2)
+                count = np.repeat(count + np.count_nonzero(chain >= 0, axis=1), 2)
+
+    def row_blocks(self):
+        """Yield rows() as arrays (level, index, state_cum, state_count,
+        code) for up to BLOCK_ROWS nodes of a level at a time, where code
+        indexes ``impulses`` and is -1 on a continue row."""
+        for k, ((shifts, count), chain) in enumerate(zip(self.walk(), self.chains)):
+            for nodes in _blocks(chain.shape[0]):
+                block = np.pad(chain[nodes], ((0, 0), (0, 1)), constant_values=-1)  # -1: the continue row
+                node, step = np.nonzero(np.arange(block.shape[1]) <= np.count_nonzero(block >= 0, axis=1)[:, None])
+                code = block[node, step]
+                node += nodes.start
+                yield np.full(node.size, k), node, shifts[node, step], count[node] + step, code
 
     def row_arrays(self):
-        """rows() as arrays (level, index, state_cum, state_count, code),
-        where code indexes ``impulses`` and is -1 on a continue row."""
-        parts = []
-        for k, ((shifts, count), chain) in enumerate(zip(self.walk(), self.chains)):
-            node, step = np.nonzero(np.arange(chain.shape[1] + 1) <= np.count_nonzero(chain >= 0, axis=1)[:, None])
-            code = np.pad(chain, ((0, 0), (0, 1)), constant_values=-1)[node, step]  # -1: the continue row
-            parts.append((np.full(node.size, k), node, shifts[node, step], count[node] + step, code))
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        """rows() as arrays (level, index, state_cum, state_count, code)."""
+        return tuple(np.concatenate(column) for column in zip(*self.row_blocks()))
 
     def rows(self):
         """(level, index, state_cum, state_count, action, beta) rows in
@@ -136,71 +213,77 @@ class Strategy:
     def from_columns(cls, level, index, cum, count, action, beta, impulses) -> "Strategy":
         """The strategy whose rows() are the rows of these columns, given in
         any order: each node's impulse rows, by state_count, form its chain,
-        and its continue row ends it.  Raises StrategyRowError for the first
-        row, in rows() order, that breaks this or differs from the rows the
-        chains regenerate (a row off the strategy's own path)."""
+        and its continue row ends it.  ``action`` and ``beta`` are sequences
+        (of str, and of float or None) or CodedColumns.  Raises
+        StrategyRowError for the first row, in rows() order, that breaks
+        this or differs from the rows the chains regenerate (a row off the
+        strategy's own path)."""
         impulses = tuple(impulses)
         n = len(action)
-        # kind: an impulse row's code into impulses, or one of these
-        CONTINUE, CONTINUE_WITH_BETA, BAD_BETA, BAD_ACTION = -1, -2, -3, -4
-        IMPULSE = NO_BETA = -5  # the action and the beta column's markers
-        codes = {beta: impulses.index(beta) for beta in impulses}
-        acts = {a: {"continue": CONTINUE, "impulse": IMPULSE}.get(a, BAD_ACTION) for a in set(action)}
-        betas = {b: NO_BETA if b is None else codes.get(b, BAD_BETA) for b in set(beta)}
-        act = np.fromiter(map(acts.__getitem__, action), np.int64, n)
-        code = np.fromiter(map(betas.__getitem__, beta), np.int64, n)
-        kind = np.where(
-            act == CONTINUE,
-            np.where(code == NO_BETA, CONTINUE, CONTINUE_WITH_BETA),
-            np.where(act == IMPULSE, np.where(code >= 0, code, BAD_BETA), BAD_ACTION),
-        )
+        kind = _row_kinds(action, beta, impulses)
         level, index, count = (np.asarray(c, dtype=np.int64).reshape(n) for c in (level, index, count))
         keys = _shift_keys(np.asarray(cum, dtype=float).reshape(n))
-        order = np.lexsort((keys, count, index, level))
-        level, index, keys, count, kind = level[order], index[order], keys[order], count[order], kind[order]
+        order = None  # rows() order is how the writers emit them: no gathers
+        if not _in_order(level, index, count, keys):
+            order = np.lexsort((keys, count, index, level))
+            level, index, keys, count, kind = level[order], index[order], keys[order], count[order], kind[order]
+        position = int if order is None else lambda r: int(order[r])
 
         # In order, the rows walk the nodes breadth first, a continue row
         # ending its node: node[r] is the node row r must belong to.
         is_continue = (kind == CONTINUE) | (kind == CONTINUE_WITH_BETA)
-        node = np.cumsum(is_continue) - is_continue
-        node_level, node_index = _level_and_index(node)
-        faults = (
-            (level != node_level) | (index != node_index),
-            kind == BAD_ACTION,
-            kind == BAD_BETA,
-            (kind >= 0) & (node_level >= level.max(initial=0)),  # the largest level is the horizon
-        )
-        bad = np.logical_or.reduce(faults)
-        if bad.any():
-            r = int(np.argmax(bad))
-            p = int(order[r])
-            messages = (
-                f"expected a row of node (level {node_level[r]}, index {node_index[r]}), got ({level[r]}, {index[r]})",
-                f"unknown action {action[p]!r}",
-                f"impulse beta {beta[p]!r} is not one of the impulses {impulses}",
-                f"impulse at the horizon (level {node_level[r]})",
+        node = np.cumsum(is_continue)
+        node -= is_continue
+        horizon = level.max(initial=0)
+        for rows in _blocks(n):
+            node_level, node_index = _level_and_index(node[rows])
+            faults = (
+                (level[rows] != node_level) | (index[rows] != node_index),
+                kind[rows] == BAD_ACTION,
+                kind[rows] == BAD_BETA,
+                (kind[rows] >= 0) & (node_level >= horizon),  # the largest level is the horizon
             )
-            raise StrategyRowError(p, next(m for m, fault in zip(messages, faults) if fault[r]))
+            bad = np.logical_or.reduce(faults)
+            if bad.any():
+                j = int(np.argmax(bad))
+                r, p = rows.start + j, position(rows.start + j)
+                messages = (
+                    f"expected a row of node (level {node_level[j]}, index {node_index[j]}), got ({level[r]}, {index[r]})",
+                    f"unknown action {action[p]!r}",
+                    f"impulse beta {beta[p]!r} is not one of the impulses {impulses}",
+                    f"impulse at the horizon (level {node_level[j]})",
+                )
+                raise StrategyRowError(p, next(m for m, fault in zip(messages, faults) if fault[j]))
         (end_level,), (end_index,) = _level_and_index(np.array([np.count_nonzero(is_continue)]))
         if end_index or not n:
             raise StrategyRowError(n, f"missing the continue row of node (level {end_level}, index {end_index})")
 
+        # An impulse row's step in its chain: its place in its run of
+        # impulse rows, which a continue row ends.
         impulse = np.flatnonzero(kind >= 0)
-        node_start = np.concatenate(([0], np.flatnonzero(is_continue) + 1))
-        step = impulse - node_start[node[impulse]]
+        new_run = np.diff(impulse, prepend=-2) != 1
+        step = impulse - impulse[new_run][np.cumsum(new_run) - 1]
+        impulse_level, impulse_index = _level_and_index(node[impulse])
+        del is_continue, node
         chains = []
         for k in range(end_level):
-            on = node_level[impulse] == k
+            on = impulse_level == k
             chain = np.full((2**k, step[on].max(initial=-1) + 1), -1, dtype=np.int64)
-            chain[node_index[impulse[on]], step[on]] = kind[impulse[on]]
+            chain[impulse_index[on], step[on]] = kind[impulse[on]]
             chains.append(chain)
         strategy = cls(chains=tuple(chains), impulses=impulses)
-        mismatch = np.logical_or.reduce(
-            [got != want for got, want in zip((level, index, keys, count, kind), strategy.row_arrays())]
-        )
-        if mismatch.any():
-            r = int(np.argmax(mismatch))
-            raise StrategyRowError(int(order[r]), f"expected the row {strategy.rows()[r]}")
+        # The chains regenerate as many rows, node by node, as were given.
+        decisions = [("continue", None)] + [("impulse", b) for b in impulses]
+        r0 = 0
+        for want in strategy.row_blocks():
+            rows = slice(r0, r0 + want[0].size)
+            got = (level[rows], index[rows], keys[rows], count[rows], kind[rows])
+            mismatch = np.logical_or.reduce([g != w for g, w in zip(got, want)])
+            if mismatch.any():
+                j = int(np.argmax(mismatch))
+                k, i, c, m, b = (w[j].item() for w in want)
+                raise StrategyRowError(position(r0 + j), f"expected the row {(k, i, c, m, *decisions[b + 1])}")
+            r0 = rows.stop
         return strategy
 
 

@@ -10,7 +10,11 @@
 - the blocked Monte Carlo walk: `eval --mc-samples 1000000` of the
   Baseline strategy at depth 14 must stay at most 120 MB.  Walking every
   sample at once took about 300 MB; a block of samples at a time takes
-  about 75 MB.
+  about 75 MB;
+- the strategy reader: exact `eval` of the Baseline strategy at depth 17
+  (6.8 MB, 262,303 rows) must stay at most 80 MB.  Parsing the whole file
+  at once and sorting every row took about 110 MB; parsing a chunk of
+  lines at a time and checking the rows in blocks takes about 58 MB.
 
 The file name does not match pytest's default `test_*.py` pattern, so the
 default test run does not collect it; run it (on Linux) with
@@ -29,6 +33,7 @@ from impulsetree.csvio import write_strategy_csv
 
 SOLVE_PEAK_LIMIT_MB = 140
 MC_PEAK_LIMIT_MB = 120
+EXACT_EVAL_PEAK_LIMIT_MB = 80
 
 BASELINE = {
     "process": {"x0": -0.041266, "T": 1.0, "sigma": "0.3 + 0.1*abs(xmax - x)", "drift": None},
@@ -75,19 +80,33 @@ def test_depth_16_solve_peak_rss(tmp_path):
     assert peak_mb <= SOLVE_PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {SOLVE_PEAK_LIMIT_MB} MB"
 
 
-def test_million_sample_monte_carlo_eval_peak_rss(tmp_path):
-    raw = {**BASELINE, "numerics": {**BASELINE["numerics"], "depth": 14}}
+def _baseline_strategy(tmp_path, depth):
+    """The Baseline config at ``depth`` and its optimal strategy's CSV."""
+    raw = {**BASELINE, "numerics": {**BASELINE["numerics"], "depth": depth}}
     config = tmp_path / "baseline.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     loaded = load_config(raw)
-    tree = build_tree(loaded.process, 14)
+    tree = build_tree(loaded.process, depth)
     result = value_iteration(tree, loaded.impulse, tol=loaded.numerics.tol)
     strategy = tmp_path / "strategy.csv"
     write_strategy_csv(strategy, extract_strategy(result.fields, tree, loaded.impulse, tol=loaded.numerics.tol))
-    del tree, result
+    return config, strategy
+
+
+def test_million_sample_monte_carlo_eval_peak_rss(tmp_path):
+    config, strategy = _baseline_strategy(tmp_path, 14)
     out = tmp_path / "out"
     args = ["eval", "--config", str(config), "--strategy", str(strategy), "--mc-samples", "1000000", "--seed", "7"]
     peak_mb = _cli_peak_mb(args + ["--out", str(out)])
     payload = json.loads((out / "policy_value.json").read_text(encoding="utf-8"))
     assert payload["samples"] == 1_000_000
     assert peak_mb <= MC_PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {MC_PEAK_LIMIT_MB} MB"
+
+
+def test_depth_17_exact_eval_peak_rss(tmp_path):
+    config, strategy = _baseline_strategy(tmp_path, 17)
+    out = tmp_path / "out"
+    peak_mb = _cli_peak_mb(["eval", "--config", str(config), "--strategy", str(strategy), "--out", str(out)])
+    payload = json.loads((out / "policy_value.json").read_text(encoding="utf-8"))
+    assert payload["method"] == "exact"
+    assert peak_mb <= EXACT_EVAL_PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {EXACT_EVAL_PEAK_LIMIT_MB} MB"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from impulsetree.cli import run
+from impulsetree.model import config_hash
 
 from conftest import PINNED_CONFIG, random_combined_config, random_impulse_config
 
@@ -343,14 +344,19 @@ def test_eval_rejects_bad_monte_carlo_arguments_before_making_out(tmp_path, caps
         ("oracle", {}, ["--max-impulses", "-1"], "--max-impulses must be non-negative, got -1"),
         ("eval", {}, ["--strategy", "{tmp}/missing.csv"], "--strategy file not found: {tmp}/missing.csv"),
         ("snell", None, ["--payoff", "{tmp}/missing.csv"], "--payoff file not found: {tmp}/missing.csv"),
+        ("snell", None, ["--payoff", "{tmp}/payoff.csv", "--tol", "-1"], "--tol must be non-negative, got -1.0"),
+        ("snell", None, ["--payoff", "{tmp}/payoff.csv", "--tol", "nan"], "--tol must be non-negative, got nan"),
     ],
     ids=[
         "depth-flag", "depth-config", "budget-flag", "budget-config", "eval-budget-config",
-        "max-impulses", "strategy-missing", "payoff-missing",
+        "max-impulses", "strategy-missing", "payoff-missing", "snell-tol-negative", "snell-tol-nan",
     ],
 )
 def test_usage_errors_name_their_flag_or_key_before_making_out(tmp_path, capsys, command, numerics, args, message):
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    # The root's payoff equals its envelope: a negative or NaN tol would
+    # write it as stop=0, first_stop=1.
+    (tmp_path / "payoff.csv").write_text("level,index,value\n0,0,1.0\n1,0,0.0\n1,1,0.0\n", encoding="utf-8")
     if command == "eval" and "--strategy" not in args:
         _solved_strategy(tmp_path)
         args += ["--strategy", str(tmp_path / "solve" / "strategy.csv")]
@@ -617,3 +623,43 @@ def test_a_solve_does_not_import_numpy_ma(tmp_path, command, config):
     args = [command, "--config", str(path), "--out", str(tmp_path / "run")]
     proc = subprocess.run([sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=120)
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
+def test_the_cli_hashes_its_config_without_loading_openssl(tmp_path):
+    """hashlib loads OpenSSL (as _hashlib, ~3.6 MB resident) for the one
+    sha256 of the config; a fresh interpreter shows whether solve,
+    solve-combined, exact eval or snell still does.  Monte Carlo eval is
+    exempt: numpy.random's default_rng imports secrets, and so hmac and
+    _hashlib."""
+    pinned = _write_config(tmp_path, PINNED_CONFIG)
+    combined = _write_config(tmp_path, random_combined_config(212, depth=3), "combined.json")
+    payoff = tmp_path / "payoff.csv"
+    payoff.write_text("level,index,value\n0,0,1.0\n1,0,0.0\n1,1,2.0\n", encoding="utf-8")
+    invocations = [
+        ["solve", "--config", str(pinned), "--out", str(tmp_path / "solve")],
+        ["solve-combined", "--config", str(combined), "--out", str(tmp_path / "combined")],
+        ["eval", "--config", str(pinned), "--strategy", str(tmp_path / "solve" / "strategy.csv"),
+         "--out", str(tmp_path / "eval")],
+        ["snell", "--payoff", str(payoff), "--out", str(tmp_path / "snell")],
+    ]
+    child = (
+        "import json, sys\nfrom impulsetree import cli\n"
+        "print([cli.run(a) for a in json.loads(sys.argv[1])], '_hashlib' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(invocations)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False", proc.stderr
+
+
+@pytest.mark.parametrize(
+    "config", [PINNED_CONFIG, random_impulse_config(300), random_combined_config(212, depth=3)],
+    ids=["pinned", "impulse-300", "combined-212"],
+)
+def test_config_hash_is_the_sha256_of_the_canonical_json(config):
+    import hashlib  # the reference only: the package hashes without it
+
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert config_hash(config) == hashlib.sha256(canonical).hexdigest()

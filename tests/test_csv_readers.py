@@ -10,6 +10,7 @@ one row at a time."""
 import csv
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impulsetree import Strategy, StrategyRowError, build_tree, load_config, strategy_from_rule
+from impulsetree import (
+    Strategy, StrategyRowError, build_tree, extract_strategy, load_config, strategy_from_rule, value_iteration
+)
 from impulsetree.strategy import shift_key
 from impulsetree import csvio
 from impulsetree.csvio import CsvFormatError
 
 from conftest import PINNED_CONFIG
+from memory_deep import BASELINE
 
 examples = settings(max_examples=100, deadline=None)
 
@@ -428,3 +432,29 @@ def test_from_rows_matches_the_reference_on_api_rows():
         with pytest.raises(StrategyRowError) as want:
             _reference_from_rows(broken, IMPULSES)
         assert (got.value.position, str(got.value)) == (want.value.position, str(want.value))
+
+
+def test_the_strategy_reader_peaks_at_a_small_multiple_of_the_file(tmp_path):
+    """tracemalloc's peak while a depth-12 Baseline strategy is read stays
+    at most 5x the file's size.  Parsing the whole file at once and sorting
+    every row took about 11x; parsing a chunk at a time and checking the
+    rows in blocks takes about 4x."""
+    raw = {**BASELINE, "numerics": {**BASELINE["numerics"], "depth": 12}}
+    loaded = load_config(raw)
+    tree = build_tree(loaded.process, 12)
+    result = value_iteration(tree, loaded.impulse, tol=loaded.numerics.tol)
+    strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=loaded.numerics.tol)
+    path = tmp_path / "strategy.csv"
+    csvio.write_strategy_csv(path, strategy)
+    del tree, result
+    small = tmp_path / "small.csv"  # a first read loads what any read needs
+    csvio.write_strategy_csv(small, strategy_from_rule(build_tree(loaded.process, 2), lambda *_: None, IMPULSES))
+    csvio.read_strategy_csv(small, IMPULSES)
+    tracemalloc.start()
+    try:
+        read = csvio.read_strategy_csv(path, loaded.impulse.impulses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(a, b) for a, b in zip(read.chains, strategy.chains))
+    assert peak <= 5 * path.stat().st_size, f"peak {peak} bytes for a file of {path.stat().st_size}"
