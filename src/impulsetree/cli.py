@@ -32,7 +32,7 @@ from .evaluate import (
     walk_strategy_states,
 )
 from .impulse import extract_strategy, value_iteration
-from .model import DEFAULT_TOL, ConfigError, load_config, validate_model
+from .model import DEFAULT_TOL, ConfigError, LimitError, load_config, validate_model
 from .snell import snell_envelope
 from .tree import build_tree
 
@@ -73,7 +73,9 @@ def _at_least(source: str, value, low, what: str):
 
 def _resolve_numerics(loaded, args):
     """(depth, tol, budget), each from its flag, else from the config; a
-    budget of None lets the audit and the solvers take ceil(gamma*T/c)."""
+    budget of None lets the audit and the solvers take ceil(gamma*T/c).
+    --threads changes no result, but must still be at least 1."""
+    _at_least("--threads", args.threads, 1, "at least 1")
 
     def pick(name, low, what):
         flag = getattr(args, name, None)
@@ -331,7 +333,7 @@ def run(argv) -> int:
     except AuditFailure as exc:
         print(exc.report.summary(), file=sys.stderr)
         return 2
-    except (CliUsageError, ConfigError, CsvFormatError) as exc:
+    except (CliUsageError, ConfigError, CsvFormatError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal error

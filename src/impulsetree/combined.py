@@ -2,7 +2,6 @@
 driver over a finite control grid, the driver-augmented reflected
 recursion, and extraction of the optimal strategy/control pair."""
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +105,9 @@ def combined_value_iteration(
 class ControlTable:
     """The control applied at each node, at its post-chain state:
     ``levels[k]`` holds one value per node of level k, for levels
-    0..depth-1 (a uniform table maps every level to its one control)."""
+    0..depth-1."""
 
     levels: "tuple[np.ndarray, ...]"
-
-    @classmethod
-    def uniform(cls, u: float) -> "ControlTable":
-        return cls(levels=defaultdict(lambda: np.float64(u)))
 
 
 def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: HamiltonianSpec, tol: float = DEFAULT_TOL):

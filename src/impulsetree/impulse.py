@@ -10,7 +10,7 @@ import numpy as np
 from .expr import eval_expr
 from .model import DEFAULT_TOL, ImpulseModel, LimitError
 from .strategy import Strategy, shift_key
-from .tree import ScenarioTree, cond_expect, z_repr
+from .tree import ScenarioTree, cond_expect, reflect_backward, z_repr
 
 DEFAULT_MAX_STATES = 20000
 
@@ -134,27 +134,25 @@ def _reward_driver(tables):
 
 
 def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, prev=None) -> ValueField:
-    """One backward sweep over ``states``, shared by both modes.
-
-    Y_k = E[Y_{k+1}] + driver*dt, reflected against the obstacle from
-    ``prev`` when one is given (then ``states`` are prev.next_states).
-    ``driver(k, Y_{k+1})`` returns the level-k driver on the field's states
-    and the control-grid indices it used (None in pure impulse mode).
-    Terminal value 0: no impulses at the horizon.
+    """One backward sweep over ``states``, shared by both modes: the
+    reflected kernel with Y_k = E[Y_{k+1}] + driver*dt, reflected against
+    the obstacle from ``prev`` when one is given (then ``states`` are
+    prev.next_states).  ``driver(k, Y_{k+1})`` returns the level-k driver
+    on the field's states and the control-grid indices it used (None in
+    pure impulse mode).  Terminal value 0: no impulses at the horizon.
     """
+    controls = [None] * tree.depth
+
+    def step(k, y_next):
+        drv, controls[k] = driver(k, y_next)
+        return drv * tree.dt
+
+    terminal = np.zeros((tree.level_size(tree.depth), len(states)))
     obs = None if prev is None else obstacle(prev, model)
-    depth = tree.depth
-    values = [None] * (depth + 1)
-    controls = [None] * depth
-    values[depth] = np.zeros((tree.level_size(depth), len(states)))
-    for k in range(depth - 1, -1, -1):
-        drv, controls[k] = driver(k, values[k + 1])
-        cont = cond_expect(values[k + 1]) + drv * tree.dt
-        values[k] = cont if obs is None else np.maximum(cont, obs[k])
     return ValueField(
         n=0 if prev is None else prev.n + 1,
         states=states,
-        values=tuple(values),
+        values=tuple(reflect_backward(terminal, tree.depth, obs, step)),
         controls=None if controls[0] is None else tuple(controls),
     )
 
@@ -191,12 +189,18 @@ def iterate_value(prev: ValueField, tree: ScenarioTree, model: ImpulseModel) -> 
 @dataclass
 class ValueIterationResult:
     fields: "list[ValueField]"
-    stalled: bool
     stall_index: "int | None"
     sup_increments: "list[float]"
-    budget: int
     states: StateSpace
     driver: object  # the sweeps' driver(k, Y_{k+1}, control indices=None), for field_terms
+
+    @property
+    def stalled(self) -> bool:
+        return self.stall_index is not None
+
+    @property
+    def budget(self) -> int:
+        return self.states.budget
 
     @property
     def top(self) -> ValueField:
@@ -216,12 +220,10 @@ def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateS
     over ``states``, then Y^n the sweep reflected against Y^{n-1} over its
     next states, until the sup-norm of Y^n - Y^{n-1} over Y^n's (node,
     state) pairs drops to ``tol`` or n reaches the budget."""
-    budget = states.budget
     fields = [_sweep(tree, model, driver, states)]
-    stalled = budget == 0  # no impulse is ever admissible, Y0 is the value
-    stall_index = 0 if stalled else None
+    stall_index = 0 if states.budget == 0 else None  # no impulse is ever admissible, Y0 is the value
     sups = []
-    for n in range(1, budget + 1):
+    for n in range(1, states.budget + 1):
         nxt = _sweep(tree, model, driver, fields[-1].next_states, fields[-1])
         sup = max(
             float(np.max(np.abs(b - a[:, : b.shape[1]]))) for a, b in zip(fields[-1].values, nxt.values)
@@ -229,17 +231,10 @@ def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateS
         fields.append(nxt)
         sups.append(sup)
         if sup <= tol:
-            stalled = True
             stall_index = n
             break
     return ValueIterationResult(
-        fields=fields,
-        stalled=stalled,
-        stall_index=stall_index,
-        sup_increments=sups,
-        budget=budget,
-        states=states,
-        driver=driver,
+        fields=fields, stall_index=stall_index, sup_increments=sups, states=states, driver=driver
     )
 
 

@@ -81,9 +81,6 @@ class ImpulseModel:
             raise ConfigError("cost table must cover exactly the impulse set")
         _check_vars(self.reward, PATH_VARIABLES | {"u"}, "reward")
 
-    def cost(self, beta: float) -> float:
-        return self.costs[beta]
-
 
 @dataclass(frozen=True)
 class ControlGrid:

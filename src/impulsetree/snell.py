@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DEFAULT_TOL
-from .tree import cond_expect
+from .tree import cond_expect, reflect_backward
 
 
 @dataclass(frozen=True)
@@ -42,30 +42,18 @@ class EnvelopeResult:
     tol: float
 
 
-def snell_envelope(payoff: PayoffProcess, tree=None, tol: float = DEFAULT_TOL) -> EnvelopeResult:
-    """Backward induction V_N = X_N, V_k = max(X_k, E[V_{k+1} | node]).
-
-    ``tree`` is only used to cross-check the depth (the envelope itself
-    depends on the tree solely through its binary branching).
-    """
-    if tree is not None and tree.depth != payoff.depth:
-        raise ValueError(f"payoff depth {payoff.depth} does not match tree depth {tree.depth}")
+def snell_envelope(payoff: PayoffProcess, tol: float = DEFAULT_TOL) -> EnvelopeResult:
+    """Backward induction V_N = X_N, V_k = max(X_k, E[V_{k+1} | node]): the
+    reflected kernel with the payoff as obstacle and as terminal value, and
+    no driver."""
     depth = payoff.depth
-
-    envelope = [None] * (depth + 1)
-    stop = [None] * (depth + 1)
-    first_stop = [None] * (depth + 1)
-
-    envelope[depth] = payoff.values[depth].copy()
-    stop[depth] = np.ones(2**depth, dtype=bool)
-    first_stop[depth] = np.full(2**depth, depth, dtype=np.int64)
-
-    for k in range(depth - 1, -1, -1):
-        cont = cond_expect(envelope[k + 1])
-        envelope[k] = np.maximum(payoff.values[k], cont)
-        stop[k] = np.abs(envelope[k] - payoff.values[k]) <= tol
-        child_first = np.minimum(first_stop[k + 1][0::2], first_stop[k + 1][1::2])
-        first_stop[k] = np.where(stop[k], k, child_first)
+    envelope = reflect_backward(payoff.values[depth].copy(), depth, payoff.values)
+    stop = [np.abs(v - x) <= tol for v, x in zip(envelope[:depth], payoff.values)]
+    stop.append(np.ones(2**depth, dtype=bool))
+    first_stop = [None] * depth + [np.full(2**depth, depth, dtype=np.int64)]
+    for k in range(depth - 1, -1, -1):  # the debut: the earliest stop below each node
+        child_first = first_stop[k + 1]
+        first_stop[k] = np.where(stop[k], k, np.minimum(child_first[0::2], child_first[1::2]))
 
     return EnvelopeResult(
         envelope=tuple(envelope),

@@ -1,5 +1,6 @@
 """Exact binary scenario tree for the driving noise and the uncontrolled
-state process, plus the two backward operators every solver uses."""
+state process, plus the backward operators and the one reflected backward
+recursion every solver runs."""
 
 import math
 from dataclasses import dataclass
@@ -149,6 +150,17 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
     )
 
 
+def _siblings(children: np.ndarray):
+    """The (up, down) halves of level-(k+1) values laid out [up0, down0,
+    up1, down1, ...] along axis 0, after the shape and finiteness checks."""
+    children = np.asarray(children, dtype=np.float64)
+    if children.shape[0] % 2:
+        raise ValueError("children axis must have even length")
+    if not np.all(np.isfinite(children)):
+        raise ValueError("non-finite child values")
+    return children[0::2], children[1::2]
+
+
 def cond_expect(children: np.ndarray) -> np.ndarray:
     """One-step conditional expectation under symmetric Bernoulli increments.
 
@@ -156,23 +168,31 @@ def cond_expect(children: np.ndarray) -> np.ndarray:
     ...] along axis 0 (extra axes pass through); returns the level-k values
     (value(up) + value(down)) / 2.
     """
-    children = np.asarray(children, dtype=np.float64)
-    if children.shape[0] % 2:
-        raise ValueError("children axis must have even length")
-    if not np.all(np.isfinite(children)):
-        raise ValueError("non-finite child values")
-    return 0.5 * (children[0::2] + children[1::2])
+    up, down = _siblings(children)
+    return 0.5 * (up + down)
 
 
 def z_repr(children: np.ndarray, dt: float) -> np.ndarray:
     """Discrete martingale-representation coefficient:
     (value(up) - value(down)) / (2*sqrt(dt)), laid out as in cond_expect."""
-    children = np.asarray(children, dtype=np.float64)
-    if children.shape[0] % 2:
-        raise ValueError("children axis must have even length")
-    if not np.all(np.isfinite(children)):
-        raise ValueError("non-finite child values")
+    up, down = _siblings(children)
     if not dt > 0:
         raise ValueError("dt must be positive")
-    return (children[0::2] - children[1::2]) / (2.0 * math.sqrt(dt))
+    return (up - down) / (2.0 * math.sqrt(dt))
 
+
+def reflect_backward(terminal: np.ndarray, depth: int, obstacle=None, step=None) -> "list[np.ndarray]":
+    """The reflected recursion of every solver, laid out as in cond_expect:
+    Y_depth = terminal, Y_k = max(obstacle[k], E[Y_{k+1}] + step(k, Y_{k+1})).
+
+    No step adds nothing (-0.0 + 0.0 is +0.0); no obstacle reflects nothing.
+    np.maximum returns its second operand on a tie, so the continuation's
+    bits stand: a -0.0 obstacle over a 0.0 continuation gives 0.0."""
+    values = [None] * (depth + 1)
+    values[depth] = terminal
+    for k in range(depth - 1, -1, -1):
+        cont = cond_expect(values[k + 1])
+        if step is not None:
+            cont += step(k, values[k + 1])
+        values[k] = cont if obstacle is None else np.maximum(obstacle[k], cont)
+    return values

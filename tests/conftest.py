@@ -148,6 +148,13 @@ def build_problem(config):
     return loaded, tree
 
 
+def uniform_controls(tree, u):
+    """A ControlTable applying the control ``u`` at every node."""
+    from impulsetree import ControlTable
+
+    return ControlTable(levels=tuple(np.full(tree.level_size(k), float(u)) for k in range(tree.depth)))
+
+
 def node_env(tree, level, index, shift=0.0):
     """Scalar environment at one node: the entries of ``tree.env`` there."""
     return {name: v if name == "t" else float(v[index]) for name, v in tree.env(level, shift).items()}

@@ -12,9 +12,11 @@ prints each difference and a summary line, and exits 1 if any differ.
 The batches: `solve` of impulse seeds 300-324, `solve-combined` of
 combined seeds 400-404, with_impulse_chains seeds 300-304 in both modes,
 the pinned instance, a single zero impulse (U = [0.0]) and the
-signed-zero tie configs, each with and without `--budget 1`; then the
-benchmark's invocations (perfbench/workloads.py) for seeds 1 and 2.
-Their inputs are made once, by the library of NEW_SRC.
+signed-zero tie configs, each with and without `--budget 1`; `snell` of
+payoffs whose envelope ties the payoff as zeros of opposite sign, and of
+a depth-0 payoff; then the benchmark's invocations
+(perfbench/workloads.py) for seeds 1 and 2.  Their inputs are made once,
+by the library of NEW_SRC.
 
 The file name does not match pytest's default `test_*.py` pattern, so
 the default test run does not collect it.
@@ -50,6 +52,16 @@ def _configs():
     yield from ((f"signed-zero-{name}", config) for name, config in SIGNED_ZERO_TIES.items())
 
 
+# Payoff levels for `snell`: signed-zero ties between payoff and
+# continuation, at the root and on every level, and a lone root.
+SNELL_PAYOFFS = {
+    "tie-negative-payoff": [[-0.0], [0.0, 0.0]],
+    "tie-negative-continuation": [[0.0], [-0.0, -0.0]],
+    "tie-zeros-3": [[0.0 if (i * 5 + k) % 3 == 0 else -0.0 for i in range(2**k)] for k in range(4)],
+    "depth-0": [[-0.0]],
+}
+
+
 def invocations(inputs: Path):
     """(label, CLI arguments without --out) of every invocation."""
     for label, config in _configs():
@@ -58,6 +70,12 @@ def invocations(inputs: Path):
         command = "solve" if config["control"] is None else "solve-combined"
         yield label, [command, "--config", str(path)]
         yield f"{label}-budget-1", [command, "--config", str(path), "--budget", "1"]
+
+    for label, levels in SNELL_PAYOFFS.items():
+        path = inputs / f"snell-{label}.csv"
+        rows = (f"{k},{i},{v!r}\n" for k, level in enumerate(levels) for i, v in enumerate(level))
+        path.write_text("level,index,value\n" + "".join(rows), encoding="utf-8")
+        yield f"snell-{label}", ["snell", "--payoff", str(path)]
 
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     import workloads

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from impulsetree import (
-    ControlTable,
     Decision,
     HamiltonianSpec,
     PayoffProcess,
@@ -40,6 +39,7 @@ from conftest import (
     random_combined_config,
     random_comparison_pair,
     random_impulse_config,
+    uniform_controls,
 )
 
 MONOTONE_TOL = 1e-12
@@ -261,7 +261,7 @@ def test_criterion_10_girsanov_exactness(combined_batch):
         rng = np.random.default_rng(1000)
         for loaded, tree, spec, result in instances:
             for u in loaded.grid.controls:
-                weights = girsanov_weights(tree, spec, ControlTable.uniform(u))
+                weights = girsanov_weights(tree, spec, uniform_controls(tree, u))
                 assert np.all(weights > 0)
                 assert abs(float(weights.mean()) - 1.0) <= GIRSANOV_MEAN_TOL
 

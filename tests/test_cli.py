@@ -346,10 +346,15 @@ def test_eval_rejects_bad_monte_carlo_arguments_before_making_out(tmp_path, caps
         ("snell", None, ["--payoff", "{tmp}/missing.csv"], "--payoff file not found: {tmp}/missing.csv"),
         ("snell", None, ["--payoff", "{tmp}/payoff.csv", "--tol", "-1"], "--tol must be non-negative, got -1.0"),
         ("snell", None, ["--payoff", "{tmp}/payoff.csv", "--tol", "nan"], "--tol must be non-negative, got nan"),
+        ("solve", {}, ["--threads", "-7"], "--threads must be at least 1, got -7"),
+        ("solve-combined", {}, ["--threads", "0"], "--threads must be at least 1, got 0"),
+        ("solve", {}, ["--depth", "25"], "tree with depth 25 needs 67108863 nodes, over the limit of 4194304"),
+        ("solve", {}, ["--budget", "100000"], "impulse state count exceeds the limit of 20000"),
     ],
     ids=[
         "depth-flag", "depth-config", "budget-flag", "budget-config", "eval-budget-config",
         "max-impulses", "strategy-missing", "payoff-missing", "snell-tol-negative", "snell-tol-nan",
+        "threads-negative", "threads-zero", "depth-over-node-limit", "budget-over-state-limit",
     ],
 )
 def test_usage_errors_name_their_flag_or_key_before_making_out(tmp_path, capsys, command, numerics, args, message):

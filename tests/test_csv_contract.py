@@ -139,6 +139,21 @@ def _check_envelope_bytes(tmp_path, levels):
     return data
 
 
+@pytest.mark.parametrize(
+    "levels, root_row",
+    [([[-0.0], [0.0, 0.0]], b"0,0,-0.0,0.0,1,0"), ([[0.0], [-0.0, -0.0]], b"0,0,0.0,-0.0,1,0")],
+    ids=["negative-payoff", "negative-continuation"],
+)
+def test_snell_tie_keeps_the_continuations_signed_zero(tmp_path, levels, root_row):
+    """Where the payoff and the continuation compare equal as zeros of
+    opposite sign, the envelope takes the continuation's sign."""
+    levels = [np.array(level) for level in levels]
+    continuation = float(0.5 * (levels[1][0] + levels[1][1]))
+    root = float(snell_envelope(PayoffProcess.from_arrays(levels)).envelope[0][0])
+    assert root == 0.0 and np.signbit(root) == np.signbit(continuation) != np.signbit(levels[0][0])
+    assert _check_envelope_bytes(tmp_path, levels).split(b"\r\n")[1] == root_row
+
+
 @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
 def test_envelope_csv_bytes_with_negative_zero(tmp_path, monkeypatch, chunk_rows):
     monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from impulsetree import (
-    ControlTable,
     Decision,
     HamiltonianSpec,
     ImpulseModel,
@@ -37,6 +36,7 @@ from conftest import (
     build_problem,
     random_combined_config,
     random_impulse_config,
+    uniform_controls,
 )
 
 
@@ -120,7 +120,7 @@ def _driftless_spec(sigma="1", f="0", h="1", controls=(0.0,)):
 def test_girsanov_weights_no_tilt(pinned_problem):
     _, tree = pinned_problem
     spec = _driftless_spec()
-    weights = girsanov_weights(tree, spec, ControlTable.uniform(0.0))
+    weights = girsanov_weights(tree, spec, uniform_controls(tree, 0.0))
     np.testing.assert_array_equal(weights, np.ones(4))
 
 
@@ -133,7 +133,7 @@ def test_girsanov_weights_constant_tilt_factors():
     }
     loaded, tree = build_problem(config)
     spec = _driftless_spec(f="0.5", controls=(1.0,))
-    weights = girsanov_weights(tree, spec, ControlTable.uniform(1.0))
+    weights = girsanov_weights(tree, spec, uniform_controls(tree, 1.0))
     for leaf in range(16):  # leaf index bit pattern: 1 bit = down move
         n_down = bin(leaf).count("1")
         expected = 1.25 ** (4 - n_down) * 0.75**n_down
@@ -145,7 +145,7 @@ def test_girsanov_weight_mean_is_one_on_random_instances():
     for seed in (3, 4, 5):
         loaded, tree = build_problem(random_combined_config(seed, depth=5))
         spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
-        table = ControlTable.uniform(loaded.grid.controls[-1])
+        table = uniform_controls(tree, loaded.grid.controls[-1])
         weights = girsanov_weights(tree, spec, table)
         assert np.all(weights > 0)
         assert abs(float(weights.mean()) - 1.0) <= 1e-12
@@ -155,7 +155,7 @@ def test_girsanov_tilt_bound_enforced(pinned_problem):
     _, tree = pinned_problem
     spec = _driftless_spec(sigma="0.1", f="u", controls=(2.0,))
     with pytest.raises(ValueError, match="tilt"):
-        girsanov_weights(tree, spec, ControlTable.uniform(2.0))
+        girsanov_weights(tree, spec, uniform_controls(tree, 2.0))
 
 
 def test_girsanov_tilt_zero_over_zero_is_rejected_without_a_warning():
@@ -167,14 +167,14 @@ def test_girsanov_tilt_zero_over_zero_is_rejected_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="at level 0"):
-            girsanov_weights(tree, spec, ControlTable.uniform(1.0))
+            girsanov_weights(tree, spec, uniform_controls(tree, 1.0))
 
 
 def test_evaluate_pair_weights_average_out_for_constant_reward(pinned_problem):
     loaded, tree = pinned_problem
     spec = _driftless_spec(f="0.3*u", h="1", controls=(-1.0, 1.0))
     model = _constant_reward_model("1")
-    value = evaluate_pair(tree, model, spec, _empty_strategy(tree), ControlTable.uniform(1.0))
+    value = evaluate_pair(tree, model, spec, _empty_strategy(tree), uniform_controls(tree, 1.0))
     assert value.value == pytest.approx(1.0, abs=1e-12)  # gamma*T, mean-one weights
 
 
@@ -183,7 +183,7 @@ def test_evaluate_pair_driftless_equals_exact(pinned_problem):
     result = value_iteration(tree, loaded.impulse)
     strategy = extract_strategy(result.fields, tree, loaded.impulse)
     spec = _driftless_spec(f="0", h="clamp(x, 0, 1)", controls=(0.0,))
-    pair_value = evaluate_pair(tree, loaded.impulse, spec, strategy, ControlTable.uniform(0.0))
+    pair_value = evaluate_pair(tree, loaded.impulse, spec, strategy, uniform_controls(tree, 0.0))
     exact_value = evaluate_strategy_exact(tree, loaded.impulse, strategy)
     assert pair_value.value == pytest.approx(exact_value.value, abs=1e-14)
 

@@ -23,7 +23,7 @@ def test_load_pinned_config():
     assert loaded.process.x0 == 0.0
     assert loaded.process.horizon == 1.0
     assert loaded.impulse.impulses == (1.0,)
-    assert loaded.impulse.cost(1.0) == 0.3
+    assert loaded.impulse.costs[1.0] == 0.3
     assert loaded.grid is None
     assert loaded.numerics.depth == 2
     assert loaded.numerics.budget is None

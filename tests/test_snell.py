@@ -5,10 +5,7 @@ import pytest
 
 from impulsetree import (
     PayoffProcess,
-    ProcessModel,
-    build_tree,
     cond_expect,
-    parse_expr,
     snell_envelope,
     stopping_rule_value,
 )
@@ -165,7 +162,3 @@ def test_shape_and_finiteness_validation():
         PayoffProcess.from_arrays([np.array([0.0]), np.array([1.0])])
     with pytest.raises(ValueError, match="non-finite"):
         PayoffProcess.from_arrays([np.array([np.nan])])
-    tree = build_tree(ProcessModel(x0=0.0, horizon=1.0, sigma=parse_expr("1")), 3)
-    payoff = PayoffProcess.from_arrays([np.zeros(2**k) for k in range(3)])
-    with pytest.raises(ValueError, match="does not match tree depth"):
-        snell_envelope(payoff, tree)
