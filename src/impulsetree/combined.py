@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import CoefficientExpr, eval_expr
+from .expr import CoefficientExpr
 from .impulse import (
     ImpulseModel,
     StateSpace,
@@ -19,7 +19,7 @@ from .impulse import (
 )
 from .model import DEFAULT_TOL, ControlGrid
 from .strategy import Strategy
-from .tree import ScenarioTree, z_repr
+from .tree import ScenarioTree, _z
 
 
 @dataclass(frozen=True)
@@ -33,33 +33,25 @@ class HamiltonianSpec:
     reward: CoefficientExpr
 
 
-def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace):
-    """Per-level (n_controls, 2^k, len(states)) arrays of the tilt
-    theta = f/sigma and the reward, both on the state-shifted path, each
-    evaluated per control over a level's stacked shifts.
+def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace, k: int = 0, cols=slice(None), u=None):
+    """Level k's (theta = f/sigma, reward) under the shifts of the block
+    ``cols`` of ``states`` (by default the root and every state), at ``u``:
+    one control per cell, or the grid broadcast as (C, 1, 1) by default.
 
-    Raises SolverError if the tilt bound |theta|*sqrt(dt) < 1 fails anywhere,
-    0/0 included (the audit should have rejected the model first).
+    Raises SolverError naming the lowest level where the tilt bound
+    |theta|*sqrt(dt) < 1 fails over ``states`` and the grid, 0/0 included
+    (the audit should have rejected the model first).
     """
-    thetas = []
-    rewards = []
-    n_controls = len(spec.grid.controls)
-    for k in range(tree.depth):
-        theta_k = np.empty((n_controls, tree.level_size(k), len(states)))
-        reward_k = np.empty_like(theta_k)
-        for cols in tree.shift_blocks(k, len(states)):
-            env = tree.env(k, states.shifts[None, cols])
-            sigma = np.asarray(eval_expr(spec.sigma, env))
-            for c, u in enumerate(spec.grid.controls):
-                env_u = {**env, "u": u}
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(eval_expr(spec.grid.controlled_drift, env_u), sigma, out=theta_k[c, :, cols])
-                reward_k[c, :, cols] = eval_expr(spec.reward, env_u)
-        if not (np.abs(theta_k) * tree.sqrt_dt < 1).all():
-            raise SolverError(f"tilt bound |f/sigma|*sqrt(dt) < 1 violated at level {k}")
-        thetas.append(theta_k)
-        rewards.append(reward_k)
-    return thetas, rewards
+    if u is None:
+        u = np.asarray(spec.grid.controls, dtype=float)[:, None, None]
+    coefficients = (spec.sigma, spec.grid.controlled_drift, spec.reward)
+    _, theta, reward = tree.coefficients(k, states.shifts[None, cols], u, *coefficients)
+    if not (np.abs(theta) * tree.sqrt_dt < 1).all():
+        for j in range(k):  # a lower level that fails is named first, as in a check from the root
+            for block in tree.shift_blocks(j, len(states)):
+                driver_tables(tree, spec, states, j, block)
+        raise SolverError(f"tilt bound |f/sigma|*sqrt(dt) < 1 violated at level {k}")
+    return theta, reward
 
 
 def combined_value_iteration(
@@ -75,6 +67,7 @@ def combined_value_iteration(
     maximized Hamiltonian: Z_k = z_repr(Y_{k+1}), then
     Y_k = max(E[Y_{k+1}] + H*(t_k, shifted path, Z_k)*dt, obstacle).
 
+    Theta and the reward live for one (level, block of shifts) of a sweep.
     ``fixed_controls`` (per-level (2^k, n_states) arrays of control-grid
     indices over the run's states, levels 0..depth-1) evaluates the
     recursion under a frozen control table instead of the pointwise
@@ -83,20 +76,23 @@ def combined_value_iteration(
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
     states = enumerate_states(model.impulses, budget)
-    thetas, rewards = driver_tables(tree, spec, states)
-    dtype = np.min_scalar_type(-len(spec.grid.controls))  # the smallest signed dtype holding a grid index
+    grid = np.asarray(spec.grid.controls, dtype=float)
+    dtype = np.min_scalar_type(-grid.size)  # the smallest signed dtype holding a grid index
 
     def driver(k, y_next, u_idx=None):  # at u_idx, else at fixed_controls, else maximized over the grid
-        z = z_repr(y_next, tree.dt)
-        theta, reward = thetas[k][:, :, : z.shape[1]], rewards[k][:, :, : z.shape[1]]
+        z = _z(y_next, tree.dt)  # Y_{k+1} was checked by the sweep's cond_expect
         if u_idx is None and fixed_controls is not None:
             u_idx = fixed_controls[k][:, : z.shape[1]]
-        if u_idx is not None:
-            at = np.asarray(u_idx, dtype=np.int64)[None]
-            gathered = z * np.take_along_axis(theta, at, axis=0)[0] + np.take_along_axis(reward, at, axis=0)[0]
-            return gathered, at[0].astype(dtype)
-        candidates = z[None, :, :] * theta + reward
-        return candidates.max(axis=0), candidates.argmax(axis=0).astype(dtype)
+        drv = np.empty_like(z)
+        at = np.empty(z.shape, dtype) if u_idx is None else np.asarray(u_idx).astype(dtype)
+        for cols in tree.shift_blocks(k, z.shape[1]):
+            theta, reward = driver_tables(tree, spec, states, k, cols, None if u_idx is None else grid[at[:, cols]])
+            candidates = z[:, cols] * theta + reward
+            if u_idx is None:  # a driver that reads no u comes without the control axis
+                candidates = np.broadcast_to(candidates, (grid.size, *z[:, cols].shape))
+                at[:, cols] = candidates.argmax(axis=0)
+            drv[:, cols] = candidates if u_idx is not None else candidates.max(axis=0)
+        return drv, at
 
     return _reflect_until_stall(tree, model, states, tol, driver)
 

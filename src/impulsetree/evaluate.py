@@ -69,6 +69,19 @@ def _walked(tree: ScenarioTree, model: ImpulseModel, strategy: Strategy, path_st
     return walk_strategy_states(model, strategy) if path_states is None else path_states
 
 
+def _exact_value(tree: ScenarioTree, ps: PathStates, levels) -> PolicyValue:
+    """The expected reward and cost, each node at level k weighted by 2^-k
+    times its weight from ``levels`` (as _tilted_levels yields them)."""
+    reward = 0.0
+    cost = 0.0
+    for k, (weights, h) in enumerate(levels):
+        prob = 2.0 ** (-k)
+        cost += prob * float(np.sum(weights * ps.cost[k]))
+        if h is not None:
+            reward += prob * float(np.sum(weights * h)) * tree.dt
+    return PolicyValue(value=reward - cost, reward_integral=reward, impulse_cost=cost, method="exact")
+
+
 def evaluate_strategy_exact(
     tree: ScenarioTree, model: ImpulseModel, strategy: Strategy, path_states=None
 ) -> PolicyValue:
@@ -80,38 +93,29 @@ def evaluate_strategy_exact(
     caller already has it; omitted, the strategy is walked here.
     """
     ps = _walked(tree, model, strategy, path_states)
-    reward = 0.0
-    cost = 0.0
-    for k in range(tree.depth + 1):
-        weight = 2.0 ** (-k)
-        cost += weight * float(np.sum(ps.cost[k]))
-        if k < tree.depth:
-            h = np.asarray(eval_expr(model.reward, tree.env(k, ps.cum[k])))
-            reward += weight * float(np.sum(np.broadcast_to(h, ps.cum[k].shape))) * tree.dt
-    return PolicyValue(value=reward - cost, reward_integral=reward, impulse_cost=cost, method="exact")
+    return _exact_value(tree, ps, _tilted_levels(tree, model.reward, ps.cum))
 
 
-def _weight_levels(tree: ScenarioTree, spec: HamiltonianSpec, controls: ControlTable, shifts):
-    """Per-level arrays of the cumulative change-of-measure weight: per step
-    the up factor is 1 + theta*sqrt(dt) (twice the tilted up-probability)
-    and the down factor 1 - theta*sqrt(dt), with theta = f/sigma evaluated
-    at the node's path shift (``shifts[k]``) and recorded control."""
-    weights = [np.ones(1)]
+def _tilted_levels(tree: ScenarioTree, reward, shifts, spec: "HamiltonianSpec | None" = None, controls=None):
+    """Per level k = 0..depth: each node's cumulative change-of-measure
+    weight (1 without a spec) and, below the horizon, its reward, from one
+    kernel evaluation per level at the node's path shift (``shifts[k]``)
+    and ``controls`` entry.  Per step the up factor is 1 + theta*sqrt(dt)
+    (twice the tilted up-probability), the down factor 1 - theta*sqrt(dt)."""
+    tilt_of = (None, None) if spec is None else (spec.sigma, spec.grid.controlled_drift)
+    weights = np.ones(1)
     for k in range(tree.depth):
-        size = tree.level_size(k)
-        env = {**tree.env(k, shifts[k]), "u": controls.levels[k]}
-        sigma = np.asarray(eval_expr(spec.sigma, env))
-        drift = np.asarray(eval_expr(spec.grid.controlled_drift, env))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = np.broadcast_to(drift / sigma, (size,))
-        tilt = theta * tree.sqrt_dt
+        u = None if spec is None else controls.levels[k]
+        _, theta, h = tree.coefficients(k, shifts[k], u, *tilt_of, reward)
+        tilt = np.broadcast_to(0.0 if theta is None else theta, weights.shape) * tree.sqrt_dt
         if not (np.abs(tilt) < 1).all():  # 0/0 = nan fails it too
             raise ValueError(f"tilt bound violated at level {k}: |f/sigma|*sqrt(dt) >= 1")
-        nxt = np.empty(2 * size)
-        nxt[0::2] = weights[k] * (1.0 + tilt)
-        nxt[1::2] = weights[k] * (1.0 - tilt)
-        weights.append(nxt)
-    return weights
+        yield weights, np.broadcast_to(h, weights.shape)
+        nxt = np.empty(2 * weights.size)
+        nxt[0::2] = weights * (1.0 + tilt)
+        nxt[1::2] = weights * (1.0 - tilt)
+        weights = nxt
+    yield weights, None
 
 
 def girsanov_weights(tree: ScenarioTree, spec: HamiltonianSpec, controls: ControlTable, path_states=None) -> np.ndarray:
@@ -123,7 +127,7 @@ def girsanov_weights(tree: ScenarioTree, spec: HamiltonianSpec, controls: Contro
     tilt on the plain uncontrolled path.
     """
     shifts = [0.0] * tree.depth if path_states is None else path_states.cum
-    return _weight_levels(tree, spec, controls, shifts)[tree.depth]
+    return list(_tilted_levels(tree, spec.reward, shifts, spec, controls))[-1][0]
 
 
 def evaluate_pair(
@@ -139,17 +143,7 @@ def evaluate_pair(
     table's control at each node.  ``path_states`` as in
     evaluate_strategy_exact."""
     ps = _walked(tree, model, strategy, path_states)
-    weights = _weight_levels(tree, spec, controls, ps.cum)
-    reward = 0.0
-    cost = 0.0
-    for k in range(tree.depth + 1):
-        prob = 2.0 ** (-k)
-        cost += prob * float(np.sum(weights[k] * ps.cost[k]))
-        if k < tree.depth:
-            env = {**tree.env(k, ps.cum[k]), "u": controls.levels[k]}
-            h = np.broadcast_to(np.asarray(eval_expr(spec.reward, env)), (tree.level_size(k),))
-            reward += prob * float(np.sum(weights[k] * h)) * tree.dt
-    return PolicyValue(value=reward - cost, reward_integral=reward, impulse_cost=cost, method="exact")
+    return _exact_value(tree, ps, _tilted_levels(tree, spec.reward, ps.cum, spec, controls))
 
 
 def impulse_count_distribution(
@@ -188,46 +182,33 @@ def enumerate_optimal(
         values = (float(a[level][index]) for a in (tree.state, tree.running_max, tree.running_min, tree.running_avg))
         return eval_expr(model.reward, path_env(float(tree.times[level]), *values, shift=cum))
 
-    def best(level, index, cum, count, remaining):
-        calls[0] += 1
-        if calls[0] > call_limit:
-            raise LimitError(f"oracle search exceeded {call_limit} recursive calls")
-        if level == depth:
-            return 0.0
-        top_value = None
+    def choose(level, index, cum, count, remaining):
+        """(value, action) at a node below the horizon: the first impulse in
+        declared order that maximizes, unless continuing is strictly better
+        (action None)."""
+        top, action = None, None
         if remaining > 0:
             for beta in model.impulses:
                 n_cum, n_count = state_key(cum + beta, count + 1)
                 value = -model.costs[beta] + best(level, index, n_cum, n_count, remaining - 1)
-                if top_value is None or value > top_value:
-                    top_value = value
+                if top is None or value > top:
+                    top, action = value, beta
         cont = reward_at(level, index, cum) * dt + 0.5 * (
             best(level + 1, 2 * index, cum, count, remaining)
             + best(level + 1, 2 * index + 1, cum, count, remaining)
         )
-        if top_value is None or cont > top_value:
-            top_value = cont
-        return top_value
+        return (cont, None) if top is None or cont > top else (top, action)
 
-    value = best(0, 0, 0.0, 0, max_impulses)
+    def best(level, index, cum, count, remaining):
+        calls[0] += 1
+        if calls[0] > call_limit:
+            raise LimitError(f"oracle search exceeded {call_limit} recursive calls")
+        return 0.0 if level == depth else choose(level, index, cum, count, remaining)[0]
 
     def optimal_action(level, index, cum, count):
-        remaining = max_impulses - count
-        action = None
-        action_value = None
-        if remaining > 0:
-            for beta in model.impulses:
-                n_cum, n_count = state_key(cum + beta, count + 1)
-                v = -model.costs[beta] + best(level, index, n_cum, n_count, remaining - 1)
-                if action_value is None or v > action_value:
-                    action_value = v
-                    action = beta
-        cont = reward_at(level, index, cum) * dt + 0.5 * (
-            best(level + 1, 2 * index, cum, count, remaining)
-            + best(level + 1, 2 * index + 1, cum, count, remaining)
-        )
-        return None if action is None or cont > action_value else action
+        return choose(level, index, cum, count, max_impulses - count)[1]
 
+    value = best(0, 0, 0.0, 0, max_impulses)
     strategy = strategy_from_rule(tree, optimal_action, model.impulses, max_chain=max_impulses)
     return value, replace(strategy, iteration=max_impulses)
 

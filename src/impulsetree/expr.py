@@ -225,7 +225,7 @@ def parse_expr(source: str) -> CoefficientExpr:
 
 
 def _require_finite(value, what):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise EvalError(f"non-finite result in {what}")
     return value
 
@@ -246,29 +246,27 @@ def _eval(node, env):
     if isinstance(node, BinOp):
         left = _eval(node.left, env)
         right = _eval(node.right, env)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if node.op == "+":
-                value = left + right
-            elif node.op == "-":
-                value = left - right
-            elif node.op == "*":
-                value = left * right
-            else:
-                value = left / right
+        if node.op == "+":
+            value = left + right
+        elif node.op == "-":
+            value = left - right
+        elif node.op == "*":
+            value = left * right
+        else:
+            value = left / right
         return _require_finite(value, f"operator '{node.op}'")
     if isinstance(node, Call):
         args = [_eval(arg, env) for arg in node.args]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if node.func == "min":
-                value = np.minimum(args[0], args[1])
-            elif node.func == "max":
-                value = np.maximum(args[0], args[1])
-            elif node.func == "abs":
-                value = np.abs(args[0])
-            elif node.func == "exp":
-                value = np.exp(args[0])
-            else:  # clamp(v, lo, hi)
-                value = np.minimum(np.maximum(args[0], args[1]), args[2])
+        if node.func == "min":
+            value = np.minimum(args[0], args[1])
+        elif node.func == "max":
+            value = np.maximum(args[0], args[1])
+        elif node.func == "abs":
+            value = np.abs(args[0])
+        elif node.func == "exp":
+            value = np.exp(args[0])
+        else:  # clamp(v, lo, hi)
+            value = np.minimum(np.maximum(args[0], args[1]), args[2])
         return _require_finite(value, f"function '{node.func}'")
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -280,7 +278,8 @@ def eval_expr(expr: CoefficientExpr, env: Mapping):
     Returns a float for scalar environments, an ndarray otherwise.  Fixed
     left-to-right evaluation order makes repeated evaluation bit-identical.
     """
-    value = _eval(expr.ast, env)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # every node's result is checked instead
+        value = _eval(expr.ast, env)
     if isinstance(value, np.ndarray) and value.ndim:
         return value
     return float(value)

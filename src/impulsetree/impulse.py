@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import eval_expr
 from .model import DEFAULT_TOL, ImpulseModel, LimitError
 from .strategy import Strategy, shift_key
-from .tree import ScenarioTree, cond_expect, reflect_backward, z_repr
+from .tree import ScenarioTree, _expect, _z, reflect_backward
 
 DEFAULT_MAX_STATES = 20000
 
@@ -117,20 +116,13 @@ class ValueField:
         return float(self.values[0][0, 0])
 
 
-def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace):
-    """Per-level (2^k, len(states)) arrays of the running reward under each
-    state's path shift (levels 0..depth-1; left endpoint; shifts stacked)."""
-    tables = [np.empty((tree.level_size(k), len(states))) for k in range(tree.depth)]
-    for k, arr in enumerate(tables):
-        for cols in tree.shift_blocks(k, len(states)):
-            arr[:, cols] = eval_expr(model.reward, tree.env(k, states.shifts[None, cols]))
-    return tables
-
-
-def _reward_driver(tables):
-    """Pure impulse driver: the running reward on the field's states (a
-    prefix of the tables' columns), with no control."""
-    return lambda k, y_next, u_idx=None: (tables[k][:, : y_next.shape[1]], None)
+def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, k: int = 0):
+    """Level k's running reward under each state's path shift, (2^k,
+    len(states)), the shifts stacked a block at a time; by default the root's."""
+    table = np.empty((tree.level_size(k), len(states)))
+    for cols in tree.shift_blocks(k, len(states)):
+        table[:, cols] = tree.coefficients(k, states.shifts[None, cols], reward=model.reward)[2]
+    return table
 
 
 def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, prev=None) -> ValueField:
@@ -138,12 +130,14 @@ def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, 
     reflected kernel with Y_k = E[Y_{k+1}] + driver*dt, reflected against
     the obstacle from ``prev`` when one is given (then ``states`` are
     prev.next_states).  ``driver(k, Y_{k+1})`` returns the level-k driver
-    on the field's states and the control-grid indices it used (None in
-    pure impulse mode).  Terminal value 0: no impulses at the horizon.
+    on the field's states and the control-grid indices it used; with None
+    it is the running reward.  Terminal value 0: no impulses at the horizon.
     """
     controls = [None] * tree.depth
 
     def step(k, y_next):
+        if driver is None:
+            return reward_tables(tree, model, states, k) * tree.dt
         drv, controls[k] = driver(k, y_next)
         return drv * tree.dt
 
@@ -161,7 +155,7 @@ def solve_y0(tree: ScenarioTree, model: ImpulseModel, states: StateSpace) -> Val
     """Unreflected base field: expected remaining reward for a strategy
     already holding each state's cumulative impulse, with no further
     impulses allowed.  Terminal value 0; reflection increments identically 0."""
-    return _sweep(tree, model, _reward_driver(reward_tables(tree, model, states)), states)
+    return _sweep(tree, model, None, states)
 
 
 def obstacle(prev: ValueField, model: ImpulseModel):
@@ -183,7 +177,7 @@ def iterate_value(prev: ValueField, tree: ScenarioTree, model: ImpulseModel) -> 
     impulses at the horizon; the terminal obstacle is <= -cost floor and
     never binds)."""
     states = prev.next_states
-    return _sweep(tree, model, _reward_driver(reward_tables(tree, model, states)), states, prev)
+    return _sweep(tree, model, None, states, prev)
 
 
 @dataclass
@@ -192,7 +186,8 @@ class ValueIterationResult:
     stall_index: "int | None"
     sup_increments: "list[float]"
     states: StateSpace
-    driver: object  # the sweeps' driver(k, Y_{k+1}, control indices=None), for field_terms
+    model: ImpulseModel
+    driver: object  # the sweeps' driver(k, Y_{k+1}, control indices=None), None in pure impulse mode
 
     @property
     def stalled(self) -> bool:
@@ -215,7 +210,7 @@ class ValueIterationResult:
         return [f.root_value() for f in self.fields]
 
 
-def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver):
+def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver=None):
     """The value iteration both modes share: Y^0 is the unreflected sweep
     over ``states``, then Y^n the sweep reflected against Y^{n-1} over its
     next states, until the sup-norm of Y^n - Y^{n-1} over Y^n's (node,
@@ -233,9 +228,7 @@ def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateS
         if sup <= tol:
             stall_index = n
             break
-    return ValueIterationResult(
-        fields=fields, stall_index=stall_index, sup_increments=sups, states=states, driver=driver
-    )
+    return ValueIterationResult(fields, stall_index, sups, states, model, driver)
 
 
 def value_iteration(
@@ -250,7 +243,7 @@ def value_iteration(
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
     states = enumerate_states(model.impulses, budget)
-    return _reflect_until_stall(tree, model, states, tol, _reward_driver(reward_tables(tree, model, states)))
+    return _reflect_until_stall(tree, model, states, tol)
 
 
 def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
@@ -258,18 +251,22 @@ def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
     horizon): Z_k = z_repr(Y_{k+1}) and K_inc_k = Y_k - (E[Y_{k+1}] +
     driver*dt), the run's driver taken at the field's recorded controls.
 
-    The sweep's own operations, so the sweep's bits.  A driver gathered at
-    a tied argmax may differ from the sweep's max in the sign of a zero,
+    The sweep's own operations, so the sweep's bits, without the finiteness
+    checks the sweep made on the same values.  A driver evaluated at a tied
+    argmax may differ from the sweep's max in the sign of a zero,
     which never shows: no Y is -0.0 (the horizon's zeros are +0.0 and each
     obstacle lies a positive cost below a field), so E[Y_{k+1}] is not.
     """
     fld = result.fields[n]
     for k in range(tree.depth):
         y_next = fld.values[k + 1]
-        drv, _ = result.driver(k, y_next, None if fld.controls is None else fld.controls[k])
-        cont = cond_expect(y_next)
+        if result.driver is None:
+            drv = reward_tables(tree, result.model, fld.states, k)
+        else:
+            drv, _ = result.driver(k, y_next, fld.controls[k])
+        cont = _expect(y_next)
         cont += drv * tree.dt
-        yield z_repr(y_next, tree.dt), np.subtract(fld.values[k], cont, out=cont)
+        yield _z(y_next, tree.dt), np.subtract(fld.values[k], cont, out=cont)
     horizon = fld.values[tree.depth]  # zeros: nothing is paid or reflected at the horizon
     yield horizon, horizon
 

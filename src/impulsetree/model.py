@@ -140,8 +140,8 @@ def _scan(columns, rule, level, control, values, predicate, describe):
     nodes fail a vectorized check; ``values`` holds one column per entry of
     ``columns``, and a scalar counts as one node of every column."""
     bad = ~predicate(values)
-    if values.ndim == 0:
-        hits = [(j, 1, float(values)) for j in range(len(columns)) if bad]
+    if values.size == 1:  # a part that reads u alone is (1, 1) over the broadcast grid
+        hits = [(j, 1, float(values.reshape(()))) for j in range(len(columns)) if bad.all()]
     else:
         counts = np.count_nonzero(bad, axis=0)
         firsts = np.argmax(bad, axis=0)
@@ -154,43 +154,45 @@ def _scan(columns, rule, level, control, values, predicate, describe):
 
 def _audit_level(process, impulse, grid, tree, level, keys):
     """The violations at one level, one (state key, entries) column per
-    state key (shift, count), from one evaluation over the stacked shifts
-    (per control): sigma first, then per control A1 and the tilt, which is
-    scanned only where sigma is positive at every node.  With one state an
-    EvalError is that state's violation; with several it propagates, and
-    the caller re-runs each state alone."""
-    env = tree.env(level, np.array([[cum for cum, _ in keys]]))
+    state key (shift, count), from one call of the coefficient kernel over
+    the stacked shifts and the broadcast grid: sigma, then per control A1
+    and the tilt, scanned only where sigma is positive at every node.  An
+    EvalError propagates with several states (the caller re-runs each
+    alone); with one, each coefficient and control is evaluated alone and
+    a failure is that state's violation."""
+    shifts = np.array([[cum for cum, _ in keys]])
     columns = [(key, []) for key in keys]
+    drift = None if grid is None else grid.controlled_drift
 
-    def evaluate(expr, env, rule, what, control=None):
+    def evaluate(u, i=slice(None), rule=None, what=None, **coefficients):  # part i of the kernel at u
         try:
-            return np.asarray(eval_expr(expr, env))
+            return tree.coefficients(level, shifts, u, **coefficients)[i]
         except EvalError as exc:
             if len(keys) > 1:
                 raise
-            columns[0][1].append(AuditViolation(rule, f"{what} failed: {exc}", level, keys[0], control))
-            return None
+            if rule is not None:
+                columns[0][1].append(AuditViolation(rule, f"{what} failed: {exc}", level, keys[0], u))
 
-    sigma = evaluate(process.sigma, env, "sigma", "evaluation")
+    grid_u = None if grid is None else np.array(grid.controls)[:, None, None]
+    whole = evaluate(grid_u, sigma=process.sigma, drift=drift, reward=impulse.reward)  # None: one state failed
+    sigma = whole[0] if whole else evaluate(None, 0, "sigma", "evaluation", sigma=process.sigma)
     if sigma is None:
         return columns
     _scan(columns, "sigma", level, None, sigma, lambda v: v > 0, "sigma not strictly positive")
     positive = np.flatnonzero(np.all(sigma > 0, axis=0) if sigma.ndim else np.full(len(keys), sigma > 0))
     tilted = [columns[j] for j in positive.tolist()]
-    pick = lambda v: v[:, positive] if v.ndim else v
-    gamma = impulse.reward_bound
-    for u in grid.controls if grid is not None else (None,):
-        env_u = env if u is None else {**env, "u": u}
-        h = evaluate(impulse.reward, env_u, "A1", "reward evaluation", u)
+    gamma, tilt_of = impulse.reward_bound, {"sigma": process.sigma, "drift": drift}
+    for c, u in enumerate(grid.controls if grid is not None else (None,)):
+        part = lambda v: v[c] if v.ndim == 3 else v  # control c's slice of a result over the grid
+        h = part(whole[2]) if whole else evaluate(u, 2, "A1", "reward evaluation", reward=impulse.reward)
         if h is None:
             continue
         _scan(columns, "A1", level, u, h, lambda v: (v >= 0) & (v <= gamma), f"reward outside [0, {gamma!r}]")
-        if grid is not None and tilted:
-            f_val = evaluate(grid.controlled_drift, env_u, "tilt", "drift evaluation", u)
-            if f_val is None:
-                continue
-            tilt = np.abs(pick(f_val) / pick(sigma)) * tree.sqrt_dt
-            _scan(tilted, "tilt", level, u, tilt, lambda v: v < 1, "measure tilt |f/sigma|*sqrt(dt) not below 1")
+        if drift is not None and tilted:
+            theta = part(whole[1]) if whole else evaluate(u, 1, "tilt", "drift evaluation", **tilt_of)
+            if theta is not None:
+                tilt = np.abs(theta[:, positive] if theta.size > 1 else theta) * tree.sqrt_dt
+                _scan(tilted, "tilt", level, u, tilt, lambda v: v < 1, "measure tilt |f/sigma|*sqrt(dt) not below 1")
     return columns
 
 

@@ -77,11 +77,26 @@ class ScenarioTree:
         features = (self.state, self.running_max, self.running_min, self.running_avg)
         return path_env(float(self.times[level]), *(a[level] for a in features), shift=shift)
 
+    def coefficients(self, level: int, shift, u=None, sigma=None, drift=None, reward=None):
+        """The one coefficient kernel: (sigma, theta = drift/sigma, reward)
+        at a level's nodes under ``shift`` (as in env), None where the
+        expression is.  ``u`` broadcasts: the grid as a (C, 1, 1) array
+        (what does not read u is evaluated once for all controls), one
+        control per node or cell, or None.  0/0 gives nan, not a warning."""
+        env = self.env(level, shift)
+        sig = None if sigma is None else np.asarray(eval_expr(sigma, env))
+        if u is not None:
+            env["u"] = u
+        h = None if reward is None else np.asarray(eval_expr(reward, env))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            theta = None if drift is None else np.asarray(eval_expr(drift, env)) / sig
+        return sig, theta, h
+
     def shift_blocks(self, level: int, n_shifts: int) -> "list[slice]":
         """Consecutive blocks of shift indices, each stacked level at most
         STACK_CELLS cells (one shift per block on levels wider than that)."""
         width = max(1, STACK_CELLS >> level)
-        return [slice(j, j + width) for j in range(0, n_shifts, width)]
+        return [slice(j, min(j + width, n_shifts)) for j in range(0, n_shifts, width)]
 
 
 def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_NODES) -> ScenarioTree:
@@ -150,15 +165,24 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
     )
 
 
-def _siblings(children: np.ndarray):
-    """The (up, down) halves of level-(k+1) values laid out [up0, down0,
-    up1, down1, ...] along axis 0, after the shape and finiteness checks."""
+def _checked(children: np.ndarray) -> np.ndarray:
+    """Level-(k+1) values laid out [up0, down0, up1, down1, ...] along axis
+    0, after the shape and finiteness checks."""
     children = np.asarray(children, dtype=np.float64)
     if children.shape[0] % 2:
         raise ValueError("children axis must have even length")
     if not np.all(np.isfinite(children)):
         raise ValueError("non-finite child values")
-    return children[0::2], children[1::2]
+    return children
+
+
+# cond_expect and z_repr without their checks, for values a sweep has checked
+def _expect(children: np.ndarray) -> np.ndarray:
+    return 0.5 * (children[0::2] + children[1::2])
+
+
+def _z(children: np.ndarray, dt: float) -> np.ndarray:
+    return (children[0::2] - children[1::2]) / (2.0 * math.sqrt(dt))
 
 
 def cond_expect(children: np.ndarray) -> np.ndarray:
@@ -168,17 +192,16 @@ def cond_expect(children: np.ndarray) -> np.ndarray:
     ...] along axis 0 (extra axes pass through); returns the level-k values
     (value(up) + value(down)) / 2.
     """
-    up, down = _siblings(children)
-    return 0.5 * (up + down)
+    return _expect(_checked(children))
 
 
 def z_repr(children: np.ndarray, dt: float) -> np.ndarray:
     """Discrete martingale-representation coefficient:
     (value(up) - value(down)) / (2*sqrt(dt)), laid out as in cond_expect."""
-    up, down = _siblings(children)
+    children = _checked(children)
     if not dt > 0:
         raise ValueError("dt must be positive")
-    return (up - down) / (2.0 * math.sqrt(dt))
+    return _z(children, dt)
 
 
 def reflect_backward(terminal: np.ndarray, depth: int, obstacle=None, step=None) -> "list[np.ndarray]":

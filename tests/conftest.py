@@ -42,6 +42,23 @@ SIGNED_ZERO_TIES = {
 }
 
 
+# (f, h) of combined configs that pass u-dependent arguments to every DSL
+# function, so that evaluating the control grid broadcast is compared with
+# one control at a time on exp, min, max, abs and clamp.  |f| <= 0.3 keeps
+# the tilt bound under the sigma >= 0.7 of random_combined_config, and
+# the clamp keeps h inside [0, 1].
+U_FUNCTIONS = {
+    "exp-abs": ("0.2*u*exp(-abs(x - u))", "clamp(0.4 + 0.1*exp(u*x) - 0.2*abs(x - u), 0, 1)"),
+    "min-max": ("0.3*max(min(u, x), -1)", "clamp(0.3 + 0.2*max(u, xmax) - 0.1*min(u*x, 1), 0, 1)"),
+}
+
+
+def with_u_functions(config, name):
+    """The combined ``config`` with U_FUNCTIONS[name] as its f and h."""
+    f, h = U_FUNCTIONS[name]
+    return {**config, "impulse": {**config["impulse"], "h": h}, "control": {**config["control"], "f": f}}
+
+
 def random_impulse_config(seed, depth=None, tol=1e-12, budget=None):
     rng = np.random.default_rng(seed)
     if depth is None:

@@ -11,8 +11,10 @@ prints each difference and a summary line, and exits 1 if any differ.
 
 The batches: `solve` of impulse seeds 300-324, `solve-combined` of
 combined seeds 400-404, with_impulse_chains seeds 300-304 in both modes,
-the pinned instance, a single zero impulse (U = [0.0]) and the
-signed-zero tie configs, each with and without `--budget 1`; `snell` of
+the pinned instance, a single zero impulse (U = [0.0]), the
+signed-zero tie configs and combined seeds 400-401 with the u-dependent
+exp, min, max and abs of conftest.U_FUNCTIONS, each with and without
+`--budget 1`; `snell` of
 payoffs whose envelope ties the payoff as zeros of opposite sign, and of
 a depth-0 payoff; then the benchmark's invocations
 (perfbench/workloads.py) for seeds 1 and 2.  Their inputs are made once,
@@ -37,7 +39,7 @@ HERE = Path(__file__).resolve().parent
 def _configs():
     """(label, config) of every solve batch."""
     from conftest import PINNED_CONFIG, SIGNED_ZERO_TIES, random_combined_config, random_impulse_config
-    from conftest import with_impulse_chains
+    from conftest import U_FUNCTIONS, with_impulse_chains, with_u_functions
 
     zero = copy.deepcopy(PINNED_CONFIG)
     zero["process"]["sigma"] = "0.3"
@@ -50,6 +52,8 @@ def _configs():
     yield "pinned", PINNED_CONFIG
     yield "zero-impulse", zero
     yield from ((f"signed-zero-{name}", config) for name, config in SIGNED_ZERO_TIES.items())
+    for name in U_FUNCTIONS:
+        yield from ((f"combined-{name}-{s}", with_u_functions(random_combined_config(s), name)) for s in (400, 401))
 
 
 # Payoff levels for `snell`: signed-zero ties between payoff and

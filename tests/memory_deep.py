@@ -15,6 +15,11 @@
   (6.8 MB, 262,303 rows) must stay at most 80 MB.  Parsing the whole file
   at once and sorting every row took about 110 MB; parsing a chunk of
   lines at a time and checking the rows in blocks takes about 58 MB.
+- the combined driver: a depth-16 `solve-combined` of the Combined config
+  (the `combined-wide` workload's seed-1 config at T = 1) must stay at
+  most 170 MB.  Tables of theta and the reward for every (control, level,
+  node, state) of the run held 151 MB of a ~302 MB peak; evaluating them
+  per (level, block of shifts) inside each sweep takes about 120 MB.
 
 The file name does not match pytest's default `test_*.py` pattern, so the
 default test run does not collect it; run it (on Linux) with
@@ -34,6 +39,7 @@ from impulsetree.csvio import write_strategy_csv
 SOLVE_PEAK_LIMIT_MB = 140
 MC_PEAK_LIMIT_MB = 120
 EXACT_EVAL_PEAK_LIMIT_MB = 80
+COMBINED_PEAK_LIMIT_MB = 170
 
 BASELINE = {
     "process": {"x0": -0.041266, "T": 1.0, "sigma": "0.3 + 0.1*abs(xmax - x)", "drift": None},
@@ -45,6 +51,13 @@ BASELINE = {
         "h": "clamp(0.5 - abs(x - 0.2), 0, 0.5)",
     },
     "control": None,
+    "numerics": {"depth": 16, "tol": 1e-12, "budget": None},
+}
+
+COMBINED = {
+    "process": {"x0": -0.041266, "T": 1.0, "sigma": "0.3 + 0.1*abs(xmax - x)", "drift": None},
+    "impulse": {**BASELINE["impulse"], "h": "clamp(0.5 - abs(x - 0.2) + 0.05*u, 0, 0.5)"},
+    "control": {"V": [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0], "f": "u"},
     "numerics": {"depth": 16, "tol": 1e-12, "budget": None},
 }
 
@@ -110,3 +123,13 @@ def test_depth_17_exact_eval_peak_rss(tmp_path):
     payload = json.loads((out / "policy_value.json").read_text(encoding="utf-8"))
     assert payload["method"] == "exact"
     assert peak_mb <= EXACT_EVAL_PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {EXACT_EVAL_PEAK_LIMIT_MB} MB"
+
+
+def test_depth_16_solve_combined_peak_rss(tmp_path):
+    config = tmp_path / "combined.json"
+    config.write_text(json.dumps(COMBINED), encoding="utf-8")
+    out = tmp_path / "out"
+    peak_mb = _cli_peak_mb(["solve-combined", "--config", str(config), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["status"] == "ok"
+    assert peak_mb <= COMBINED_PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {COMBINED_PEAK_LIMIT_MB} MB"

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -201,7 +203,6 @@ def test_pointwise_driver_dominance():
     spec = _spec(loaded)
     result = combined_value_iteration(tree, loaded.impulse, spec)
     states = result.states
-    thetas, rewards = driver_tables(tree, spec, states)
     rng = np.random.default_rng(0)
     top = result.fields[-1]
     for _ in range(200):
@@ -213,8 +214,9 @@ def test_pointwise_driver_dominance():
         h_star, _ = hamiltonian_max(float(tree.times[k]), env, z, spec)
         for u in loaded.grid.controls:
             assert h_star >= hamiltonian(float(tree.times[k]), env, z, u, spec) - 1e-12
-        # the table-based driver agrees with the scalar route
-        values = z * thetas[k][:, i, j] + rewards[k][:, i, j]
+        # the per-(level, block) driver coefficients agree with the scalar route
+        theta, reward = driver_tables(tree, spec, states, k, slice(j, j + 1))
+        values = np.broadcast_to(z * theta + reward, (len(loaded.grid.controls), tree.level_size(k), 1))[:, i, 0]
         assert float(values.max()) == pytest.approx(h_star, abs=1e-12)
 
 
@@ -248,6 +250,26 @@ def test_combined_monotonicity_and_bound():
         for k, arr in enumerate(field.values):
             assert np.all(arr >= -1e-12)
             assert np.all(arr <= gamma * (tree.horizon - tree.times[k]) + 1e-12)
+
+
+def test_the_solved_result_holds_no_coefficient_array():
+    """What the result of a combined value iteration keeps is its fields'
+    values and controls: the driver closes over the spec and the tree,
+    and no theta or reward table (C times a field) outlives its block."""
+    loaded = load_config(random_combined_config(3, depth=10, n_controls=9))
+    tree = build_tree(loaded.process, loaded.numerics.depth)
+    spec = _spec(loaded)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = combined_value_iteration(tree, loaded.impulse, spec)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for fld in result.fields for a in (*fld.values, *fld.controls))
+    assert len(result.states) > 1 and len(result.fields) > 1
+    assert own <= held <= 1.1 * own, (held, own)
 
 
 def test_tilt_violation_raises_solver_error():
@@ -286,14 +308,16 @@ def test_tilt_zero_over_zero_raises_solver_error_without_a_warning():
 def _candidate_sweeps(result, tree, model, spec, pick):
     """Per field: (values, K_inc per level) by the sweep's recursion with the
     driver pick(candidates, k, n_states) over all of driver_tables'
-    candidates, against the obstacle of the result's previous field."""
-    thetas, rewards = driver_tables(tree, spec, result.states)
+    candidates on the field's states, one block per level, against the
+    obstacle of the result's previous field."""
     for fld in result.fields:
         obs = obstacle(result.fields[fld.n - 1], model) if fld.n else None
         values, k_incs = [None] * tree.depth + [np.zeros_like(fld.values[-1])], [None] * tree.depth
         for k in range(tree.depth - 1, -1, -1):
             n_states = values[k + 1].shape[1]
-            candidates = z_repr(values[k + 1], tree.dt) * thetas[k][:, :, :n_states] + rewards[k][:, :, :n_states]
+            z = z_repr(values[k + 1], tree.dt)
+            theta, reward = driver_tables(tree, spec, result.states, k, slice(0, n_states))
+            candidates = np.broadcast_to(z * theta + reward, (len(spec.grid.controls), *z.shape))
             cont = cond_expect(values[k + 1]) + pick(candidates, k, n_states) * tree.dt
             values[k] = cont if obs is None else np.maximum(cont, obs[k])
             k_incs[k] = values[k] - cont
@@ -325,7 +349,7 @@ def test_fixed_controls_gather_the_candidates_at_their_indices():
 
 @pytest.mark.parametrize("name", list(SIGNED_ZERO_TIES))
 def test_signed_zero_ties_never_reach_z_or_k_inc(name):
-    """field_terms gathers the driver at the recorded argmax, the sweep took
+    """field_terms evaluates the driver at the recorded argmax, the sweep took
     the max: they may differ in the sign of a zero driver, but K_inc keeps
     the bits of the max, and no Y, Z or K_inc is -0.0."""
     loaded, tree = build_problem(SIGNED_ZERO_TIES[name])

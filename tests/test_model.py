@@ -176,7 +176,9 @@ def test_audit_pass_implies_reward_tables_in_bounds():
         loaded, tree = build_problem(random_impulse_config(seed, depth=4))
         budget = impulse_budget(loaded.impulse.reward_bound, loaded.impulse.cost_floor, loaded.process.horizon)
         states = enumerate_states(loaded.impulse.impulses, budget)
-        for table in reward_tables(tree, loaded.impulse, states):
+        for k in range(tree.depth):
+            table = reward_tables(tree, loaded.impulse, states, k)
+            assert table.shape == (tree.level_size(k), len(states))
             assert (table >= 0).all()
             assert (table <= loaded.impulse.reward_bound).all()
         assert all(loaded.impulse.costs[b] >= loaded.impulse.cost_floor for b in loaded.impulse.impulses)

@@ -1,10 +1,15 @@
-"""The model audit, the reward tables and the driver tables evaluate each
-coefficient once per level over the level's impulse shifts stacked
+"""The model audit and the solvers' coefficient evaluation go through one
+kernel, ``ScenarioTree.coefficients``: each coefficient is evaluated once
+per level over a block of the level's impulse shifts stacked
 (``ScenarioTree.env`` with a row of shifts, in blocks of at most
-``STACK_CELLS`` cells).  They are checked here against copies, kept in
-this file, of the loops that evaluated one shift at a time: the same
-violations in the same order with the same text, and bit-equal tables,
-with one block per level and with many."""
+``STACK_CELLS`` cells), with the control grid broadcast as a (C, 1, 1)
+array or one recorded control per cell.  No table outlives its (level,
+block): ``reward_tables`` returns one level and ``driver_tables`` one
+block.  They
+are checked here against copies, kept in this file, of the loops that
+evaluated one shift and one scalar control at a time: the same violations
+in the same order with the same text, and bit-equal coefficients, with
+one block per level and with many."""
 
 import numpy as np
 import pytest
@@ -16,7 +21,14 @@ from impulsetree.expr import EvalError, eval_expr
 from impulsetree.impulse import enumerate_states, impulse_budget, reward_tables
 from impulsetree.model import AuditReport, AuditViolation
 
-from conftest import PINNED_CONFIG, random_combined_config, random_impulse_config
+from conftest import (
+    PINNED_CONFIG,
+    SIGNED_ZERO_TIES,
+    U_FUNCTIONS,
+    random_combined_config,
+    random_impulse_config,
+    with_u_functions,
+)
 
 # -- the one-shift-at-a-time references -----------------------------------
 
@@ -221,11 +233,11 @@ def test_shifted_env_columns_are_the_per_shift_envs():
     assert str(tree.env(0, np.zeros(1))["x"][0]) == "-0.0"
 
 
-# -- tables ----------------------------------------------------------------
+# -- the per-(level, block) coefficients -------------------------------------
 
 
-def _bits(arrays):
-    return [np.ascontiguousarray(a).view(np.int64) for a in arrays]
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def _states(loaded, tree):
@@ -233,24 +245,58 @@ def _states(loaded, tree):
     return enumerate_states(loaded.impulse.impulses, budget)
 
 
+def _level_blocks(tree, states):
+    for k in range(tree.depth):
+        for cols in tree.shift_blocks(k, len(states)):
+            yield k, cols
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_reward_tables_are_bit_equal_to_the_reference(seed, stack_cells):
     loaded = load_config(random_impulse_config(seed, depth=5))
     tree = build_tree(loaded.process, 5)
     states = _states(loaded, tree)
-    got = _bits(reward_tables(tree, loaded.impulse, states))
-    want = _bits(reference_reward_tables(tree, loaded.impulse, states))
+    want = reference_reward_tables(tree, loaded.impulse, states)
     assert len(states) > 1
-    assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want) == tree.depth
+    for k in range(tree.depth):
+        got = reward_tables(tree, loaded.impulse, states, k)
+        assert got.shape == want[k].shape and np.array_equal(_bits(got), _bits(want[k]))
+
+
+def _check_driver_tables(config):
+    """driver_tables over every (level, block), at the broadcast grid and at
+    one random control per cell, against the per-shift, per-control
+    reference and that reference gathered at the cells' controls."""
+    loaded = load_config(config)
+    tree = build_tree(loaded.process, loaded.numerics.depth)
+    spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
+    states = _states(loaded, tree)
+    thetas, rewards = reference_driver_tables(tree, spec, states)
+    grid = np.array(loaded.grid.controls)
+    rng = np.random.default_rng(len(states))
+    assert len(states) > 1
+    for k, cols in _level_blocks(tree, states):
+        want = [table[:, :, cols] for table in (thetas[k], rewards[k])]
+        for got, table in zip(driver_tables(tree, spec, states, k, cols), want):
+            assert np.array_equal(_bits(np.broadcast_to(got, table.shape)), _bits(table))
+        idx = rng.integers(0, grid.size, size=want[0].shape[1:])
+        for got, table in zip(driver_tables(tree, spec, states, k, cols, grid[idx]), want):
+            gathered = np.take_along_axis(table, idx[None], axis=0)[0]
+            assert np.array_equal(_bits(np.broadcast_to(got, gathered.shape)), _bits(gathered))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_driver_tables_are_bit_equal_to_the_reference(seed, stack_cells):
-    loaded = load_config(random_combined_config(seed, depth=4))
-    tree = build_tree(loaded.process, 4)
-    spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
-    states = _states(loaded, tree)
-    got, want = driver_tables(tree, spec, states), reference_driver_tables(tree, spec, states)
-    assert len(states) > 1
-    for new, old in zip(got, want):
-        assert all(np.array_equal(a, b) for a, b in zip(_bits(new), _bits(old))) and len(new) == tree.depth
+    _check_driver_tables(random_combined_config(seed, depth=4))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [with_u_functions(random_combined_config(seed, depth=4), name) for name in U_FUNCTIONS for seed in (0, 5)]
+    + list(SIGNED_ZERO_TIES.values()),
+    ids=[f"{name}-{seed}" for name in U_FUNCTIONS for seed in (0, 5)] + [f"ties-{name}" for name in SIGNED_ZERO_TIES],
+)
+def test_the_broadcast_grid_keeps_the_bits_of_every_function_and_signed_zero(config, stack_cells):
+    """exp, min, max, abs and clamp of u-dependent arguments, and f = 0*u,
+    whose tilt is -0.0 at u = -1 and +0.0 at u = 1."""
+    _check_driver_tables(config)
