@@ -48,10 +48,16 @@ def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace,
     _, theta, reward = tree.coefficients(k, states.shifts[None, cols], u, *coefficients)
     if not (np.abs(theta) * tree.sqrt_dt < 1).all():
         for j in range(k):  # a lower level that fails is named first, as in a check from the root
-            for block in tree.shift_blocks(j, len(states)):
+            for block in tree.shift_blocks(j, len(states), len(spec.grid.controls)):
                 driver_tables(tree, spec, states, j, block)
         raise SolverError(f"tilt bound |f/sigma|*sqrt(dt) < 1 violated at level {k}")
     return theta, reward
+
+
+def _by_control(a):
+    """A coefficient over (controls, nodes, shifts); one that reads no u has
+    no control axis, and its one control stands for every control."""
+    return np.reshape(a, (1,) * (3 - np.ndim(a)) + np.shape(a))
 
 
 def combined_value_iteration(
@@ -67,7 +73,10 @@ def combined_value_iteration(
     maximized Hamiltonian: Z_k = z_repr(Y_{k+1}), then
     Y_k = max(E[Y_{k+1}] + H*(t_k, shifted path, Z_k)*dt, obstacle).
 
-    Theta and the reward live for one (level, block of shifts) of a sweep.
+    Theta and the reward live for one (level, block of shifts) of a sweep,
+    the block counting the grid's controls.  The maximum is a running one
+    over the controls; a strict > keeps the first maximizer, as argmax
+    does, and np.maximum keeps the bits of the max over the control axis.
     ``fixed_controls`` (per-level (2^k, n_states) arrays of control-grid
     indices over the run's states, levels 0..depth-1) evaluates the
     recursion under a frozen control table instead of the pointwise
@@ -80,18 +89,26 @@ def combined_value_iteration(
     dtype = np.min_scalar_type(-grid.size)  # the smallest signed dtype holding a grid index
 
     def driver(k, y_next, u_idx=None):  # at u_idx, else at fixed_controls, else maximized over the grid
-        z = _z(y_next, tree.dt)  # Y_{k+1} was checked by the sweep's cond_expect
+        z = _z(y_next, tree.dt)  # the sweep checks Y's finiteness once per field
         if u_idx is None and fixed_controls is not None:
             u_idx = fixed_controls[k][:, : z.shape[1]]
         drv = np.empty_like(z)
-        at = np.empty(z.shape, dtype) if u_idx is None else np.asarray(u_idx).astype(dtype)
-        for cols in tree.shift_blocks(k, z.shape[1]):
-            theta, reward = driver_tables(tree, spec, states, k, cols, None if u_idx is None else grid[at[:, cols]])
-            candidates = z[:, cols] * theta + reward
-            if u_idx is None:  # a driver that reads no u comes without the control axis
-                candidates = np.broadcast_to(candidates, (grid.size, *z[:, cols].shape))
-                at[:, cols] = candidates.argmax(axis=0)
-            drv[:, cols] = candidates if u_idx is not None else candidates.max(axis=0)
+        if u_idx is not None:
+            at = np.asarray(u_idx).astype(dtype, order="F")
+            for cols in tree.shift_blocks(k, z.shape[1]):
+                theta, reward = driver_tables(tree, spec, states, k, cols, grid[at[:, cols]])
+                drv[:, cols] = z[:, cols] * theta + reward
+            return drv, at
+        at = np.zeros(z.shape, dtype, order="F")
+        for cols in tree.shift_blocks(k, z.shape[1], grid.size):
+            theta, reward = np.broadcast_arrays(*map(_by_control, driver_tables(tree, spec, states, k, cols)))
+            zc, best, at_c = z[:, cols], drv[:, cols], at[:, cols]
+            cand, better = np.empty_like(zc), np.empty(zc.shape, bool)
+            for c in range(theta.shape[0]):  # candidate c is z*theta + reward at control c
+                np.add(np.multiply(zc, theta[c], out=cand), reward[c], out=cand if c else best)
+                if c:
+                    np.copyto(at_c, c, where=np.greater(cand, best, out=better))
+                    np.maximum(best, cand, out=best)
         return drv, at
 
     return _reflect_until_stall(tree, model, states, tol, driver)

@@ -60,7 +60,7 @@ def _decimal(ints):
 def _pool(values):
     """(the sorted distinct _keys of a float64 or integer array, the text of
     each as an S array): repr of a float, str of an int."""
-    bits = np.sort(_keys(np.ravel(values)))
+    bits = np.sort(_keys(np.ravel(values, order="K")))  # in memory order: a view of either layout
     first = np.ones(bits.size, dtype=bool)
     first[1:] = bits[1:] != bits[:-1]
     keys = bits[first]
@@ -72,11 +72,13 @@ def _pool(values):
 def _column(values):
     """A column's fields as a function of a row slice: ``values`` itself
     for bytes (the same field on every row), else the text of each row's
-    value looked up in the array's _pool."""
+    value looked up in the array's _pool, a 2-D array's rows in C order."""
     if isinstance(values, bytes):
         return lambda rows: values
     keys, text = _pool(values)
-    return lambda rows: text[np.searchsorted(keys, _keys(values[rows]))]
+    n = values.shape[1] if values.ndim == 2 else 1  # elements per row: a block of whole rows is copied
+    block = lambda r: np.ravel(values[r.start // n : -(-r.stop // n)])[r.start % n :][: r.stop - r.start]
+    return lambda rows: text[np.searchsorted(keys, _keys(block(rows)))]
 
 
 def _write_rows(fh, *columns):
@@ -121,7 +123,7 @@ def write_values_csv(path: Path, result, tree):
                     fh, y.size, _column(f"{fld.n},{level}".encode()),
                     lambda rows: index[np.arange(rows.start, rows.stop) // states.size],
                     lambda rows: states[np.arange(rows.start, rows.stop) % states.size],
-                    *(_column(np.ravel(c)) for c in (y, z, k_inc)),
+                    *map(_column, (y, z, k_inc)),
                 )
 
 
@@ -358,9 +360,7 @@ def _read_payoff_rows(path: Path) -> PayoffProcess:
         if not math.isfinite(value):
             raise CsvFormatError(f"payoff CSV line {line}: non-finite value {value!r}")
         if abs(value) > PAYOFF_LIMIT:
-            raise CsvFormatError(
-                f"payoff CSV line {line}: value {value!r} outside [-{PAYOFF_LIMIT!r}, {PAYOFF_LIMIT!r}]"
-            )
+            raise CsvFormatError(f"payoff CSV line {line}: value {value!r} outside [-{PAYOFF_LIMIT!r}, {PAYOFF_LIMIT!r}]")
         if level < 0:
             raise CsvFormatError(f"payoff CSV line {line}: negative level {level}")
         if index < 0 or index.bit_length() > level:  # index outside [0, 2^level)

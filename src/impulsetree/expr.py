@@ -16,6 +16,7 @@ coefficient either yields a finite number or the model build aborts.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -74,6 +75,10 @@ class CoefficientExpr:
     ast: Node
 
     def variables(self) -> frozenset:
+        return self._variables
+
+    @cached_property  # the coefficient kernel asks on every call
+    def _variables(self) -> frozenset:
         return frozenset(_collect_vars(self.ast))
 
     def __str__(self) -> str:

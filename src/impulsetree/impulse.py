@@ -99,7 +99,8 @@ class ValueField:
     ``controls[k]`` holds the control-grid index of the driver at each
     (node, state) of levels 0..depth-1.  The rest of the recursion is a
     function of these: field_terms gives Z and the reflection increment,
-    obstacle(Y^{n-1}) the intervention value.
+    obstacle(Y^{n-1}, model, k) the intervention value.  The sweeps
+    allocate the level arrays column-major, one state's nodes contiguous.
     """
 
     n: int
@@ -119,7 +120,7 @@ class ValueField:
 def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, k: int = 0):
     """Level k's running reward under each state's path shift, (2^k,
     len(states)), the shifts stacked a block at a time; by default the root's."""
-    table = np.empty((tree.level_size(k), len(states)))
+    table = np.empty((tree.level_size(k), len(states)), order="F")
     for cols in tree.shift_blocks(k, len(states)):
         table[:, cols] = tree.coefficients(k, states.shifts[None, cols], reward=model.reward)[2]
     return table
@@ -132,6 +133,7 @@ def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, 
     prev.next_states).  ``driver(k, Y_{k+1})`` returns the level-k driver
     on the field's states and the control-grid indices it used; with None
     it is the running reward.  Terminal value 0: no impulses at the horizon.
+    The obstacle is built one level at a time, as the kernel reaches it.
     """
     controls = [None] * tree.depth
 
@@ -141,8 +143,8 @@ def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, 
         drv, controls[k] = driver(k, y_next)
         return drv * tree.dt
 
-    terminal = np.zeros((tree.level_size(tree.depth), len(states)))
-    obs = None if prev is None else obstacle(prev, model)
+    terminal = np.zeros((tree.level_size(tree.depth), len(states)), order="F")
+    obs = None if prev is None else (lambda k: obstacle(prev, model, k))
     return ValueField(
         n=0 if prev is None else prev.n + 1,
         states=states,
@@ -158,17 +160,25 @@ def solve_y0(tree: ScenarioTree, model: ImpulseModel, states: StateSpace) -> Val
     return _sweep(tree, model, None, states)
 
 
-def obstacle(prev: ValueField, model: ImpulseModel):
-    """Per-level intervention value against the previous field, on the next
-    field's states (prev.next_states); their successors must lie in prev's
-    states."""
+def obstacle(prev: ValueField, model: ImpulseModel, k: int) -> np.ndarray:
+    """Level k's intervention value against the previous field, on the next
+    field's states (prev.next_states), whose successors must lie in prev's
+    states: max over impulses b of Y^{n-1}_k[:, succ[s, b]] - psi(b), a
+    running maximum over one state's column at a time (column-major)."""
     states = prev.next_states
     missing = (states.succ < 0) | (states.succ >= len(prev.states))
     if missing.any():
         s, b = np.argwhere(missing)[0]
         raise SolverError(f"missing successor state {shift_key(states.shifts[s] + model.impulses[b])}")
-    psi = np.array([model.costs[beta] for beta in model.impulses])
-    return tuple((level[:, states.succ] - psi[None, None, :]).max(axis=2) for level in prev.values)
+    psi = [model.costs[beta] for beta in model.impulses]
+    level = prev.values[k]
+    out = np.empty((level.shape[0], len(states)), order="F")
+    cand = np.empty(level.shape[0])
+    for col, succ in zip(out.T, states.succ.tolist()):
+        np.subtract(level[:, succ[0]], psi[0], out=col)
+        for j, cost in zip(succ[1:], psi[1:]):
+            np.maximum(col, np.subtract(level[:, j], cost, out=cand), out=col)
+    return out
 
 
 def iterate_value(prev: ValueField, tree: ScenarioTree, model: ImpulseModel) -> ValueField:
@@ -210,19 +220,30 @@ class ValueIterationResult:
         return [f.root_value() for f in self.fields]
 
 
+def _sup_increment(prev: np.ndarray, values: np.ndarray) -> float:
+    diff = np.subtract(values, prev[:, : values.shape[1]])
+    return float(np.abs(diff, out=diff).max())
+
+
 def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver=None):
     """The value iteration both modes share: Y^0 is the unreflected sweep
     over ``states``, then Y^n the sweep reflected against Y^{n-1} over its
     next states, until the sup-norm of Y^n - Y^{n-1} over Y^n's (node,
-    state) pairs drops to ``tol`` or n reaches the budget."""
+    state) pairs drops to ``tol`` or n reaches the budget.
+
+    Finiteness is checked once per field: a non-finite value of Y^0 reaches
+    the root of its state (no obstacle masks it), and one of Y^n, against
+    the finite Y^{n-1}, makes the sup increment non-finite."""
     fields = [_sweep(tree, model, driver, states)]
+    if not np.isfinite(fields[0].values[0]).all():
+        raise SolverError("non-finite values in field 0")
     stall_index = 0 if states.budget == 0 else None  # no impulse is ever admissible, Y0 is the value
     sups = []
     for n in range(1, states.budget + 1):
         nxt = _sweep(tree, model, driver, fields[-1].next_states, fields[-1])
-        sup = max(
-            float(np.max(np.abs(b - a[:, : b.shape[1]]))) for a, b in zip(fields[-1].values, nxt.values)
-        )
+        sup = max(_sup_increment(a, b) for a, b in zip(fields[-1].values, nxt.values))
+        if not math.isfinite(sup):
+            raise SolverError(f"non-finite values in field {n}")
         fields.append(nxt)
         sups.append(sup)
         if sup <= tol:

@@ -135,33 +135,33 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _scan(columns, rule, level, control, values, predicate, describe):
-    """Append one violation entry to each (state key, entries) column whose
-    nodes fail a vectorized check; ``values`` holds one column per entry of
-    ``columns``, and a scalar counts as one node of every column."""
+def _scan(columns, rule, level, controls, values, predicate, describe):
+    """(control index, entries, violation) for each (control, (state key,
+    entries) column) whose nodes fail a vectorized check, control-major.
+    ``values`` is (controls, nodes, columns); a part without an axis there
+    (one that reads no u, a column or node it does not depend on) counts
+    as one entry of it, so a scalar fails at one node of every column."""
+    values = np.reshape(values, (1,) * (3 - np.ndim(values)) + np.shape(values))
     bad = ~predicate(values)
-    if values.size == 1:  # a part that reads u alone is (1, 1) over the broadcast grid
-        hits = [(j, 1, float(values.reshape(()))) for j in range(len(columns)) if bad.all()]
-    else:
-        counts = np.count_nonzero(bad, axis=0)
-        firsts = np.argmax(bad, axis=0)
-        hits = [(j, int(counts[j]), float(values[firsts[j], j])) for j in np.flatnonzero(counts).tolist()]
-    for j, count, sample in hits:
-        key, entries = columns[j]
-        message = f"{describe} at {count} node(s), e.g. value {sample!r}"
-        entries.append(AuditViolation(rule, message, level, key, control))
+    if not bad.any():
+        return
+    samples = np.take_along_axis(values, np.argmax(bad, axis=1)[:, None], axis=1)[:, 0]
+    counts, samples = (np.broadcast_to(a, (len(controls), len(columns))) for a in (np.count_nonzero(bad, 1), samples))
+    for c, j in np.argwhere(counts).tolist():
+        message = f"{describe} at {counts[c, j]} node(s), e.g. value {float(samples[c, j])!r}"
+        yield c, columns[j][1], AuditViolation(rule, message, level, columns[j][0], controls[c])
 
 
 def _audit_level(process, impulse, grid, tree, level, keys):
     """The violations at one level, one (state key, entries) column per
     state key (shift, count), from one call of the coefficient kernel over
     the stacked shifts and the broadcast grid: sigma, then per control A1
-    and the tilt, scanned only where sigma is positive at every node.  An
-    EvalError propagates with several states (the caller re-runs each
-    alone); with one, each coefficient and control is evaluated alone and
-    a failure is that state's violation."""
+    and the tilt (only where sigma is positive at every node), each scanned
+    over all controls at once.  An EvalError propagates with several states
+    (the caller re-runs each alone); with one, each coefficient and control
+    is evaluated alone and a failure is that state's violation."""
     shifts = np.array([[cum for cum, _ in keys]])
-    columns = [(key, []) for key in keys]
+    columns, hits = [(key, []) for key in keys], []  # hits: (control index, entries, violation)
     drift = None if grid is None else grid.controlled_drift
 
     def evaluate(u, i=slice(None), rule=None, what=None, **coefficients):  # part i of the kernel at u
@@ -171,28 +171,29 @@ def _audit_level(process, impulse, grid, tree, level, keys):
             if len(keys) > 1:
                 raise
             if rule is not None:
-                columns[0][1].append(AuditViolation(rule, f"{what} failed: {exc}", level, keys[0], u))
+                hits.append((0, columns[0][1], AuditViolation(rule, f"{what} failed: {exc}", level, keys[0], u)))
 
-    grid_u = None if grid is None else np.array(grid.controls)[:, None, None]
+    controls = (None,) if grid is None else grid.controls
+    grid_u = None if grid is None else np.array(controls)[:, None, None]
     whole = evaluate(grid_u, sigma=process.sigma, drift=drift, reward=impulse.reward)  # None: one state failed
     sigma = whole[0] if whole else evaluate(None, 0, "sigma", "evaluation", sigma=process.sigma)
-    if sigma is None:
-        return columns
-    _scan(columns, "sigma", level, None, sigma, lambda v: v > 0, "sigma not strictly positive")
-    positive = np.flatnonzero(np.all(sigma > 0, axis=0) if sigma.ndim else np.full(len(keys), sigma > 0))
-    tilted = [columns[j] for j in positive.tolist()]
-    gamma, tilt_of = impulse.reward_bound, {"sigma": process.sigma, "drift": drift}
-    for c, u in enumerate(grid.controls if grid is not None else (None,)):
-        part = lambda v: v[c] if v.ndim == 3 else v  # control c's slice of a result over the grid
-        h = part(whole[2]) if whole else evaluate(u, 2, "A1", "reward evaluation", reward=impulse.reward)
-        if h is None:
-            continue
-        _scan(columns, "A1", level, u, h, lambda v: (v >= 0) & (v <= gamma), f"reward outside [0, {gamma!r}]")
-        if drift is not None and tilted:
-            theta = part(whole[1]) if whole else evaluate(u, 1, "tilt", "drift evaluation", **tilt_of)
-            if theta is not None:
-                tilt = np.abs(theta[:, positive] if theta.size > 1 else theta) * tree.sqrt_dt
-                _scan(tilted, "tilt", level, u, tilt, lambda v: v < 1, "measure tilt |f/sigma|*sqrt(dt) not below 1")
+    if sigma is not None:
+        hits += _scan(columns, "sigma", level, (None,), sigma, lambda v: v > 0, "sigma not strictly positive")
+        positive = np.all(sigma > 0, axis=0) if sigma.ndim else sigma > 0  # per column
+        gamma, tilt_of = impulse.reward_bound, {"sigma": process.sigma, "drift": drift}
+        in_bounds = lambda v: (v >= 0) & (v <= gamma)
+        for us in [controls] if whole else [(u,) for u in controls]:  # the grid at once, else a control at a time
+            h = whole[2] if whole else evaluate(us[0], 2, "A1", "reward evaluation", reward=impulse.reward)
+            if h is None:
+                continue
+            hits += _scan(columns, "A1", level, us, h, in_bounds, f"reward outside [0, {gamma!r}]")
+            if drift is not None and positive.any():
+                theta = whole[1] if whole else evaluate(us[0], 1, "tilt", "drift evaluation", **tilt_of)
+                if theta is not None:
+                    tilt, what = np.abs(theta) * tree.sqrt_dt, "measure tilt |f/sigma|*sqrt(dt) not below 1"
+                    hits += _scan(columns, "tilt", level, us, tilt, lambda v: (v < 1) | ~positive, what)
+    for _, entries, violation in sorted(hits, key=lambda hit: hit[0]):  # stable: per control, A1 before the tilt
+        entries.append(violation)
     return columns
 
 
@@ -227,7 +228,7 @@ def validate_model(process, impulse, grid, tree, budget=None) -> AuditReport:
 
     by_state = [[] for _ in keys]
     for level in range(tree.depth + 1):
-        for cols in tree.shift_blocks(level, len(keys)):
+        for cols in tree.shift_blocks(level, len(keys), 1 if grid is None else len(grid.controls)):
             try:
                 columns = _audit_level(process, impulse, grid, tree, level, keys[cols])
             except EvalError:

@@ -44,10 +44,10 @@ class EnvelopeResult:
 
 def snell_envelope(payoff: PayoffProcess, tol: float = DEFAULT_TOL) -> EnvelopeResult:
     """Backward induction V_N = X_N, V_k = max(X_k, E[V_{k+1} | node]): the
-    reflected kernel with the payoff as obstacle and as terminal value, and
-    no driver."""
+    reflected kernel with the payoff levels as obstacle and as terminal
+    value, and no driver (a payoff is checked finite when it is built)."""
     depth = payoff.depth
-    envelope = reflect_backward(payoff.values[depth].copy(), depth, payoff.values)
+    envelope = reflect_backward(payoff.values[depth].copy(), depth, payoff.values.__getitem__)
     stop = [np.abs(v - x) <= tol for v, x in zip(envelope[:depth], payoff.values)]
     stop.append(np.ones(2**depth, dtype=bool))
     first_stop = [None] * depth + [np.full(2**depth, depth, dtype=np.int64)]

@@ -11,11 +11,13 @@ from .expr import eval_expr
 from .model import LimitError, ProcessModel
 
 DEFAULT_MAX_NODES = 2**22
-# The most (node, shift) cells one stacked environment holds, 64 KB per
-# array; a wider level is evaluated a block of shifts at a time.  Larger
-# stacks leave the CPU caches: stacking whole levels at depth 18 made the
-# audit 2.5x slower and raised its peak RSS by 250 MB (2-CPU host).
+# The most (control, node, shift) cells one stacked evaluation holds, 64 KB
+# per array; a wider level is evaluated a block of shifts at a time, and a
+# broadcast control grid counts its controls.  Larger stacks leave the CPU
+# caches: stacking whole levels at depth 18 made the audit 2.5x slower and
+# raised its peak RSS by 250 MB (2-CPU host).
 STACK_CELLS = 2**13
+FEATURES = ("x", "xmax", "xmin", "xavg")
 
 
 def path_env(t, x, xmax, xmin, xavg, shift=0.0) -> dict:
@@ -26,14 +28,16 @@ def path_env(t, x, xmax, xmin, xavg, shift=0.0) -> dict:
     arrays): the whole path is shifted uniformly, so every running
     functional moves by the same amount.  A feature keeps its bits
     wherever the shift is +-0.0, and a scalar zero shift returns the
-    features themselves.
+    features themselves.  A feature given as None (one no expression
+    reads) stays None.
     """
+    env = dict(zip(FEATURES, (x, xmax, xmin, xavg)))
     if np.ndim(shift) or shift != 0.0:
         neg = 0.0 - shift  # v - (0.0 - s) is v + s bit for bit, and v itself for s = +-0.0
-        if np.ndim(neg) == 2:
-            x, xmax, xmin, xavg = (v[:, None] for v in (x, xmax, xmin, xavg))
-        x, xmax, xmin, xavg = (v - neg for v in (x, xmax, xmin, xavg))
-    return {"t": t, "x": x, "xmax": xmax, "xmin": xmin, "xavg": xavg}
+        for name, v in env.items():
+            if v is not None:
+                env[name] = (v[:, None] if np.ndim(neg) == 2 else v) - neg
+    return {"t": t, **env}
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -71,19 +75,22 @@ class ScenarioTree:
     def level_size(self, level: int) -> int:
         return 2**level
 
-    def env(self, level: int, shift=0.0) -> dict:
+    def env(self, level: int, shift=0.0, read=FEATURES) -> dict:
         """Expression environment at every node of a level under ``shift``
-        (a scalar, one per node or a 2-D row of shifts; see path_env)."""
-        features = (self.state, self.running_max, self.running_min, self.running_avg)
-        return path_env(float(self.times[level]), *(a[level] for a in features), shift=shift)
+        (a scalar, one per node or a 2-D row of shifts; see path_env); the
+        features not in ``read`` are None."""
+        features = zip(FEATURES, (self.state, self.running_max, self.running_min, self.running_avg))
+        return path_env(float(self.times[level]), *(a[level] if n in read else None for n, a in features), shift)
 
     def coefficients(self, level: int, shift, u=None, sigma=None, drift=None, reward=None):
         """The one coefficient kernel: (sigma, theta = drift/sigma, reward)
         at a level's nodes under ``shift`` (as in env), None where the
         expression is.  ``u`` broadcasts: the grid as a (C, 1, 1) array
         (what does not read u is evaluated once for all controls), one
-        control per node or cell, or None.  0/0 gives nan, not a warning."""
-        env = self.env(level, shift)
+        control per node or cell, or None.  0/0 gives nan, not a warning.
+        Only the features the expressions read are shifted."""
+        exprs = [e for e in (sigma, drift, reward) if e is not None]
+        env = self.env(level, shift, frozenset().union(*(e.variables() for e in exprs)))
         sig = None if sigma is None else np.asarray(eval_expr(sigma, env))
         if u is not None:
             env["u"] = u
@@ -92,10 +99,11 @@ class ScenarioTree:
             theta = None if drift is None else np.asarray(eval_expr(drift, env)) / sig
         return sig, theta, h
 
-    def shift_blocks(self, level: int, n_shifts: int) -> "list[slice]":
-        """Consecutive blocks of shift indices, each stacked level at most
-        STACK_CELLS cells (one shift per block on levels wider than that)."""
-        width = max(1, STACK_CELLS >> level)
+    def shift_blocks(self, level: int, n_shifts: int, controls: int = 1) -> "list[slice]":
+        """Consecutive blocks of shift indices, each stacked level over
+        ``controls`` broadcast controls at most STACK_CELLS cells (one shift
+        per block where a single shift holds more)."""
+        width = max(1, STACK_CELLS // (controls << level))
         return [slice(j, min(j + width, n_shifts)) for j in range(0, n_shifts, width)]
 
 
@@ -176,9 +184,11 @@ def _checked(children: np.ndarray) -> np.ndarray:
     return children
 
 
-# cond_expect and z_repr without their checks, for values a sweep has checked
+# cond_expect and z_repr without their checks, for values a sweep checks itself
 def _expect(children: np.ndarray) -> np.ndarray:
-    return 0.5 * (children[0::2] + children[1::2])
+    out = children[0::2] + children[1::2]
+    out *= 0.5  # the bits of 0.5 * (up + down), in the sum's buffer
+    return out
 
 
 def _z(children: np.ndarray, dt: float) -> np.ndarray:
@@ -206,7 +216,9 @@ def z_repr(children: np.ndarray, dt: float) -> np.ndarray:
 
 def reflect_backward(terminal: np.ndarray, depth: int, obstacle=None, step=None) -> "list[np.ndarray]":
     """The reflected recursion of every solver, laid out as in cond_expect:
-    Y_depth = terminal, Y_k = max(obstacle[k], E[Y_{k+1}] + step(k, Y_{k+1})).
+    Y_depth = terminal, Y_k = max(obstacle(k), E[Y_{k+1}] + step(k, Y_{k+1})),
+    the obstacle asked for one level at a time.  Each level keeps the
+    terminal's memory order.  Unchecked: the caller checks finiteness.
 
     No step adds nothing (-0.0 + 0.0 is +0.0); no obstacle reflects nothing.
     np.maximum returns its second operand on a tie, so the continuation's
@@ -214,8 +226,8 @@ def reflect_backward(terminal: np.ndarray, depth: int, obstacle=None, step=None)
     values = [None] * (depth + 1)
     values[depth] = terminal
     for k in range(depth - 1, -1, -1):
-        cont = cond_expect(values[k + 1])
+        cont = _expect(values[k + 1])
         if step is not None:
             cont += step(k, values[k + 1])
-        values[k] = cont if obstacle is None else np.maximum(obstacle[k], cont)
+        values[k] = cont if obstacle is None else np.maximum(obstacle(k), cont, out=cont)
     return values

@@ -163,7 +163,7 @@ def test_criterion_06_complementarity(impulse_batch):
     with criterion(6, "reflection increments satisfy the discrete Skorokhod condition"):
         for loaded, tree, result in instances:
             for field in result.fields[1:]:
-                obs = obstacle(result.fields[field.n - 1], loaded.impulse)
+                obs = [obstacle(result.fields[field.n - 1], loaded.impulse, k) for k in range(tree.depth + 1)]
                 for k, (_, k_inc) in enumerate(field_terms(result, field.n, tree)):
                     y = field.values[k]
                     o = obs[k]

@@ -272,6 +272,44 @@ def test_the_solved_result_holds_no_coefficient_array():
     assert own <= held <= 1.1 * own, (held, own)
 
 
+# The benchmark's combined-wide config: its seed-1 x0, T = 0.9, depth 11 and
+# a 9-point control grid.
+COMBINED_WIDE = {
+    "process": {"x0": -0.041266, "T": 0.9, "sigma": "0.3 + 0.1*abs(xmax - x)", "drift": None},
+    "impulse": {
+        "U": [0.5, -0.5, 1.0],
+        "psi": {"0.5": 0.1, "-0.5": 0.1, "1.0": 0.15},
+        "c": 0.1,
+        "gamma": 0.5,
+        "h": "clamp(0.5 - abs(x - 0.2) + 0.05*u, 0, 0.5)",
+    },
+    "control": {"V": [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0], "f": "u"},
+    "numerics": {"depth": 11, "tol": 1e-12, "budget": None},
+}
+TRANSIENT_LIMIT_BYTES = 1.5e6
+
+
+def test_the_sweep_allocates_little_beyond_its_fields():
+    """The heap peak of a combined value iteration above the fields it
+    returns: each sweep's level obstacle, running-max driver and blocks of
+    at most STACK_CELLS (control, node, shift) cells.  Building every
+    level's obstacle before a sweep and stacking (C, nodes, block)
+    candidates took about 3 MB more here."""
+    loaded = load_config(COMBINED_WIDE)
+    tree = build_tree(loaded.process, loaded.numerics.depth)
+    spec = _spec(loaded)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = combined_value_iteration(tree, loaded.impulse, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for fld in result.fields for a in (*fld.values, *fld.controls))
+    assert len(result.fields) > 1 and len(spec.grid.controls) == 9
+    assert peak - own < TRANSIENT_LIMIT_BYTES, (peak, own)
+
+
 def test_tilt_violation_raises_solver_error():
     config = {
         **COMBINED_CONFIG,
@@ -311,7 +349,7 @@ def _candidate_sweeps(result, tree, model, spec, pick):
     candidates on the field's states, one block per level, against the
     obstacle of the result's previous field."""
     for fld in result.fields:
-        obs = obstacle(result.fields[fld.n - 1], model) if fld.n else None
+        obs = [obstacle(result.fields[fld.n - 1], model, k) for k in range(tree.depth + 1)] if fld.n else None
         values, k_incs = [None] * tree.depth + [np.zeros_like(fld.values[-1])], [None] * tree.depth
         for k in range(tree.depth - 1, -1, -1):
             n_states = values[k + 1].shape[1]

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import impulsetree.impulse as impulse
 from impulsetree import (
     Decision,
     HamiltonianSpec,
@@ -125,7 +126,7 @@ def test_successor_table():
     y0 = solve_y0(tree, model, states)
     lying = ValueField(**{**vars(y0), "states": StateSpace(states.shifts, states.counts, states.succ, 3)})
     with pytest.raises(SolverError, match="missing successor state 3.0"):
-        obstacle(lying, model)
+        obstacle(lying, model, 0)
 
 
 def _model(h, impulses=(1.0,), psi=None, c=0.1, gamma=1.0):
@@ -176,7 +177,7 @@ def test_obstacle_never_binds_when_costs_exceed_total_reward(pinned_problem):
     model = _model("1", psi={1.0: 1.5})  # psi >= gamma*T = 1
     states = enumerate_states(model.impulses, 2)
     y0 = solve_y0(tree, model, states)
-    obs = obstacle(y0, model)
+    obs = [obstacle(y0, model, k) for k in range(tree.depth + 1)]
     for k in range(tree.depth + 1):
         assert np.all(np.isfinite(obs[k]))
         assert np.all(obs[k] <= model.reward_bound * (tree.horizon - tree.times[k]) - 1.5 + 1e-12)
@@ -199,17 +200,87 @@ def test_field_states_shrink_with_the_remaining_budget(pinned_problem):
         for arr in field.values:
             assert arr.shape[1] == len(expected)
         if field.n:
-            for y, obs in zip(field.values, obstacle(result.fields[field.n - 1], model)):
+            for y, obs in zip(field.values, [obstacle(result.fields[field.n - 1], model, k) for k in range(tree.depth + 1)]):
                 assert obs.shape == y.shape
                 assert np.all(np.isfinite(obs))
+
+
+def _gathered_candidates(prev, model, k):
+    """Every (node, state, impulse) successor value less its cost, as the
+    obstacle gathered them before its running maximum: the reference is
+    their max over impulses."""
+    psi = np.array([model.costs[beta] for beta in model.impulses])
+    return prev.values[k][:, prev.next_states.succ] - psi[None, None, :]
+
+
+_TIED_IMPULSES = {  # a constant reward: every impulse of equal cost reaches the same value
+    **PINNED_CONFIG,
+    "impulse": {"U": [0.5, -0.5, 1.0], "psi": {"0.5": 0.1, "-0.5": 0.1, "1.0": 0.1}, "c": 0.1, "gamma": 0.5, "h": "0.5"},
+    "numerics": {**PINNED_CONFIG["numerics"], "depth": 4},
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [random_impulse_config(300 + i, depth=3 + i % 6) for i in range(25)]
+    + [random_combined_config(400 + i, depth=4, n_controls=2 + i % 2) for i in range(5)]
+    + [with_impulse_chains(random_impulse_config(300 + i), 300 + i) for i in range(5)]
+    + [_TIED_IMPULSES],
+)
+def test_the_running_max_obstacle_keeps_the_bits_of_the_gathered_max(config):
+    loaded, tree = build_problem(config)
+    model = loaded.impulse
+    if loaded.grid is None:
+        result = value_iteration(tree, model)
+    else:
+        spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=model.reward)
+        result = combined_value_iteration(tree, model, spec)
+    ties = 0
+    for prev in result.fields[:-1]:
+        for k in range(tree.depth + 1):
+            cand = _gathered_candidates(prev, model, k)
+            got, want = obstacle(prev, model, k), cand.max(axis=2)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            ties += int(np.count_nonzero((cand == want[:, :, None]).sum(axis=2) > 1))
+    if config is _TIED_IMPULSES:
+        assert len(result.fields) > 1 and ties > 0
+
+
+def test_a_non_finite_value_raises_naming_its_field(pinned_problem, monkeypatch):
+    """The sweep checks finiteness once per field: Y^0 at its root row,
+    Y^n through its sup increment against Y^{n-1}."""
+    _, tree = pinned_problem
+    model = _model("clamp(x, 0, 1)", impulses=(1.0, -1.0))
+    reward_tables, obstacle_of = impulse.reward_tables, impulse.obstacle
+
+    def reward_with_inf(tree, model, states, k=0):
+        table = reward_tables(tree, model, states, k)
+        if k == tree.depth - 1:  # the last node of the last state, one step before the horizon
+            table[-1, -1] = np.inf
+        return table
+
+    monkeypatch.setattr(impulse, "reward_tables", reward_with_inf)
+    with pytest.raises(SolverError, match="non-finite values in field 0"):
+        value_iteration(tree, model, tol=-1.0, budget=2)
+    monkeypatch.setattr(impulse, "reward_tables", reward_tables)
+
+    def obstacle_with_inf(prev, model, k):
+        out = obstacle_of(prev, model, k)
+        if prev.n == 1 and k == tree.depth - 1:  # in field 2's obstacle
+            out[-1, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(impulse, "obstacle", obstacle_with_inf)
+    with pytest.raises(SolverError, match="non-finite values in field 2"):
+        value_iteration(tree, model, tol=-1.0, budget=2)
 
 
 def test_obstacle_pinned_value(pinned_problem):
     loaded, tree = pinned_problem
     states = enumerate_states(loaded.impulse.impulses, 2)
     y0 = solve_y0(tree, loaded.impulse, states)
-    obs = obstacle(y0, loaded.impulse)
-    assert obs[0][0, 0] == pytest.approx(0.7, abs=1e-8)  # -0.3 + Y0(., shift 1)
+    obs = obstacle(y0, loaded.impulse, 0)
+    assert obs[0, 0] == pytest.approx(0.7, abs=1e-8)  # -0.3 + Y0(., shift 1)
 
 
 def test_iterate_zero_reward_stays_zero(pinned_problem):
@@ -295,7 +366,7 @@ def test_default_next_field_keeps_a_zero_impulse_state():
     loaded, tree = build_problem(config)
     model = loaded.impulse
     y0 = solve_y0(tree, model, enumerate_states((0.0,), 3))
-    obs = obstacle(y0, model)
+    obs = [obstacle(y0, model, k) for k in range(tree.depth + 1)]
     assert obs[0].shape == (1, 1)
     y1 = iterate_value(y0, tree, model)
     assert len(y1.states) == 1 and y1.states.budget == 2
@@ -305,7 +376,7 @@ def test_default_next_field_keeps_a_zero_impulse_state():
     terms = field_terms(dataclasses.replace(run, fields=[y0, y1]), 1, tree)
     for got, ref in zip(
         (y1.values, obs, *zip(*terms)),
-        (want.values, obstacle(run.fields[0], model), *zip(*field_terms(run, 1, tree))),
+        (want.values, [obstacle(run.fields[0], model, k) for k in range(tree.depth + 1)], *zip(*field_terms(run, 1, tree))),
     ):
         assert all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in zip(got, ref))
     assert y1.root_value() == want.root_value()
@@ -457,7 +528,7 @@ def test_complementarity_properties():
         loaded, tree = build_problem(random_impulse_config(seed, depth=5))
         result = value_iteration(tree, loaded.impulse)
         for field in result.fields[1:]:
-            obs = obstacle(result.fields[field.n - 1], loaded.impulse)
+            obs = [obstacle(result.fields[field.n - 1], loaded.impulse, k) for k in range(tree.depth + 1)]
             for k, (_, k_inc) in enumerate(field_terms(result, field.n, tree)):
                 y = field.values[k]
                 o = obs[k]

@@ -14,7 +14,7 @@ own shift list and successors; it never calls the tree's environment
 builder, the solver's state enumeration or its obstacle, so it checks the
 uniform-path shift of ``x`` and ``xmax`` independently.
 
-The deep checks (depth 16) live in ``lattice_deep.py``, which the default
+The deep checks (depths 16 and 18) live in ``lattice_deep.py``, which the default
 test run does not collect:
 
     PYTHONPATH=src python -m pytest tests/lattice_deep.py

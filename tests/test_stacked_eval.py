@@ -2,22 +2,25 @@
 kernel, ``ScenarioTree.coefficients``: each coefficient is evaluated once
 per level over a block of the level's impulse shifts stacked
 (``ScenarioTree.env`` with a row of shifts, in blocks of at most
-``STACK_CELLS`` cells), with the control grid broadcast as a (C, 1, 1)
-array or one recorded control per cell.  No table outlives its (level,
-block): ``reward_tables`` returns one level and ``driver_tables`` one
-block.  They
-are checked here against copies, kept in this file, of the loops that
-evaluated one shift and one scalar control at a time: the same violations
-in the same order with the same text, and bit-equal coefficients, with
-one block per level and with many."""
+``STACK_CELLS`` cells, counting the controls of a broadcast grid), with
+the control grid broadcast as a (C, 1, 1) array or one recorded control
+per cell; only the features the expressions read are shifted.  No table
+outlives its (level, block): ``reward_tables`` returns one level and
+``driver_tables`` one block, and the combined driver takes a running
+maximum over the controls of a block.  They are checked here against
+copies, kept in this file, of the loops that evaluated one shift and one
+scalar control at a time, and against the whole candidate stack's max
+and argmax: the same violations in the same order with the same text,
+and bit-equal coefficients, drivers and control indices, with one block
+per level and with many."""
 
 import numpy as np
 import pytest
 
 import impulsetree.tree
-from impulsetree import HamiltonianSpec, build_tree, load_config, validate_model
+from impulsetree import HamiltonianSpec, build_tree, combined_value_iteration, load_config, validate_model, z_repr
 from impulsetree.combined import driver_tables
-from impulsetree.expr import EvalError, eval_expr
+from impulsetree.expr import EvalError, eval_expr, parse_expr
 from impulsetree.impulse import enumerate_states, impulse_budget, reward_tables
 from impulsetree.model import AuditReport, AuditViolation
 
@@ -166,6 +169,8 @@ AUDIT_CASES = {
     "h-u-grid": (_config(h="u", control=GRID), False),
     "reward-some-shifts": (_config(h="x", gamma=2.5), False),
     "tilt-some-columns": (_config(sigma="1", control={"V": [-1.0, 1.0], "f": "u*x"}), False),
+    # A1 and the tilt fail under both controls: per state, A1 then the tilt at u = -1, then at u = 1
+    "reward-and-tilt-per-control": (_config(sigma="1", h="x*u", gamma=2.5, control={"V": [-1.0, 1.0], "f": "u*x"}), False),
     # sigma positive at every node under shifts 0-1, at some under 2-4, at none above
     "sigma-zero-some-nodes-grid": (
         _config(sigma="clamp(3 - abs(x), 0, 1)", control={"V": [-1.0, 1.0], "f": "0.3*u*x"}), False
@@ -199,13 +204,16 @@ def test_audit_matches_the_one_shift_reference(case, stack_cells):
     assert report.states_checked == reference.states_checked > 1
 
 
-def test_shift_blocks_cover_every_shift_once_within_the_cell_budget():
+@pytest.mark.parametrize("controls", [1, 3, 9])
+def test_shift_blocks_cover_every_shift_once_within_the_cell_budget(controls):
     tree = build_tree(load_config(BASE).process, 14)
+    cells = impulsetree.tree.STACK_CELLS
     for level in range(tree.depth + 1):
         for n_shifts in (1, 7, 16, 100):
-            blocks = tree.shift_blocks(level, n_shifts)
+            blocks = tree.shift_blocks(level, n_shifts, controls)
             assert [j for b in blocks for j in range(n_shifts)[b]] == list(range(n_shifts))
-            width = max(1, impulsetree.tree.STACK_CELLS >> level)
+            width = max(1, cells // (controls * 2**level))
+            assert width == 1 or controls * 2**level * width <= cells
             assert all(len(range(n_shifts)[b]) == width for b in blocks[:-1])
             assert len(range(n_shifts)[blocks[-1]]) <= width
 
@@ -290,13 +298,69 @@ def test_driver_tables_are_bit_equal_to_the_reference(seed, stack_cells):
     _check_driver_tables(random_combined_config(seed, depth=4))
 
 
-@pytest.mark.parametrize(
+# Combined configs whose f and h call every DSL function on u, and the
+# signed-zero ties: the broadcast grid's bits and the running max's.
+U_AND_TIES = pytest.mark.parametrize(
     "config",
     [with_u_functions(random_combined_config(seed, depth=4), name) for name in U_FUNCTIONS for seed in (0, 5)]
     + list(SIGNED_ZERO_TIES.values()),
     ids=[f"{name}-{seed}" for name in U_FUNCTIONS for seed in (0, 5)] + [f"ties-{name}" for name in SIGNED_ZERO_TIES],
 )
+
+
+@U_AND_TIES
 def test_the_broadcast_grid_keeps_the_bits_of_every_function_and_signed_zero(config, stack_cells):
     """exp, min, max, abs and clamp of u-dependent arguments, and f = 0*u,
     whose tilt is -0.0 at u = -1 and +0.0 at u = 1."""
     _check_driver_tables(config)
+
+
+@U_AND_TIES
+def test_the_running_max_driver_is_the_max_and_first_argmax_of_the_candidates(config, stack_cells):
+    """The sweep's driver, a running maximum over the controls of each
+    block, against the whole (C, nodes, states) candidate stack: the bits
+    of candidates.max(axis=0) (the signed zero np.maximum keeps on a tie)
+    and the indices of argmax(axis=0), the first maximizer."""
+    loaded = load_config(config)
+    tree = build_tree(loaded.process, loaded.numerics.depth)
+    spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
+    result = combined_value_iteration(tree, loaded.impulse, spec)
+    ties = 0
+    for fld in result.fields:
+        for k in range(tree.depth):
+            y_next = fld.values[k + 1]
+            z = z_repr(y_next, tree.dt)
+            theta, reward = driver_tables(tree, spec, result.states, k, slice(0, z.shape[1]))
+            candidates = np.broadcast_to(z * theta + reward, (len(spec.grid.controls), *z.shape))
+            drv, at = result.driver(k, y_next)
+            assert np.array_equal(_bits(drv), _bits(candidates.max(axis=0)))
+            assert np.array_equal(at, candidates.argmax(axis=0))
+            assert np.array_equal(at, fld.controls[k])
+            top, signs = candidates == candidates.max(axis=0), np.signbit(candidates)  # -0.0 == 0.0
+            ties += int(np.count_nonzero((top & signs).any(axis=0) & (top & ~signs).any(axis=0)))
+    if config is SIGNED_ZERO_TIES["clamp-times-u"]:
+        assert ties > 0  # the -0.0 / +0.0 ties this config exists for do occur
+
+
+def test_the_kernel_shifts_only_the_features_its_expressions_read():
+    """An unread feature is None in the environment; each read feature and
+    each coefficient keeps the bits of the whole environment's."""
+    loaded = load_config(random_combined_config(2, depth=4))
+    tree = build_tree(loaded.process, 4)
+    shifts = np.array([[0.0, 0.25, -1.5, -0.0]])
+    sigma, drift, reward = (parse_expr(e) for e in ("0.6 + 0.1*abs(xmax)", "0.2*u*xmin", "clamp(xavg + 0.1*u, 0, 1)"))
+    u = np.array(loaded.grid.controls)[:, None, None]
+    for level in range(tree.depth + 1):
+        full = tree.env(level, shifts)
+        for read in (frozenset(), frozenset({"x"}), frozenset({"xmax", "xavg"})):
+            env = tree.env(level, shifts, read)
+            for name in ("x", "xmax", "xmin", "xavg"):
+                assert (env[name] is None) is (name not in read)
+                if name in read:
+                    assert np.array_equal(_bits(env[name]), _bits(full[name]))
+        got = tree.coefficients(level, shifts, u, sigma, drift, reward)
+        want_sigma = np.asarray(eval_expr(sigma, full))
+        bound = {**full, "u": u}
+        want = (want_sigma, np.asarray(eval_expr(drift, bound)) / want_sigma, np.asarray(eval_expr(reward, bound)))
+        for a, b in zip(got, want):
+            assert np.array_equal(_bits(np.broadcast_to(a, b.shape)), _bits(b))
