@@ -16,9 +16,11 @@ and the rest goes out in one write, so neither a file nor a whole-level
 column of strings is held in memory.
 
 The readers parse a file of plain bytes (see _PAYOFF_BYTES) with
-np.loadtxt, the strategy reader a chunk of lines at a time, and check its
-columns as arrays.  Any other file, or one that fails a check, is read
-again row by row, which names the first faulty line.
+np.loadtxt a chunk of lines at a time and check its columns as arrays.
+The payoff reader counts the file's commas first and fills one array of
+that many nodes, so neither reader holds a whole-file table.  Any other
+file, or one that fails a check, is read again row by row, which names
+the first faulty line.
 """
 
 import csv
@@ -36,8 +38,7 @@ from .snell import PayoffProcess
 CHUNK_ROWS = 2048
 STRATEGY_HEADER = ["level", "index", "state_cum", "state_count", "action", "beta"]
 PAYOFF_HEADER = ["level", "index", "value"]
-# The largest payoff magnitude read: the mean of two siblings, (a + b) / 2,
-# then stays finite.
+# The largest payoff magnitude read, so that two siblings' sum stays finite.
 PAYOFF_LIMIT = float(np.finfo(np.float64).max) / 2
 
 
@@ -237,8 +238,8 @@ BETA_WIDTH = 25
 _STRATEGY_DTYPE = [
     ("level", "i8"), ("index", "i8"), ("cum", "f8"), ("count", "i8"), ("action", "S9"), ("beta", f"S{BETA_WIDTH}")
 ]
-# Bytes of the strategy CSV parsed at once (whole lines: a longer line is
-# taken whole), so that loadtxt's table of ~66 bytes a row stays small.
+# Bytes of a CSV parsed at once (whole lines: a longer line is taken
+# whole), so that loadtxt's table (~66 bytes a strategy row) stays small.
 READ_BYTES = 2**15
 
 
@@ -263,16 +264,14 @@ def _plain_chunks(path: Path, header, allowed):
     yield None
 
 
-def _loadtxt(source, dtype, skiprows):
-    """The rows of a CSV file or list of lines, after ``skiprows``, as
-    np.loadtxt parses them, or None if it raises or warns (numpy 1.x reads
-    "1.0" as an int with a DeprecationWarning, and no rows warn)."""
+def _loadtxt(lines, dtype):
+    """The rows of a list of CSV lines as np.loadtxt parses them, or None if
+    it raises or warns (numpy 1.x reads "1.0" as an int with a
+    DeprecationWarning, and no rows warn)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(
-                source, dtype=dtype, delimiter=",", skiprows=skiprows, comments=None, encoding="utf-8", ndmin=1
-            )
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, encoding="utf-8", ndmin=1)
     except (ValueError, Warning):
         return None
 
@@ -293,7 +292,7 @@ def _read_strategy_columns(path: Path):
             return None
         if not any(lines):
             continue
-        table = _loadtxt(lines, _STRATEGY_DTYPE, 0)
+        table = _loadtxt(lines, _STRATEGY_DTYPE)
         if table is None:
             return None
         impulse = table["action"] == b"impulse"
@@ -327,30 +326,33 @@ def read_payoff_csv(path: Path) -> PayoffProcess:
 
 
 def _read_payoff_columns(path: Path) -> "PayoffProcess | None":
-    """The payoff parsed by np.loadtxt and checked as arrays, or None for
-    a file that holds other bytes or fails a parse or a check."""
-    if any(chunk is None for chunk in _plain_chunks(path, PAYOFF_HEADER, _PAYOFF_BYTES)):
+    """The payoff parsed by np.loadtxt a chunk of lines at a time into one
+    array sized from the file's comma count and checked as arrays; or None
+    for a file that holds other bytes or fails a parse or a check."""
+    with path.open("rb") as fh:  # two commas a row, and two in the header
+        blocks = iter(lambda: fh.read(READ_BYTES), b"")
+        size = int(sum(np.count_nonzero(np.frombuffer(b, np.uint8) == ord(",")) for b in blocks)) // 2 - 1
+    # Every node of levels 0..depth once: 2^(depth+1) - 1 rows at distinct
+    # breadth-first positions 2^level - 1 + index.
+    if size < 1 or size & (size + 1):
         return None
-    table = _loadtxt(path, [("level", "i8"), ("index", "i8"), ("value", "f8")], 1)
-    if table is None:
+    depth = size.bit_length() - 1
+    flat = np.full(size, np.nan)  # nan where no row has landed
+    for chunk in _plain_chunks(path, PAYOFF_HEADER, _PAYOFF_BYTES):
+        lines = None if chunk is None else chunk.decode("ascii").splitlines()
+        if lines is not None and not any(lines):
+            continue
+        table = None if lines is None else _loadtxt(lines, [("level", "i8"), ("index", "i8"), ("value", "f8")])
+        if table is None or table["level"].min() < 0 or table["level"].max() > depth:
+            return None
+        first = np.int64(1) << table["level"]
+        if not ((table["index"] >= 0) & (table["index"] < first)).all():
+            return None
+        flat[first - 1 + table["index"]] = table["value"]
+    # As many rows as nodes: a repeated node leaves another nan, and a nan
+    # fails both comparisons (as an infinite value fails one).
+    if not (flat.min() >= -PAYOFF_LIMIT and flat.max() <= PAYOFF_LIMIT):
         return None
-    level, index, value = table["level"], table["index"], table["value"]
-    depth = int(level.max())
-    # Every node of levels 0..depth once: 2^(depth+1) - 1 rows (and 2^depth
-    # fits int64) at distinct breadth-first positions 2^level - 1 + index.
-    in_range = np.abs(value) <= PAYOFF_LIMIT  # False for inf and nan too
-    if not (in_range.all() and level.min() >= 0 and depth < 63 and level.size == 2 ** (depth + 1) - 1):
-        return None
-    first = np.int64(1) << level
-    if not ((index >= 0) & (index < first)).all():
-        return None
-    position = first - 1 + index
-    seen = np.zeros(level.size, dtype=bool)
-    seen[position] = True
-    if not seen.all():
-        return None
-    flat = np.empty(level.size)
-    flat[position] = value
     return PayoffProcess.from_arrays(np.split(flat, 2 ** np.arange(1, depth + 1) - 1))
 
 
@@ -365,10 +367,8 @@ def _read_payoff_rows(path: Path) -> PayoffProcess:
             raise CsvFormatError(f"payoff CSV line {line}: negative level {level}")
         if index < 0 or index.bit_length() > level:  # index outside [0, 2^level)
             raise CsvFormatError(f"payoff CSV line {line}: index {index} outside [0, 2^{level})")
-        bucket = by_level.setdefault(level, ([], [], []))
-        bucket[0].append(index)
-        bucket[1].append(value)
-        bucket[2].append(line)
+        for column, field in zip(by_level.setdefault(level, ([], [], [])), (index, value, line)):
+            column.append(field)
     if not by_level:
         raise CsvFormatError("payoff CSV is empty")
     values = []

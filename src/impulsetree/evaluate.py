@@ -11,7 +11,7 @@ from .expr import eval_expr
 from .impulse import ImpulseModel
 from .model import LimitError, ProcessModel
 from .strategy import Strategy, state_key, strategy_from_rule
-from .tree import STACK_CELLS, ScenarioTree, path_env
+from .tree import FEATURES, STACK_CELLS, ScenarioTree, path_env
 
 MC_GENERATOR = "numpy.random.PCG64"
 DEFAULT_ORACLE_CALL_LIMIT = 5_000_000
@@ -225,10 +225,14 @@ def mc_evaluate_strategy(
     for a fixed seed.
 
     The tree depth is the strategy's.  Each sample gathers its node's
-    post-chain shift and chain cost from walk_strategy_states.  The
-    samples are walked STACK_CELLS at a time, each block drawing its own
-    signs (consecutive draws of one generator continue a single draw), so
-    memory beyond the per-sample reward and cost is one block's.
+    post-chain shift from walk_strategy_states, and its whole impulse cost
+    with one gather from the path costs of level depth - 1: each node's
+    0.0 + c_0 + c_1 + ... over its path's chain costs, in level order.  The
+    samples are walked STACK_CELLS at a time; a block's signs are int8,
+    filled by draws of at most STACK_CELLS cells (consecutive draws of one
+    generator continue a single draw), and only the path features the
+    coefficients read are carried.  So memory beyond the per-sample reward
+    and cost is one block's.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -240,44 +244,56 @@ def mc_evaluate_strategy(
 
     rng = np.random.default_rng(seed)
     ps = walk_strategy_states(model, strategy)
+    cums = ps.cum[:depth]
+    path_cost = 0.0 + ps.cost[0]
+    for cost in ps.cost[1:depth]:
+        path_cost = np.repeat(path_cost, 2) + cost
+    del ps
+    read = frozenset().union(*(e.variables() for e in (process.sigma, process.drift, model.reward) if e is not None))
+    rows = max(1, STACK_CELLS // depth)  # sign rows per draw
     reward_acc = np.zeros(samples)
-    cost_acc = np.zeros(samples)
+    cost_acc = np.empty(samples)
     for start in range(0, samples, STACK_CELLS):
-        reward = reward_acc[start : start + STACK_CELLS]  # views: the block's sums land in place
-        cost = cost_acc[start : start + STACK_CELLS]
-        downs = rng.integers(0, 2, size=(reward.size, depth))
+        reward = reward_acc[start : start + STACK_CELLS]  # a view: the block's sums land in place
+        signs = np.empty((reward.size, depth), dtype=np.int8)
+        for r in range(0, reward.size, rows):
+            signs[r : r + rows] = rng.integers(0, 2, size=(min(rows, reward.size - r), depth))
         x = np.full(reward.size, float(process.x0))
-        xmax = x.copy()
-        xmin = x.copy()
-        xsum = x.copy()
+        xmax, xmin, xsum = (x.copy() if name in read else None for name in FEATURES[1:])
         node = np.zeros(x.size, dtype=np.int64)
         for k in range(depth):
             t_k = k * dt
-            cum = ps.cum[k][node]
-            cost += ps.cost[k][node]
-            xavg = xsum / (k + 1)
+            xavg = None if xsum is None else xsum / (k + 1)
             env = path_env(t_k, x, xmax, xmin, xavg)
             sigma = np.broadcast_to(np.asarray(eval_expr(process.sigma, env)), x.shape)
             if process.drift is not None:
                 drift = np.broadcast_to(np.asarray(eval_expr(process.drift, env)), x.shape)
             else:
                 drift = 0.0
-            env = path_env(t_k, x, xmax, xmin, xavg, cum)
+            env = path_env(t_k, x, xmax, xmin, xavg, cums[k][node])
             reward += np.broadcast_to(np.asarray(eval_expr(model.reward, env)), x.shape) * dt
-            db = sqrt_dt * (1.0 - 2.0 * downs[:, k])
+            db = sqrt_dt * (1.0 - 2.0 * signs[:, k])
             x = x + drift * dt + sigma * db
-            xmax = np.maximum(xmax, x)
-            xmin = np.minimum(xmin, x)
-            xsum = xsum + x
-            node = 2 * node + downs[:, k]
+            if xmax is not None:
+                np.maximum(xmax, x, out=xmax)
+            if xmin is not None:
+                np.minimum(xmin, x, out=xmin)
+            if xsum is not None:
+                xsum += x
+            node *= 2
+            node += signs[:, k]
+        cost_acc[start : start + STACK_CELLS] = path_cost[node >> 1]  # node >> 1: the node at level depth - 1
 
-    values = reward_acc - cost_acc
+    reward_integral = float(np.mean(reward_acc))
+    impulse_cost = float(np.mean(cost_acc))
+    values = np.subtract(reward_acc, cost_acc, out=reward_acc)
+    del cost_acc
     mean = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return PolicyValue(
         value=mean,
-        reward_integral=float(np.mean(reward_acc)),
-        impulse_cost=float(np.mean(cost_acc)),
+        reward_integral=reward_integral,
+        impulse_cost=impulse_cost,
         method="monte-carlo",
         samples=samples,
         std_error=std_error,

@@ -8,9 +8,11 @@
   Keeping only the values, and deriving Z and K_inc one level at a time
   while values.csv is written after the iteration, takes about 111 MB;
 - the blocked Monte Carlo walk: `eval --mc-samples 1000000` of the
-  Baseline strategy at depth 14 must stay at most 120 MB.  Walking every
-  sample at once took about 300 MB; a block of samples at a time takes
-  about 75 MB;
+  Baseline strategy at depth 14 must stay at most 65 MB.  Walking every
+  sample at once took about 300 MB, and a block of samples at a time
+  about 72 MB with a third per-sample array of values beside the reward
+  and cost sums.  Forming the values in the reward array once the means
+  are taken, and freeing the cost array before np.std, takes about 55 MB;
 - the strategy reader: exact `eval` of the Baseline strategy at depth 17
   (6.8 MB, 262,303 rows) must stay at most 80 MB.  Parsing the whole file
   at once and sorting every row took about 110 MB; parsing a chunk of
@@ -37,7 +39,7 @@ from impulsetree import build_tree, extract_strategy, load_config, value_iterati
 from impulsetree.csvio import write_strategy_csv
 
 SOLVE_PEAK_LIMIT_MB = 140
-MC_PEAK_LIMIT_MB = 120
+MC_PEAK_LIMIT_MB = 65
 EXACT_EVAL_PEAK_LIMIT_MB = 80
 COMBINED_PEAK_LIMIT_MB = 170
 

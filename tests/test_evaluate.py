@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from conftest import (
     random_impulse_config,
     uniform_controls,
 )
+from memory_deep import BASELINE
 
 
 def _empty_strategy(tree, impulses=(1.0,)):
@@ -411,12 +413,35 @@ def _mc_masked_reference(model, process, strategy, samples, seed):
     )
 
 
-@pytest.mark.parametrize("samples", [1, 2, 300, STACK_CELLS - 1, STACK_CELLS, STACK_CELLS + 1, 2 * STACK_CELLS + 3])
-@pytest.mark.parametrize("config_seed", [107, 108])
-def test_mc_matches_per_node_masked_reference(config_seed, samples):
+# Besides two random configs: a drift, with sigma and the reward reading
+# xmin and xavg (so the walk carries and shifts them), and a config that
+# reads x alone (so it carries no running feature).
+MC_REFERENCE_CONFIGS = {
+    107: (107, {}, {}),
+    108: (108, {}, {}),
+    "drift-xmin-xavg": (
+        109,
+        {"sigma": "0.6 + 0.2*clamp(abs(xmin - xavg), 0, 2)", "drift": "0.2 - 0.1*clamp(xavg, -1, 1)"},
+        {"h": "clamp(0.4 + 0.3*xavg - 0.2*xmin, 0, 1)"},
+    ),
+    "x-only": (110, {"sigma": "0.7 + 0.1*clamp(abs(x), 0, 2)", "drift": "0.1"}, {"h": "clamp(0.5 + 0.4*x, 0, 1)"}),
+}
+MC_REFERENCE_DEPTH = 5  # does not divide STACK_CELLS: a sign draw of STACK_CELLS // 5 rows leaves cells over
+SIGN_ROWS = STACK_CELLS // MC_REFERENCE_DEPTH
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [1, 2, 300, SIGN_ROWS - 1, SIGN_ROWS, SIGN_ROWS + 1, STACK_CELLS - 1, STACK_CELLS, STACK_CELLS + 1, 2 * STACK_CELLS + 3],
+)
+@pytest.mark.parametrize("config", list(MC_REFERENCE_CONFIGS))
+def test_mc_matches_per_node_masked_reference(config, samples):
     """The blocked walk against one draw of every sign, at sample counts
-    around the block size."""
-    loaded, tree = build_problem(random_impulse_config(config_seed, depth=5))
+    around the sign draws and the block size."""
+    seed, process, impulse = MC_REFERENCE_CONFIGS[config]
+    raw = random_impulse_config(seed, depth=MC_REFERENCE_DEPTH)
+    raw = {**raw, "process": {**raw["process"], **process}, "impulse": {**raw["impulse"], **impulse}}
+    loaded, tree = build_problem(raw)
     beta = loaded.impulse.impulses[0]
     # impulses at many nodes, chains of up to two at some of them
     strategy = strategy_from_rule(
@@ -425,21 +450,50 @@ def test_mc_matches_per_node_masked_reference(config_seed, samples):
     )
     impulse_nodes = {key[:2] for key, d in strategy.decisions.items() if d.action == "impulse"}
     assert len(impulse_nodes) >= 5
-    estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=samples, seed=config_seed)
-    assert estimate == _mc_masked_reference(loaded.impulse, loaded.process, strategy, samples, config_seed)
+    estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=samples, seed=seed)
+    assert estimate == _mc_masked_reference(loaded.impulse, loaded.process, strategy, samples, seed)
     if samples > 2:
         assert estimate.impulse_cost > 0
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, 64])
-@pytest.mark.parametrize("depth", [1, 4, 5])
+@pytest.mark.parametrize("block", [1, 2, 7, 64, "sign-rows"])
+@pytest.mark.parametrize("depth", [1, 4, 5, 14])
 def test_block_draws_continue_one_draw(block, depth):
     """The premise of the blocked Monte Carlo walk: consecutive
     integers(0, 2) draws of one generator, a block of samples at a time,
     are the rows of a single draw, for odd and even block sizes and
-    depths."""
-    samples = 3 * block + 1
+    depths; also as the walk draws them, STACK_CELLS // depth rows at a
+    time stored into an int8 array."""
+    rows = STACK_CELLS // depth if block == "sign-rows" else block
+    samples = 3 * rows + 1
     whole = np.random.default_rng(5).integers(0, 2, size=(samples, depth))
     rng = np.random.default_rng(5)
-    blocks = [rng.integers(0, 2, size=(min(block, samples - s), depth)) for s in range(0, samples, block)]
-    assert np.array_equal(np.concatenate(blocks), whole)
+    signs = np.empty((samples, depth), dtype=np.int8)
+    for s in range(0, samples, rows):
+        signs[s : s + rows] = rng.integers(0, 2, size=(min(rows, samples - s), depth))
+    assert np.array_equal(signs, whole)
+
+
+def test_mc_peak_memory_is_two_per_sample_arrays_and_a_block():
+    """tracemalloc's peak above what mc_evaluate_strategy retains, for 100k
+    samples of a depth-14 Baseline strategy, stays under four per-sample
+    float64 arrays.  Beside the reward and cost sums, a third array of
+    values, the whole walk_strategy_states, an int64 sign block and running
+    features no expression reads took about 6.4 arrays; the sums, an int8
+    sign block and the features the coefficients read take about 3.3."""
+    depth, samples = 14, 100_000
+    raw = {**BASELINE, "numerics": {**BASELINE["numerics"], "depth": depth}}
+    loaded = load_config(raw)
+    tree = build_tree(loaded.process, depth)
+    result = value_iteration(tree, loaded.impulse, tol=loaded.numerics.tol)
+    strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=loaded.numerics.tol)
+    del tree, result
+    mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=10, seed=1)  # loads what any run needs
+    tracemalloc.start()
+    try:
+        estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=samples, seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert estimate.samples == samples
+    assert peak - held <= 4 * 8 * samples, f"peak {peak - held} bytes above the {held} retained"
