@@ -3,7 +3,6 @@ trees: iterated reflected backward recursion, optimal strategy extraction,
 combined stochastic/impulse control, and exact forward evaluation."""
 
 from .combined import (
-    ControlTable,
     HamiltonianSpec,
     combined_value_iteration,
     driver_tables,

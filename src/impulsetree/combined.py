@@ -14,11 +14,8 @@ from .impulse import (
     SolverError,
     _extract_walk,
     _reflect_until_stall,
-    enumerate_states,
-    impulse_budget,
 )
 from .model import DEFAULT_TOL, ControlGrid
-from .strategy import Strategy
 from .tree import ScenarioTree, _z
 
 
@@ -82,13 +79,10 @@ def combined_value_iteration(
     recursion under a frozen control table instead of the pointwise
     maximum; the value fields then record that table.
     """
-    if budget is None:
-        budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
-    states = enumerate_states(model.impulses, budget)
     grid = np.asarray(spec.grid.controls, dtype=float)
     dtype = np.min_scalar_type(-grid.size)  # the smallest signed dtype holding a grid index
 
-    def driver(k, y_next, u_idx=None):  # at u_idx, else at fixed_controls, else maximized over the grid
+    def driver(k, y_next, states, u_idx=None):  # at u_idx, else at fixed_controls, else maximized over the grid
         z = _z(y_next, tree.dt)  # the sweep checks Y's finiteness once per field
         if u_idx is None and fixed_controls is not None:
             u_idx = fixed_controls[k][:, : z.shape[1]]
@@ -111,20 +105,14 @@ def combined_value_iteration(
                     np.maximum(best, cand, out=best)
         return drv, at
 
-    return _reflect_until_stall(tree, model, states, tol, driver)
-
-
-@dataclass(frozen=True, eq=False)
-class ControlTable:
-    """The control applied at each node, at its post-chain state:
-    ``levels[k]`` holds one value per node of level k, for levels
-    0..depth-1."""
-
-    levels: "tuple[np.ndarray, ...]"
+    return _reflect_until_stall(tree, model, tol, budget, driver)
 
 
 def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: HamiltonianSpec, tol: float = DEFAULT_TOL):
-    """Extract (Strategy, ControlTable) from a combined field sequence.
+    """Extract (strategy, controls) from a combined field sequence:
+    ``controls[k]`` holds the control applied at each node of level k, at
+    its post-chain state, for levels 0..depth-1, laid out like
+    Strategy.chains.
 
     The strategy walk is identical to the pure-impulse extraction; at each
     node the control is the recorded driver argmax of the field with the
@@ -132,7 +120,7 @@ def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: Hamilton
     segment-wise reading of the optimal control).  Reads only the fields'
     values and control indices.
     """
-    chains, posts, top = _extract_walk(fields, model, tree.depth, tol)
+    strategy, posts = _extract_walk(fields, model, tree.depth, tol)
     grid = np.asarray(spec.grid.controls, dtype=float)
     levels = []
     for k, (s, m) in enumerate(posts):
@@ -141,5 +129,4 @@ def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: Hamilton
             nodes = np.flatnonzero(m == n)
             u_idx[nodes] = fields[n].controls[k][nodes, s[nodes]]
         levels.append(grid[u_idx])
-    strategy = Strategy(chains=chains, impulses=model.impulses, iteration=top, tol=tol)
-    return strategy, ControlTable(levels=tuple(levels))
+    return strategy, tuple(levels)

@@ -146,7 +146,7 @@ def write_controls_csv(path: Path, controls, states):
         for k in range(len(states.cum) - 1):
             _write_table(
                 fh, states.cum[k].size, _column(str(k).encode()), index.__getitem__,
-                *map(_column, (states.cum[k], states.count[k], controls.levels[k])),
+                *map(_column, (states.cum[k], states.count[k], controls[k])),
             )
 
 

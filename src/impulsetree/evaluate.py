@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .combined import ControlTable, HamiltonianSpec
+from .combined import HamiltonianSpec
 from .expr import eval_expr
 from .impulse import ImpulseModel
 from .model import LimitError, ProcessModel
@@ -105,7 +105,7 @@ def _tilted_levels(tree: ScenarioTree, reward, shifts, spec: "HamiltonianSpec | 
     tilt_of = (None, None) if spec is None else (spec.sigma, spec.grid.controlled_drift)
     weights = np.ones(1)
     for k in range(tree.depth):
-        u = None if spec is None else controls.levels[k]
+        u = None if spec is None else controls[k]
         _, theta, h = tree.coefficients(k, shifts[k], u, *tilt_of, reward)
         tilt = np.broadcast_to(0.0 if theta is None else theta, weights.shape) * tree.sqrt_dt
         if not (np.abs(tilt) < 1).all():  # 0/0 = nan fails it too
@@ -118,9 +118,11 @@ def _tilted_levels(tree: ScenarioTree, reward, shifts, spec: "HamiltonianSpec | 
     yield weights, None
 
 
-def girsanov_weights(tree: ScenarioTree, spec: HamiltonianSpec, controls: ControlTable, path_states=None) -> np.ndarray:
+def girsanov_weights(tree: ScenarioTree, spec: HamiltonianSpec, controls, path_states=None) -> np.ndarray:
     """Per-leaf positive weights turning reference-measure expectations into
     controlled-drift expectations; they average exactly to 1.
+    ``controls[k]`` holds the control at each node of level k, as
+    extract_pair returns them.
 
     ``path_states`` carries the impulse shift at each node (from
     walk_strategy_states); omitted it defaults to the zero shift, i.e. the
@@ -135,12 +137,13 @@ def evaluate_pair(
     model: ImpulseModel,
     spec: HamiltonianSpec,
     strategy: Strategy,
-    controls: ControlTable,
+    controls,
     path_states=None,
 ) -> PolicyValue:
     """Exact expected reward of a (strategy, control) pair under the tilted
-    measure: rewards and the tilt use the post-chain path shift and the
-    table's control at each node.  ``path_states`` as in
+    measure: rewards and the tilt use the post-chain path shift and, at
+    each node of level k, its entry of ``controls[k]`` (as extract_pair
+    returns them).  ``path_states`` as in
     evaluate_strategy_exact."""
     ps = _walked(tree, model, strategy, path_states)
     return _exact_value(tree, ps, _tilted_levels(tree, spec.reward, ps.cum, spec, controls))

@@ -33,6 +33,8 @@ def impulse_budget(reward_bound: float, cost_floor: float, horizon: float) -> in
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     ratio = reward_bound * horizon / cost_floor
+    if not math.isfinite(ratio):
+        raise LimitError(f"impulse budget gamma*T/c = {reward_bound!r}*{horizon!r}/{cost_floor!r} is not finite")
     return max(0, math.ceil(ratio - 1e-12))
 
 
@@ -126,21 +128,26 @@ def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, k
     return table
 
 
+def _reward_driver(tree: ScenarioTree, model: ImpulseModel):
+    """The pure impulse driver: the running reward h, which reads no Z and
+    uses no control."""
+    return lambda k, y_next, states, u_idx=None: (reward_tables(tree, model, states, k), None)
+
+
 def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, prev=None) -> ValueField:
     """One backward sweep over ``states``, shared by both modes: the
     reflected kernel with Y_k = E[Y_{k+1}] + driver*dt, reflected against
     the obstacle from ``prev`` when one is given (then ``states`` are
-    prev.next_states).  ``driver(k, Y_{k+1})`` returns the level-k driver
-    on the field's states and the control-grid indices it used; with None
-    it is the running reward.  Terminal value 0: no impulses at the horizon.
-    The obstacle is built one level at a time, as the kernel reaches it.
+    prev.next_states).  ``driver(k, Y_{k+1}, states, u_idx=None)`` returns
+    the level-k driver on ``states`` and the control-grid indices it used
+    (None where it uses no control), at ``u_idx`` when one is given.
+    Terminal value 0: no impulses at the horizon.  The obstacle is built
+    one level at a time, as the kernel reaches it.
     """
     controls = [None] * tree.depth
 
     def step(k, y_next):
-        if driver is None:
-            return reward_tables(tree, model, states, k) * tree.dt
-        drv, controls[k] = driver(k, y_next)
+        drv, controls[k] = driver(k, y_next, states)
         return drv * tree.dt
 
     terminal = np.zeros((tree.level_size(tree.depth), len(states)), order="F")
@@ -157,7 +164,7 @@ def solve_y0(tree: ScenarioTree, model: ImpulseModel, states: StateSpace) -> Val
     """Unreflected base field: expected remaining reward for a strategy
     already holding each state's cumulative impulse, with no further
     impulses allowed.  Terminal value 0; reflection increments identically 0."""
-    return _sweep(tree, model, None, states)
+    return _sweep(tree, model, _reward_driver(tree, model), states)
 
 
 def obstacle(prev: ValueField, model: ImpulseModel, k: int) -> np.ndarray:
@@ -186,8 +193,7 @@ def iterate_value(prev: ValueField, tree: ScenarioTree, model: ImpulseModel) -> 
     previous field) on prev.next_states.  Terminal value stays 0 (no
     impulses at the horizon; the terminal obstacle is <= -cost floor and
     never binds)."""
-    states = prev.next_states
-    return _sweep(tree, model, None, states, prev)
+    return _sweep(tree, model, _reward_driver(tree, model), prev.next_states, prev)
 
 
 @dataclass
@@ -196,8 +202,7 @@ class ValueIterationResult:
     stall_index: "int | None"
     sup_increments: "list[float]"
     states: StateSpace
-    model: ImpulseModel
-    driver: object  # the sweeps' driver(k, Y_{k+1}, control indices=None), None in pure impulse mode
+    driver: object  # the sweeps' driver(k, Y_{k+1}, states, u_idx=None) -> (driver, control indices or None)
 
     @property
     def stalled(self) -> bool:
@@ -225,15 +230,19 @@ def _sup_increment(prev: np.ndarray, values: np.ndarray) -> float:
     return float(np.abs(diff, out=diff).max())
 
 
-def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, tol: float, driver=None):
-    """The value iteration both modes share: Y^0 is the unreflected sweep
-    over ``states``, then Y^n the sweep reflected against Y^{n-1} over its
-    next states, until the sup-norm of Y^n - Y^{n-1} over Y^n's (node,
-    state) pairs drops to ``tol`` or n reaches the budget.
+def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, tol: float, budget: "int | None", driver):
+    """The value iteration both modes share, with the mode's driver: Y^0 is
+    the unreflected sweep over the states reachable within the budget
+    (ceil(gamma*T/c) by default), then Y^n the sweep reflected against
+    Y^{n-1} over its next states, until the sup-norm of Y^n - Y^{n-1} over
+    Y^n's (node, state) pairs drops to ``tol`` or n reaches the budget.
 
     Finiteness is checked once per field: a non-finite value of Y^0 reaches
     the root of its state (no obstacle masks it), and one of Y^n, against
     the finite Y^{n-1}, makes the sup increment non-finite."""
+    if budget is None:
+        budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
+    states = enumerate_states(model.impulses, budget)
     fields = [_sweep(tree, model, driver, states)]
     if not np.isfinite(fields[0].values[0]).all():
         raise SolverError("non-finite values in field 0")
@@ -249,7 +258,7 @@ def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, states: StateS
         if sup <= tol:
             stall_index = n
             break
-    return ValueIterationResult(fields, stall_index, sups, states, model, driver)
+    return ValueIterationResult(fields, stall_index, sups, states, driver)
 
 
 def value_iteration(
@@ -261,10 +270,7 @@ def value_iteration(
     Returns the field sequence and whether stabilization occurred; hitting
     the budget without a stall is reported, not fatal.
     """
-    if budget is None:
-        budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
-    states = enumerate_states(model.impulses, budget)
-    return _reflect_until_stall(tree, model, states, tol)
+    return _reflect_until_stall(tree, model, tol, budget, _reward_driver(tree, model))
 
 
 def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
@@ -279,12 +285,9 @@ def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
     obstacle lies a positive cost below a field), so E[Y_{k+1}] is not.
     """
     fld = result.fields[n]
-    for k in range(tree.depth):
+    for k, u_idx in enumerate(fld.controls or (None,) * tree.depth):
         y_next = fld.values[k + 1]
-        if result.driver is None:
-            drv = reward_tables(tree, result.model, fld.states, k)
-        else:
-            drv, _ = result.driver(k, y_next, fld.controls[k])
+        drv, _ = result.driver(k, y_next, fld.states, u_idx)
         cont = _expect(y_next)
         cont += drv * tree.dt
         yield _z(y_next, tree.dt), np.subtract(fld.values[k], cont, out=cont)
@@ -302,8 +305,8 @@ def _extract_walk(fields, model: ImpulseModel, depth: int, tol: float):
     maximizing impulse in declared order there (chains at one date
     allowed) and step to field m - 1; then descend.  Raises SolverError
     where a walked value lies below its obstacle beyond tol.  Returns the
-    per-level chains, the post-chain (state index, m) arrays of levels
-    0..depth-1, and the top index.
+    Strategy and the post-chain (state index, m) arrays of levels
+    0..depth-1.
     """
     if not fields:
         raise ValueError("empty field sequence")
@@ -344,7 +347,7 @@ def _extract_walk(fields, model: ImpulseModel, depth: int, tol: float):
         posts.append((s, m))
         s, m = np.repeat(s, 2), np.repeat(m, 2)
     chains.append(np.empty((s.size, 0), dtype=np.int64))
-    return tuple(chains), posts, top
+    return Strategy(chains=tuple(chains), impulses=model.impulses, iteration=top, tol=tol), posts
 
 
 def extract_strategy(fields, tree: ScenarioTree, model: ImpulseModel, tol: float = DEFAULT_TOL) -> Strategy:
@@ -355,5 +358,4 @@ def extract_strategy(fields, tree: ScenarioTree, model: ImpulseModel, tol: float
     none at the horizon); continue elsewhere.  Reads only the fields'
     values.
     """
-    chains, _, top = _extract_walk(fields, model, tree.depth, tol)
-    return Strategy(chains=chains, impulses=model.impulses, iteration=top, tol=tol)
+    return _extract_walk(fields, model, tree.depth, tol)[0]

@@ -270,7 +270,7 @@ def config_hash(config: dict) -> str:
 
 
 def _as_number(value, what):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) < 2**1024:  # NaN, inf fail
         raise ConfigError(f"{what} must be a number, got {value!r}")
     return float(value)
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import eval_expr
-from .model import LimitError, ProcessModel
+from .expr import EvalError, eval_expr
+from .model import ConfigError, LimitError, ProcessModel
 
 DEFAULT_MAX_NODES = 2**22
 # The most (control, node, shift) cells one stacked evaluation holds, 64 KB
@@ -113,6 +113,8 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
     Deterministic: the tree enumerates every increment sign pattern.  The
     state recursion uses left-endpoint coefficient evaluation:
     L(child) = L(node) + b(t_k, node)*dt + sigma(t_k, node)*dB, dB = +-sqrt(dt).
+    A coefficient that is not finite at a node raises ConfigError naming it
+    and the level.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -131,13 +133,16 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
     running_sum = [state[0].copy()]
     noise = [np.zeros(1)]
 
+    def coefficient(name, expr, k, env):
+        try:
+            return np.broadcast_to(np.asarray(eval_expr(expr, env), dtype=np.float64), state[k].shape)
+        except EvalError as exc:
+            raise ConfigError(f"process.{name} fails on the tree at level {k}: {exc}") from None
+
     for k in range(depth):
         env = path_env(float(times[k]), state[k], running_max[k], running_min[k], running_sum[k] / (k + 1))
-        sigma = np.broadcast_to(np.asarray(eval_expr(process.sigma, env), dtype=np.float64), state[k].shape)
-        if process.drift is not None:
-            drift = np.broadcast_to(np.asarray(eval_expr(process.drift, env), dtype=np.float64), state[k].shape)
-        else:
-            drift = np.zeros_like(state[k])
+        sigma = coefficient("sigma", process.sigma, k, env)
+        drift = np.zeros_like(state[k]) if process.drift is None else coefficient("drift", process.drift, k, env)
 
         size = 2 ** (k + 1)
         child_state = np.empty(size)

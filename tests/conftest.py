@@ -166,10 +166,8 @@ def build_problem(config):
 
 
 def uniform_controls(tree, u):
-    """A ControlTable applying the control ``u`` at every node."""
-    from impulsetree import ControlTable
-
-    return ControlTable(levels=tuple(np.full(tree.level_size(k), float(u)) for k in range(tree.depth)))
+    """Per-level controls applying the control ``u`` at every node."""
+    return tuple(np.full(tree.level_size(k), float(u)) for k in range(tree.depth))
 
 
 def node_env(tree, level, index, shift=0.0):

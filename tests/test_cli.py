@@ -376,6 +376,51 @@ def test_usage_errors_name_their_flag_or_key_before_making_out(tmp_path, capsys,
     assert not out.exists()
 
 
+_SIGMA_EXP = {"x0": 1.0, "sigma": "0.3 + exp(1000*x)"}
+_SIGMA_EXP_FAILS = "process.sigma fails on the tree at level 0: non-finite result in function 'exp'"
+
+
+@pytest.mark.parametrize(
+    "command, section, change, message",
+    [
+        ("solve", "process", {"x0": float("nan"), "sigma": "0.3"}, "process.x0 must be a number, got nan"),
+        ("solve", "process", {"x0": float("nan"), "sigma": "0.3 + x"}, "process.x0 must be a number, got nan"),
+        ("solve", "process", {"T": float("inf")}, "process.T must be a number, got inf"),
+        ("solve-combined", "impulse", {"gamma": -float("inf")}, "impulse.gamma must be a number, got -inf"),
+        (
+            "solve", "impulse", {"gamma": 1e300, "c": 1e-300},
+            "impulse budget gamma*T/c = 1e+300*1.0/1e-300 is not finite",
+        ),
+        ("solve", "process", _SIGMA_EXP, _SIGMA_EXP_FAILS),
+        ("dump", "process", _SIGMA_EXP, _SIGMA_EXP_FAILS),
+        ("oracle", "process", _SIGMA_EXP, _SIGMA_EXP_FAILS),
+        (
+            "solve", "process", {"x0": 1.0, "drift": "exp(1000*x)"},
+            "process.drift fails on the tree at level 0: non-finite result in function 'exp'",
+        ),
+        (
+            "dump", "process", {"x0": 1.0, "sigma": "0.3 + exp(700*x)"},
+            "process.sigma fails on the tree at level 1: non-finite result in function 'exp'",
+        ),
+    ],
+    ids=[
+        "x0-nan", "x0-nan-read", "T-inf", "gamma-minus-inf", "budget-overflow",
+        "sigma-solve", "sigma-dump", "sigma-oracle", "drift-solve", "sigma-level-1",
+    ],
+)
+def test_non_finite_inputs_are_errors_before_making_out(tmp_path, capsys, command, section, change, message):
+    """A non-finite config number, an impulse budget that overflows and a
+    coefficient that is not finite on the tree each print ``error: ...``
+    (exit 1), not an internal error, and make no --out."""
+    base = {**PINNED_CONFIG, "control": {"V": [-1.0, 1.0], "f": "0*u"}} if command == "solve-combined" else PINNED_CONFIG
+    config = _write_config(tmp_path, {**base, section: {**base[section], **change}})
+    out = tmp_path / "out"
+    extra = {"dump": ["--level", "1"], "oracle": ["--max-impulses", "1", "--out", str(out)]}
+    assert run([command, "--config", str(config), *extra.get(command, ["--out", str(out)])]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_snell_command(tmp_path):
     payoff = tmp_path / "payoff.csv"
     with payoff.open("w", newline="") as fh:

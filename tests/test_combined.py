@@ -32,6 +32,7 @@ from conftest import (
     hamiltonian_max,
     node_env,
     random_combined_config,
+    random_impulse_config,
 )
 
 # pinned combined instance: driftless unit volatility, control u in {-1, +1}
@@ -161,8 +162,8 @@ def test_extract_pair_records_grid_controls():
     result = combined_value_iteration(tree, loaded.impulse, spec)
     strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec)
     # one control per node below the horizon, each from the grid
-    assert [u.shape for u in controls.levels] == [(tree.level_size(k),) for k in range(tree.depth)]
-    assert set(np.concatenate(controls.levels).tolist()) <= set(loaded.grid.controls)
+    assert [u.shape for u in controls] == [(tree.level_size(k),) for k in range(tree.depth)]
+    assert set(np.concatenate(controls).tolist()) <= set(loaded.grid.controls)
 
 
 def test_extract_pair_u_independent_model_takes_first_grid_element():
@@ -174,7 +175,7 @@ def test_extract_pair_u_independent_model_takes_first_grid_element():
     spec = _spec(loaded)
     result = combined_value_iteration(tree, loaded.impulse, spec)
     _, controls = extract_pair(result.fields, tree, loaded.impulse, spec)
-    assert set(np.concatenate(controls.levels).tolist()) == {-1.0}
+    assert set(np.concatenate(controls).tolist()) == {-1.0}
 
 
 def test_no_reward_extracts_empty_strategy_and_argmax_controls():
@@ -189,7 +190,7 @@ def test_no_reward_extracts_empty_strategy_and_argmax_controls():
     zs = [z for z, _ in field_terms(result, top.n, tree)]
     states = walk_strategy_states(loaded.impulse, strategy)
     for level in range(tree.depth):
-        for index, u in enumerate(controls.levels[level].tolist()):
+        for index, u in enumerate(controls[level].tolist()):
             cum = float(states.cum[level][index])
             state_idx = top.states.shifts.tolist().index(cum)
             z = float(zs[level][index, state_idx])
@@ -400,8 +401,40 @@ def test_signed_zero_ties_never_reach_z_or_k_inc(name):
         for k, (z, k_inc) in enumerate(field_terms(result, fld.n, tree)):
             if k < tree.depth:
                 assert np.array_equal(_bits(k_inc), _bits(k_incs[k]))
-                drv, _ = result.driver(k, fld.values[k + 1], fld.controls[k])
-                want, _ = result.driver(k, fld.values[k + 1])
+                drv, _ = result.driver(k, fld.values[k + 1], fld.states, fld.controls[k])
+                want, _ = result.driver(k, fld.values[k + 1], fld.states)
                 ties += int(np.count_nonzero(_bits(drv) != _bits(want)))
             assert not any(np.signbit(a[a == 0]).any() for a in (fld.values[k], z, k_inc))
     assert (ties > 0) is (name == "clamp-times-u")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [random_impulse_config(305), random_combined_config(401), SIGNED_ZERO_TIES["clamp-times-u"]],
+    ids=["impulse", "combined", "ties"],
+)
+def test_each_level_is_the_reflected_step_of_the_runs_driver(config):
+    """The driver contract both modes share: level k of field n is
+    max(obstacle, E[Y_{k+1}] + drv*dt), bit for bit, with (drv, controls) =
+    result.driver(k, Y_{k+1}, fld.states) and the obstacle from field n - 1
+    (none for n = 0); the controls are the field's, None in pure impulse
+    mode."""
+    loaded, tree = build_problem(config)
+    tol, budget = loaded.numerics.tol, loaded.numerics.budget
+    if loaded.grid is None:
+        result = value_iteration(tree, loaded.impulse, tol=tol, budget=budget)
+    else:
+        result = combined_value_iteration(tree, loaded.impulse, _spec(loaded), tol=tol, budget=budget)
+    assert len(result.fields) > 1
+    for fld in result.fields:
+        for k in range(tree.depth):
+            drv, at = result.driver(k, fld.values[k + 1], fld.states)
+            cont = cond_expect(fld.values[k + 1])
+            cont += drv * tree.dt
+            if fld.n:
+                cont = np.maximum(obstacle(result.fields[fld.n - 1], loaded.impulse, k), cont)
+            assert np.array_equal(_bits(cont), _bits(fld.values[k]))
+            if loaded.grid is None:
+                assert at is None and fld.controls is None
+            else:
+                assert np.array_equal(at, fld.controls[k])

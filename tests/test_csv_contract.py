@@ -106,7 +106,7 @@ def test_solve_combined_csv_bytes(tmp_path, monkeypatch, chunk_rows):
         ["level", "index", "state_cum", "state_count", "u_star"],
         # a node's control belongs to its continue row's (post-chain) state
         (
-            (lv, ix, float(cum), ct, float(controls.levels[lv][ix]))
+            (lv, ix, float(cum), ct, float(controls[lv][ix]))
             for lv, ix, cum, ct, action, _ in strategy.rows()
             if action == "continue" and lv < tree.depth
         ),

@@ -51,6 +51,12 @@ def test_impulse_budget_examples():
         impulse_budget(-1.0, 0.1, 1.0)
 
 
+def test_an_impulse_budget_that_overflows_is_a_limit_error():
+    """Finite inputs whose ratio gamma*T/c overflows to inf."""
+    with pytest.raises(LimitError, match=r"impulse budget gamma\*T/c = 1e\+300\*1.0/1e-300 is not finite"):
+        impulse_budget(1e300, 1e-300, 1.0)
+
+
 def _brute_force_states(impulses, budget):
     """Test-local oracle: every rounded sum over every tuple of impulses up
     to the budget, with the shortest tuple length that reaches it."""
@@ -646,7 +652,7 @@ def test_pair_extraction_matches_depth_first_reference(seed, chains):
     assert strategy.rows() == rows
     # each node's control sits at its continue row's (post-chain) state
     recorded = {
-        (lv, ix, (cum, ct)): float(table.levels[lv][ix])
+        (lv, ix, (cum, ct)): float(table[lv][ix])
         for lv, ix, cum, ct, action, _ in rows
         if action == "continue" and lv < tree.depth
     }

@@ -88,6 +88,35 @@ def test_booleans_are_not_numbers():
         load_config(bad)
 
 
+_COMBINED = {**PINNED_CONFIG, "control": {"V": [-1.0, 1.0], "f": "0*u"}}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section, edit, key",
+    [
+        ("process", lambda v: {"x0": v}, "process.x0"),
+        ("process", lambda v: {"T": v}, "process.T"),
+        ("impulse", lambda v: {"U": [1.0, v], "psi": {"1.0": 0.3}}, "impulse.U entry"),
+        ("impulse", lambda v: {"psi": {"1.0": v}}, "impulse.psi['1.0']"),
+        ("impulse", lambda v: {"c": v}, "impulse.c"),
+        ("impulse", lambda v: {"gamma": v}, "impulse.gamma"),
+        ("control", lambda v: {"V": [v]}, "control.V entry"),
+        ("numerics", lambda v: {"tol": v}, "numerics.tol"),
+    ],
+    ids=["x0", "T", "U", "psi", "c", "gamma", "V", "tol"],
+)
+def test_a_non_finite_number_is_a_config_error_naming_its_key(section, edit, key, value):
+    """Python's json parses NaN and Infinity; no numeric key takes them,
+    from a file or from a dict."""
+    bad = {**_COMBINED, section: {**_COMBINED[section], **edit(value)}}
+    message = f"{key} must be a number, got {value!r}"
+    for source in (bad, json.dumps(bad)):
+        with pytest.raises(ConfigError) as info:
+            load_config(source)
+        assert str(info.value) == message
+
+
 def test_process_model_invariants():
     with pytest.raises(ConfigError, match="horizon"):
         ProcessModel(x0=0.0, horizon=0.0, sigma=parse_expr("1"))

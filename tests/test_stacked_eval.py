@@ -332,7 +332,7 @@ def test_the_running_max_driver_is_the_max_and_first_argmax_of_the_candidates(co
             z = z_repr(y_next, tree.dt)
             theta, reward = driver_tables(tree, spec, result.states, k, slice(0, z.shape[1]))
             candidates = np.broadcast_to(z * theta + reward, (len(spec.grid.controls), *z.shape))
-            drv, at = result.driver(k, y_next)
+            drv, at = result.driver(k, y_next, fld.states)
             assert np.array_equal(_bits(drv), _bits(candidates.max(axis=0)))
             assert np.array_equal(at, candidates.argmax(axis=0))
             assert np.array_equal(at, fld.controls[k])

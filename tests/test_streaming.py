@@ -97,7 +97,7 @@ def test_extraction_from_compacted_fields_matches_the_full_fields(name):
     else:
         got, got_controls = extract_pair(compact, tree, loaded.impulse, spec, tol=tol)
         want, want_controls = extract_pair(result.fields, tree, loaded.impulse, spec, tol=tol)
-        assert all(np.array_equal(a, b) for a, b in zip(got_controls.levels, want_controls.levels))
+        assert all(np.array_equal(a, b) for a, b in zip(got_controls, want_controls))
     assert got.rows() == want.rows()
     assert got.impulse_decision_count or "chains" not in name
 
