@@ -65,6 +65,12 @@ def _audit_or_fail(loaded, tree, budget):
     return report
 
 
+def _audited_tree(loaded, depth, budget):
+    tree = build_tree(loaded.process, depth)
+    _audit_or_fail(loaded, tree, budget)
+    return tree
+
+
 def _at_least(source: str, value, low, what: str):
     if value is not None and not value >= low:  # NaN included
         raise CliUsageError(f"{source} must be {what}, got {value!r}")
@@ -183,8 +189,7 @@ def _cmd_oracle(args) -> int:
     _at_least("--max-impulses", args.max_impulses, 0, "non-negative")
     loaded = load_config(args.config)
     depth, _, _ = _resolve_numerics(loaded, args)
-    tree = build_tree(loaded.process, depth)
-    _audit_or_fail(loaded, tree, None)
+    tree = _audited_tree(loaded, depth, None)
     value, strategy = enumerate_optimal(tree, loaded.impulse, args.max_impulses)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -217,15 +222,14 @@ def _cmd_eval(args) -> int:
     strategy = read_strategy_csv(_existing_file("--strategy", args.strategy), loaded.impulse.impulses)
     if strategy.depth != depth:
         raise CliUsageError(f"strategy depth {strategy.depth} does not match configured depth {depth}")
-    tree = build_tree(loaded.process, depth)
-    _audit_or_fail(loaded, tree, budget)
+    if args.mc_samples is None:
+        policy = evaluate_strategy_exact(_audited_tree(loaded, depth, budget), loaded.impulse, strategy)
+    else:  # the tree is passed unnamed, so that Monte Carlo frees it before sampling
+        policy = mc_evaluate_strategy(
+            _audited_tree(loaded, depth, budget), loaded.impulse, strategy, args.mc_samples, args.seed
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.mc_samples is not None:
-        del tree  # Monte Carlo samples its own paths
-        policy = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, args.mc_samples, args.seed)
-    else:
-        policy = evaluate_strategy_exact(tree, loaded.impulse, strategy)
 
     payload = {
         "value": policy.value,

@@ -9,9 +9,9 @@ import numpy as np
 from .combined import HamiltonianSpec
 from .expr import eval_expr
 from .impulse import ImpulseModel
-from .model import LimitError, ProcessModel
+from .model import LimitError
 from .strategy import Strategy, state_key, strategy_from_rule
-from .tree import FEATURES, STACK_CELLS, ScenarioTree, path_env
+from .tree import STACK_CELLS, ScenarioTree, path_env
 
 MC_GENERATOR = "numpy.random.PCG64"
 DEFAULT_ORACLE_CALL_LIMIT = 5_000_000
@@ -46,27 +46,32 @@ class PathStates:
     cost: "tuple[np.ndarray, ...]"
 
 
-def walk_strategy_states(model: ImpulseModel, strategy: Strategy) -> PathStates:
-    """Every node's post-chain impulse state under the strategy, one level
-    at a time (each node is reached by a unique path, so it is
-    well-defined); a chain's costs are added in chain order."""
+def _walk_levels(model: ImpulseModel, strategy: Strategy):
+    """walk_strategy_states one level at a time: (cum, count, cost)."""
     psi = np.array([model.costs[beta] for beta in strategy.impulses])
-    cums, counts, costs = [], [], []
     for (shifts, count), chain in zip(strategy.walk(), strategy.chains):
         cost = np.zeros(chain.shape[0])
         for col in chain.T:
             on = col >= 0
             cost[on] += psi[col[on]]
-        cums.append(shifts[:, -1])
-        counts.append(count + np.count_nonzero(chain >= 0, axis=1))
-        costs.append(cost)
-    return PathStates(cum=tuple(cums), count=tuple(counts), cost=tuple(costs))
+        yield shifts[:, -1], count + np.count_nonzero(chain >= 0, axis=1), cost
+
+
+def walk_strategy_states(model: ImpulseModel, strategy: Strategy) -> PathStates:
+    """Every node's post-chain impulse state under the strategy, one level
+    at a time (each node is reached by a unique path, so it is
+    well-defined); a chain's costs are added in chain order."""
+    return PathStates(*zip(*_walk_levels(model, strategy)))
+
+
+def _same_depth(tree: ScenarioTree, strategy: Strategy) -> Strategy:
+    if strategy.depth != tree.depth:
+        raise ValueError(f"strategy depth {strategy.depth} does not match tree depth {tree.depth}")
+    return strategy
 
 
 def _walked(tree: ScenarioTree, model: ImpulseModel, strategy: Strategy, path_states) -> PathStates:
-    if path_states is None and strategy.depth != tree.depth:
-        raise ValueError(f"strategy depth {strategy.depth} does not match tree depth {tree.depth}")
-    return walk_strategy_states(model, strategy) if path_states is None else path_states
+    return walk_strategy_states(model, _same_depth(tree, strategy)) if path_states is None else path_states
 
 
 def _exact_value(tree: ScenarioTree, ps: PathStates, levels) -> PolicyValue:
@@ -217,75 +222,52 @@ def enumerate_optimal(
 
 
 def mc_evaluate_strategy(
+    tree: ScenarioTree,
     model: ImpulseModel,
-    process: ProcessModel,
     strategy: Strategy,
     samples: int,
     seed: int,
 ) -> PolicyValue:
-    """Monte Carlo estimate of a strategy's reward by simulating sign paths
-    directly from the process coefficients (no tree build); deterministic
-    for a fixed seed.
+    """Monte Carlo estimate of a strategy's reward over sampled paths of the
+    tree; deterministic for a fixed seed.
 
-    The tree depth is the strategy's.  Each sample gathers its node's
-    post-chain shift from walk_strategy_states, and its whole impulse cost
-    with one gather from the path costs of level depth - 1: each node's
-    0.0 + c_0 + c_1 + ... over its path's chain costs, in level order.  The
-    samples are walked STACK_CELLS at a time; a block's signs are int8,
-    filled by draws of at most STACK_CELLS cells (consecutive draws of one
-    generator continue a single draw), and only the path features the
-    coefficients read are carried.  So memory beyond the per-sample reward
-    and cost is one block's.
+    Each node at level depth - 1 carries its path sums, in level order:
+    0.0 + h_0*dt + h_1*dt + ... over its path's rewards (the kernel's, once
+    per level, at the post-chain shifts of walk_strategy_states, walked a
+    level at a time) and 0.0 + c_0 + c_1 + ... over its chain costs.  A
+    sample is a path of signs (0 = up) and gathers both sums at the node
+    its first depth - 1 signs reach, with the bits of simulating that path.
+    The tree is released before sampling, so a caller that passes it
+    unnamed frees it.  The samples are drawn STACK_CELLS at a time; a
+    block's signs are int8, filled by draws of at most STACK_CELLS cells
+    (consecutive draws of one generator continue a single draw), all depth
+    of them, though the last reaches the horizon, where nothing accrues.
+    So memory beyond the per-sample reward and cost is one block's and the
+    path sums.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    depth = strategy.depth
-    if depth < 1:
-        raise ValueError("strategy covers no levels")
-    dt = process.horizon / depth
-    sqrt_dt = float(np.sqrt(dt))
+    depth = tree.depth
+    sums = np.zeros((1, 2))  # each node's (reward, cost) path sums
+    for k, (cum, _, cost) in zip(range(depth), _walk_levels(model, _same_depth(tree, strategy))):
+        h = tree.coefficients(k, cum, reward=model.reward)[2]
+        sums = np.repeat(sums, 2 if k else 1, axis=0) + np.stack(np.broadcast_arrays(h * tree.dt, cost), axis=1)
+    del tree, cum, cost, h
 
     rng = np.random.default_rng(seed)
-    ps = walk_strategy_states(model, strategy)
-    cums = ps.cum[:depth]
-    path_cost = 0.0 + ps.cost[0]
-    for cost in ps.cost[1:depth]:
-        path_cost = np.repeat(path_cost, 2) + cost
-    del ps
-    read = frozenset().union(*(e.variables() for e in (process.sigma, process.drift, model.reward) if e is not None))
     rows = max(1, STACK_CELLS // depth)  # sign rows per draw
-    reward_acc = np.zeros(samples)
+    reward_acc = np.empty(samples)
     cost_acc = np.empty(samples)
     for start in range(0, samples, STACK_CELLS):
-        reward = reward_acc[start : start + STACK_CELLS]  # a view: the block's sums land in place
-        signs = np.empty((reward.size, depth), dtype=np.int8)
-        for r in range(0, reward.size, rows):
-            signs[r : r + rows] = rng.integers(0, 2, size=(min(rows, reward.size - r), depth))
-        x = np.full(reward.size, float(process.x0))
-        xmax, xmin, xsum = (x.copy() if name in read else None for name in FEATURES[1:])
-        node = np.zeros(x.size, dtype=np.int64)
-        for k in range(depth):
-            t_k = k * dt
-            xavg = None if xsum is None else xsum / (k + 1)
-            env = path_env(t_k, x, xmax, xmin, xavg)
-            sigma = np.broadcast_to(np.asarray(eval_expr(process.sigma, env)), x.shape)
-            if process.drift is not None:
-                drift = np.broadcast_to(np.asarray(eval_expr(process.drift, env)), x.shape)
-            else:
-                drift = 0.0
-            env = path_env(t_k, x, xmax, xmin, xavg, cums[k][node])
-            reward += np.broadcast_to(np.asarray(eval_expr(model.reward, env)), x.shape) * dt
-            db = sqrt_dt * (1.0 - 2.0 * signs[:, k])
-            x = x + drift * dt + sigma * db
-            if xmax is not None:
-                np.maximum(xmax, x, out=xmax)
-            if xmin is not None:
-                np.minimum(xmin, x, out=xmin)
-            if xsum is not None:
-                xsum += x
+        n = min(STACK_CELLS, samples - start)
+        signs = np.empty((n, depth), dtype=np.int8)
+        for r in range(0, n, rows):
+            signs[r : r + rows] = rng.integers(0, 2, size=(min(rows, n - r), depth))
+        node = np.zeros(n, dtype=np.int64)
+        for col in signs.T[:-1]:  # to the node at level depth - 1; the last sign reaches the horizon
             node *= 2
-            node += signs[:, k]
-        cost_acc[start : start + STACK_CELLS] = path_cost[node >> 1]  # node >> 1: the node at level depth - 1
+            node += col
+        reward_acc[start : start + n], cost_acc[start : start + n] = sums[node].T
 
     reward_integral = float(np.mean(reward_acc))
     impulse_cost = float(np.mean(cost_acc))

@@ -50,7 +50,7 @@ def _blocks(n: int):
 def _shift_keys(values: np.ndarray) -> np.ndarray:
     """shift_key elementwise, rounding each distinct value once."""
     distinct = np.sort(values)  # then the first of each run of equal values (np.unique would import numpy.ma)
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    distinct = np.concatenate((distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]]))
     rounded = np.array([shift_key(v) for v in distinct.tolist()], dtype=float)
     keys = np.empty(values.size)
     for rows in _blocks(values.size):

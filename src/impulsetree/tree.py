@@ -114,7 +114,7 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
     state recursion uses left-endpoint coefficient evaluation:
     L(child) = L(node) + b(t_k, node)*dt + sigma(t_k, node)*dB, dB = +-sqrt(dt).
     A coefficient that is not finite at a node raises ConfigError naming it
-    and the level.
+    and the level, and so does a state or running sum that overflows.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -146,22 +146,22 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
 
         size = 2 ** (k + 1)
         child_state = np.empty(size)
-        base = state[k] + drift * dt
-        child_state[0::2] = base + sigma * sqrt_dt
-        child_state[1::2] = base - sigma * sqrt_dt
+        with np.errstate(over="ignore", invalid="ignore"):  # the running sum is checked instead
+            base = state[k] + drift * dt
+            child_state[0::2] = base + sigma * sqrt_dt
+            child_state[1::2] = base - sigma * sqrt_dt
+            child_sum = np.repeat(running_sum[k], 2) + child_state
+        if not np.isfinite(child_sum).all():  # the parents' sums are finite, so a child state is too
+            raise ConfigError(f"the process state or its running sum overflows on the tree at level {k + 1}")
 
         child_noise = np.empty(size)
         child_noise[0::2] = noise[k] + sqrt_dt
         child_noise[1::2] = noise[k] - sqrt_dt
 
-        parent_max = np.repeat(running_max[k], 2)
-        parent_min = np.repeat(running_min[k], 2)
-        parent_sum = np.repeat(running_sum[k], 2)
-
         state.append(child_state)
-        running_max.append(np.maximum(parent_max, child_state))
-        running_min.append(np.minimum(parent_min, child_state))
-        running_sum.append(parent_sum + child_state)
+        running_max.append(np.maximum(np.repeat(running_max[k], 2), child_state))
+        running_min.append(np.minimum(np.repeat(running_min[k], 2), child_state))
+        running_sum.append(child_sum)
         noise.append(child_noise)
 
     running_avg = [running_sum[k] / (k + 1) for k in range(depth + 1)]

@@ -14,7 +14,10 @@ combined seeds 400-404, with_impulse_chains seeds 300-304 in both modes,
 the pinned instance, a single zero impulse (U = [0.0]), the
 signed-zero tie configs and combined seeds 400-401 with the u-dependent
 exp, min, max and abs of conftest.U_FUNCTIONS, each with and without
-`--budget 1`; `snell` of
+`--budget 1`; `eval` of the
+strategy the library solves each impulse seed, each with_impulse_chains
+impulse seed and the pinned instance to, exactly and by Monte Carlo with
+1 and STACK_CELLS + 1 samples; `snell` of
 payoffs whose envelope ties the payoff as zeros of opposite sign, and of
 a depth-0 payoff; then the benchmark's invocations
 (perfbench/workloads.py) for seeds 1 and 2.  Their inputs are made once,
@@ -66,14 +69,34 @@ SNELL_PAYOFFS = {
 }
 
 
+def _strategy_csv(path: Path, config: dict) -> Path:
+    """The strategy the library solves ``config`` to, as a CSV at ``path``."""
+    from impulsetree import build_tree, extract_strategy, load_config, value_iteration
+    from impulsetree.csvio import write_strategy_csv
+
+    loaded = load_config(config)
+    tree = build_tree(loaded.process, loaded.numerics.depth)
+    result = value_iteration(tree, loaded.impulse, tol=loaded.numerics.tol)
+    write_strategy_csv(path, extract_strategy(result.fields, tree, loaded.impulse, tol=loaded.numerics.tol))
+    return path
+
+
 def invocations(inputs: Path):
     """(label, CLI arguments without --out) of every invocation."""
+    from impulsetree.tree import STACK_CELLS
+
     for label, config in _configs():
         path = inputs / f"{label}.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         command = "solve" if config["control"] is None else "solve-combined"
         yield label, [command, "--config", str(path)]
         yield f"{label}-budget-1", [command, "--config", str(path), "--budget", "1"]
+        if label.startswith("impulse-") or label == "pinned":
+            strategy = _strategy_csv(inputs / f"{label}-strategy.csv", config)
+            eval_args = ["eval", "--config", str(path), "--strategy", str(strategy)]
+            yield f"{label}-eval", eval_args
+            for samples in (1, STACK_CELLS + 1):
+                yield f"{label}-eval-mc-{samples}", eval_args + ["--mc-samples", str(samples), "--seed", "7"]
 
     for label, levels in SNELL_PAYOFFS.items():
         path = inputs / f"snell-{label}.csv"

@@ -12,7 +12,9 @@
   sample at once took about 300 MB, and a block of samples at a time
   about 72 MB with a third per-sample array of values beside the reward
   and cost sums.  Forming the values in the reward array once the means
-  are taken, and freeing the cost array before np.std, takes about 55 MB;
+  are taken, and freeing the cost array before np.std, took about 55 MB;
+  sampling the tree's paths, with the tree built and audited first, takes
+  about 57 MB;
 - the strategy reader: exact `eval` of the Baseline strategy at depth 17
   (6.8 MB, 262,303 rows) must stay at most 80 MB.  Parsing the whole file
   at once and sorting every row took about 110 MB; parsing a chunk of

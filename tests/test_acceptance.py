@@ -152,7 +152,7 @@ def test_criterion_05_forward_backward_consistency(impulse_batch):
         strategy = extract_strategy(result.fields, tree, loaded.impulse)
         exact = evaluate_strategy_exact(tree, loaded.impulse, strategy)
         assert abs(exact.value - result.y0) <= FORWARD_TOL
-        estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=100_000, seed=550)
+        estimate = mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=100_000, seed=550)
         assert abs(estimate.value - exact.value) <= 3 * max(estimate.std_error, 1e-12)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"depth-12 exact+MC took {elapsed:.1f} s"

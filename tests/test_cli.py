@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import impulsetree.cli
 from impulsetree.cli import run
 from impulsetree.model import config_hash
 
@@ -419,6 +421,60 @@ def test_non_finite_inputs_are_errors_before_making_out(tmp_path, capsys, comman
     assert run([command, "--config", str(config), *extra.get(command, ["--out", str(out)])]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "dump", "oracle", "eval-mc"])
+@pytest.mark.parametrize(
+    "process, level", [({"x0": 0.0, "sigma": "1e308"}, 3), ({"x0": 1.7e308, "sigma": "1e308"}, 1)], ids=["sum", "x"]
+)
+def test_a_state_recursion_that_overflows_is_an_error_naming_its_level(tmp_path, capsys, command, process, level):
+    """Finite coefficients whose states or running sums overflow print
+    ``error: ...`` naming the first such level (exit 1), with no warning,
+    no dump row and no --out.  In the first config x is still finite at
+    level 3 (1.5e308); only its running sum is not."""
+    numerics = {**PINNED_CONFIG["numerics"], "depth": 4}
+    fine = _write_config(tmp_path, {**PINNED_CONFIG, "numerics": numerics}, "fine.json")
+    assert run(["solve", "--config", str(fine), "--out", str(tmp_path / "solved")]) == 0
+    process = {**PINNED_CONFIG["process"], **process}
+    config = _write_config(tmp_path, {**PINNED_CONFIG, "process": process, "numerics": numerics})
+    out = tmp_path / "out"
+    args = {
+        "dump": ["dump", "--level", "4"],
+        "oracle": ["oracle", "--max-impulses", "1", "--out", str(out)],
+        "eval-mc": [
+            "eval", "--strategy", str(tmp_path / "solved" / "strategy.csv"), "--mc-samples", "10", "--seed", "1",
+            "--out", str(out),
+        ],
+    }.get(command, [command, "--out", str(out)])
+    capsys.readouterr()
+    assert run([*args, "--config", str(config)]) == 1
+    message = f"the process state or its running sum overflows on the tree at level {level}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_eval_frees_the_tree_before_monte_carlo_draws_a_sample(tmp_path, monkeypatch):
+    """No reference to the tree is alive while Monte Carlo samples."""
+    config = _write_config(tmp_path, PINNED_CONFIG)
+    assert run(["solve", "--config", str(config), "--out", str(tmp_path / "solve")]) == 0
+    trees, alive = [], []
+    build_tree, default_rng = impulsetree.cli.build_tree, np.random.default_rng
+
+    def recorded(*args):
+        tree = build_tree(*args)
+        trees.append(weakref.ref(tree))
+        return tree
+
+    def checked(seed):
+        alive.extend(ref() is not None for ref in trees)
+        return default_rng(seed)
+
+    monkeypatch.setattr(impulsetree.cli, "build_tree", recorded)
+    monkeypatch.setattr(np.random, "default_rng", checked)
+    strategy = str(tmp_path / "solve" / "strategy.csv")
+    args = ["eval", "--config", str(config), "--strategy", strategy, "--mc-samples", "10", "--seed", "1"]
+    assert run([*args, "--out", str(tmp_path / "mc")]) == 0
+    assert alive == [False]
 
 
 def test_snell_command(tmp_path):

@@ -369,6 +369,17 @@ def test_strategy_readers_agree_on_corrupted_files(file):
         assert result.rows() == reference.rows()
 
 
+@pytest.mark.parametrize("lines", [[], [""]], ids=["header", "blank-line"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_a_strategy_file_with_no_rows_lacks_the_root(tmp_path, lines, newline):
+    """A header with no rows names the missing root row, as the row loop does."""
+    path = tmp_path / "strategy.csv"
+    _write(path, [",".join(csvio.STRATEGY_HEADER)] + lines, newline)
+    message = "error: strategy CSV line 2: missing the continue row of node (level 0, index 0)"
+    assert _outcome(_reference_read_strategy, path, IMPULSES) == message
+    assert _outcome(csvio.read_strategy_csv, path, IMPULSES) == message
+
+
 STRATEGY_ROW = ["1", "0", "0.5", "1", "continue", ""]
 
 

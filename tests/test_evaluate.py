@@ -319,7 +319,7 @@ def test_mc_constant_reward_has_zero_error(pinned_problem):
         {**PINNED_CONFIG, "impulse": {**PINNED_CONFIG["impulse"], "h": "1"}}
     )
     strategy = _empty_strategy(tree)
-    estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=500, seed=9)
+    estimate = mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=500, seed=9)
     assert estimate.value == pytest.approx(1.0, abs=1e-12)
     assert estimate.std_error == pytest.approx(0.0, abs=1e-12)
     assert estimate.method == "monte-carlo"
@@ -332,7 +332,7 @@ def test_mc_pinned_instance_degenerate_randomness(pinned_problem):
     loaded, tree = pinned_problem
     result = value_iteration(tree, loaded.impulse)
     strategy = extract_strategy(result.fields, tree, loaded.impulse)
-    estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=10_000, seed=1)
+    estimate = mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=10_000, seed=1)
     assert estimate.value == pytest.approx(0.7, abs=1e-8)
     assert estimate.std_error <= 1e-8
 
@@ -340,8 +340,8 @@ def test_mc_pinned_instance_degenerate_randomness(pinned_problem):
 def test_mc_is_deterministic_given_seed(pinned_problem):
     loaded, tree = pinned_problem
     strategy = _empty_strategy(tree)
-    a = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=200, seed=77)
-    b = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=200, seed=77)
+    a = mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=200, seed=77)
+    b = mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=200, seed=77)
     assert a == b
 
 
@@ -350,7 +350,7 @@ def test_mc_agrees_with_exact_within_three_standard_errors():
     result = value_iteration(tree, loaded.impulse)
     strategy = extract_strategy(result.fields, tree, loaded.impulse)
     exact = evaluate_strategy_exact(tree, loaded.impulse, strategy)
-    estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=20_000, seed=13)
+    estimate = mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=20_000, seed=13)
     assert abs(estimate.value - exact.value) <= 3 * max(estimate.std_error, 1e-12)
 
 
@@ -414,8 +414,9 @@ def _mc_masked_reference(model, process, strategy, samples, seed):
 
 
 # Besides two random configs: a drift, with sigma and the reward reading
-# xmin and xavg (so the walk carries and shifts them), and a config that
-# reads x alone (so it carries no running feature).
+# xmin and xavg (so the kernel shifts them), a config that reads x alone,
+# and one whose sigma, drift and reward call exp (which numpy may
+# vectorise differently for a level's nodes than for a block of samples).
 MC_REFERENCE_CONFIGS = {
     107: (107, {}, {}),
     108: (108, {}, {}),
@@ -425,6 +426,11 @@ MC_REFERENCE_CONFIGS = {
         {"h": "clamp(0.4 + 0.3*xavg - 0.2*xmin, 0, 1)"},
     ),
     "x-only": (110, {"sigma": "0.7 + 0.1*clamp(abs(x), 0, 2)", "drift": "0.1"}, {"h": "clamp(0.5 + 0.4*x, 0, 1)"}),
+    "exp-drift": (
+        111,
+        {"sigma": "0.4 + 0.3*exp(-abs(x - xmax))", "drift": "0.2*exp(clamp(xavg, -2, 2)) - 0.25"},
+        {"h": "clamp(exp(xmin - x) - 0.3*x, 0, 1)"},
+    ),
 }
 MC_REFERENCE_DEPTH = 5  # does not divide STACK_CELLS: a sign draw of STACK_CELLS // 5 rows leaves cells over
 SIGN_ROWS = STACK_CELLS // MC_REFERENCE_DEPTH
@@ -450,10 +456,32 @@ def test_mc_matches_per_node_masked_reference(config, samples):
     )
     impulse_nodes = {key[:2] for key, d in strategy.decisions.items() if d.action == "impulse"}
     assert len(impulse_nodes) >= 5
-    estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=samples, seed=seed)
+    estimate = mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=samples, seed=seed)
     assert estimate == _mc_masked_reference(loaded.impulse, loaded.process, strategy, samples, seed)
     if samples > 2:
         assert estimate.impulse_cost > 0
+
+
+def test_mc_expression_work_does_not_grow_with_the_sample_count(monkeypatch):
+    """Monte Carlo evaluates the reward once per level of the tree, not per
+    block of samples: one sample and 3*STACK_CELLS + 1 samples (four
+    blocks) make the same eval_expr calls."""
+    loaded, tree = build_problem(random_impulse_config(107, depth=MC_REFERENCE_DEPTH))
+    strategy = extract_strategy(value_iteration(tree, loaded.impulse).fields, tree, loaded.impulse)
+    calls = []
+
+    def counted(expr, env):
+        calls.append(expr)
+        return eval_expr(expr, env)
+
+    for module in ("impulsetree.tree", "impulsetree.evaluate"):
+        monkeypatch.setattr(f"{module}.eval_expr", counted)
+    counts = []
+    for samples in (1, 3 * STACK_CELLS + 1):
+        calls.clear()
+        mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=samples, seed=1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64, "sign-rows"])
@@ -479,19 +507,21 @@ def test_mc_peak_memory_is_two_per_sample_arrays_and_a_block():
     samples of a depth-14 Baseline strategy, stays under four per-sample
     float64 arrays.  Beside the reward and cost sums, a third array of
     values, the whole walk_strategy_states, an int64 sign block and running
-    features no expression reads took about 6.4 arrays; the sums, an int8
-    sign block and the features the coefficients read take about 3.3."""
+    features no expression reads took about 6.4 arrays.  The walk now holds
+    the sums, the per-node path sums of level depth - 1 and one int8 sign
+    block with its nodes, about 2.7 arrays; the path sums are made before
+    sampling from one level of the strategy's walk at a time (about 1.1)."""
     depth, samples = 14, 100_000
     raw = {**BASELINE, "numerics": {**BASELINE["numerics"], "depth": depth}}
     loaded = load_config(raw)
     tree = build_tree(loaded.process, depth)
     result = value_iteration(tree, loaded.impulse, tol=loaded.numerics.tol)
     strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=loaded.numerics.tol)
-    del tree, result
-    mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=10, seed=1)  # loads what any run needs
+    del result
+    mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=10, seed=1)  # loads what any run needs
     tracemalloc.start()
     try:
-        estimate = mc_evaluate_strategy(loaded.impulse, loaded.process, strategy, samples=samples, seed=1)
+        estimate = mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=samples, seed=1)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
