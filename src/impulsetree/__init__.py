@@ -24,7 +24,6 @@ from .expr import (
     EvalError,
     ExprError,
     eval_expr,
-    format_expr,
     parse_expr,
 )
 from .impulse import (

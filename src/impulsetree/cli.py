@@ -320,20 +320,16 @@ def run(argv) -> int:
     failure (violations listed on stderr), 1 on any other error."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args, combined=False)
-        if args.command == "solve-combined":
-            return _cmd_solve(args, combined=True)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "snell":
-            return _cmd_snell(args)
-        if args.command == "dump":
-            return _cmd_dump(args)
-        raise CliUsageError(f"unknown command {args.command!r}")
+        args = parser.parse_args(argv)  # an unknown command is argparse's usage error
+        handlers = {
+            "solve": lambda a: _cmd_solve(a, combined=False),
+            "solve-combined": lambda a: _cmd_solve(a, combined=True),
+            "oracle": _cmd_oracle,
+            "eval": _cmd_eval,
+            "snell": _cmd_snell,
+            "dump": _cmd_dump,
+        }
+        return handlers[args.command](args)
     except AuditFailure as exc:
         print(exc.report.summary(), file=sys.stderr)
         return 2

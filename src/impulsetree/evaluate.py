@@ -2,7 +2,7 @@
 change-of-measure tilt for controlled drift, and the brute-force strategy
 enumeration oracle."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,18 +123,12 @@ def _tilted_levels(tree: ScenarioTree, reward, shifts, spec: "HamiltonianSpec | 
     yield weights, None
 
 
-def girsanov_weights(tree: ScenarioTree, spec: HamiltonianSpec, controls, path_states=None) -> np.ndarray:
+def girsanov_weights(tree: ScenarioTree, spec: HamiltonianSpec, controls) -> np.ndarray:
     """Per-leaf positive weights turning reference-measure expectations into
-    controlled-drift expectations; they average exactly to 1.
-    ``controls[k]`` holds the control at each node of level k, as
-    extract_pair returns them.
-
-    ``path_states`` carries the impulse shift at each node (from
-    walk_strategy_states); omitted it defaults to the zero shift, i.e. the
-    tilt on the plain uncontrolled path.
-    """
-    shifts = [0.0] * tree.depth if path_states is None else path_states.cum
-    return list(_tilted_levels(tree, spec.reward, shifts, spec, controls))[-1][0]
+    controlled-drift expectations on the uncontrolled path (zero impulse
+    shift); they average exactly to 1.  ``controls[k]`` holds the control
+    at each node of level k, as extract_pair returns them."""
+    return list(_tilted_levels(tree, spec.reward, [0.0] * tree.depth, spec, controls))[-1][0]
 
 
 def evaluate_pair(
@@ -164,13 +158,7 @@ def impulse_count_distribution(
     return {int(c): float(n * 2.0 ** (-tree.depth)) for c, n in zip(counts.tolist(), paths)}
 
 
-def enumerate_optimal(
-    tree: ScenarioTree,
-    model: ImpulseModel,
-    max_impulses: int,
-    *,
-    call_limit: int = DEFAULT_ORACLE_CALL_LIMIT,
-):
+def enumerate_optimal(tree: ScenarioTree, model: ImpulseModel, max_impulses: int):
     """Exhaustive search over all adapted strategies with at most
     ``max_impulses`` impulses (decisions per (node, state); simultaneous
     chains allowed, none at the horizon).
@@ -178,7 +166,8 @@ def enumerate_optimal(
     Direct recursive maximization over actions with no value fields and no
     memoization; intended for small depths as the independent optimum
     oracle.  Returns (best value, one optimizer); ties prefer impulsing
-    with the earliest impulse in declared order.
+    with the earliest impulse in declared order.  More than
+    DEFAULT_ORACLE_CALL_LIMIT recursive calls raise LimitError.
     """
     if max_impulses < 0:
         raise ValueError("max_impulses must be non-negative")
@@ -209,16 +198,15 @@ def enumerate_optimal(
 
     def best(level, index, cum, count, remaining):
         calls[0] += 1
-        if calls[0] > call_limit:
-            raise LimitError(f"oracle search exceeded {call_limit} recursive calls")
+        if calls[0] > DEFAULT_ORACLE_CALL_LIMIT:
+            raise LimitError(f"oracle search exceeded {DEFAULT_ORACLE_CALL_LIMIT} recursive calls")
         return 0.0 if level == depth else choose(level, index, cum, count, remaining)[0]
 
     def optimal_action(level, index, cum, count):
         return choose(level, index, cum, count, max_impulses - count)[1]
 
     value = best(0, 0, 0.0, 0, max_impulses)
-    strategy = strategy_from_rule(tree, optimal_action, model.impulses, max_chain=max_impulses)
-    return value, replace(strategy, iteration=max_impulses)
+    return value, strategy_from_rule(tree, optimal_action, model.impulses, max_chain=max_impulses)
 
 
 def mc_evaluate_strategy(

@@ -81,9 +81,6 @@ class CoefficientExpr:
     def _variables(self) -> frozenset:
         return frozenset(_collect_vars(self.ast))
 
-    def __str__(self) -> str:
-        return format_expr(self)
-
 
 def _collect_vars(node):
     if isinstance(node, Var):
@@ -288,30 +285,3 @@ def eval_expr(expr: CoefficientExpr, env: Mapping):
     if isinstance(value, np.ndarray) and value.ndim:
         return value
     return float(value)
-
-
-_PREC_ADD, _PREC_MUL, _PREC_UNARY = 1, 2, 3
-
-
-def _fmt(node, context):
-    if isinstance(node, Lit):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        text = "-" + _fmt(node.operand, _PREC_UNARY)
-        return f"({text})" if context > _PREC_ADD else text
-    if isinstance(node, BinOp):
-        prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
-        sep = f" {node.op} " if node.op in "+-" else node.op
-        text = _fmt(node.left, prec) + sep + _fmt(node.right, prec + 1)
-        return f"({text})" if context > prec else text
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(_fmt(arg, 0) for arg in node.args)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def format_expr(expr: CoefficientExpr) -> str:
-    """Render an expression back to source; parse(format(parse(s))) is a
-    fixed point for any parseable ``s``."""
-    return _fmt(expr.ast, 0)

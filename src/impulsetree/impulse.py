@@ -64,14 +64,14 @@ class StateSpace:
         return StateSpace(self.shifts[:n], self.counts[:n], self.succ[:n], remaining)
 
 
-def enumerate_states(impulses, budget: int, max_states: int = DEFAULT_MAX_STATES) -> StateSpace:
+def enumerate_states(impulses, budget: int) -> StateSpace:
     """All cumulative shifts reachable with at most ``budget`` impulses,
     each with the fewest impulses that reach it, and their successors.
 
     One pass in deterministic count-major order: the states in turn,
     impulses in declared order, each new shift appended.  Deduplicated by
     shift_key, so the states reachable with at most m impulses form a
-    prefix.
+    prefix.  More than DEFAULT_MAX_STATES states raise LimitError.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -84,8 +84,8 @@ def enumerate_states(impulses, budget: int, max_states: int = DEFAULT_MAX_STATES
                 index[nxt] = len(shifts)
                 shifts.append(nxt)
                 counts.append(count + 1)
-                if len(shifts) > max_states:
-                    raise LimitError(f"impulse state count exceeds the limit of {max_states}")
+                if len(shifts) > DEFAULT_MAX_STATES:
+                    raise LimitError(f"impulse state count exceeds the limit of {DEFAULT_MAX_STATES}")
             succ.append(index.get(nxt, -1))
     table = np.array(succ, dtype=np.int64).reshape(len(shifts), len(impulses))
     return StateSpace(np.array(shifts), np.array(counts, dtype=np.int64), table, budget)
@@ -347,7 +347,7 @@ def _extract_walk(fields, model: ImpulseModel, depth: int, tol: float):
         posts.append((s, m))
         s, m = np.repeat(s, 2), np.repeat(m, 2)
     chains.append(np.empty((s.size, 0), dtype=np.int64))
-    return Strategy(chains=tuple(chains), impulses=model.impulses, iteration=top, tol=tol), posts
+    return Strategy(chains=tuple(chains), impulses=model.impulses), posts
 
 
 def extract_strategy(fields, tree: ScenarioTree, model: ImpulseModel, tol: float = DEFAULT_TOL) -> Strategy:

@@ -39,7 +39,6 @@ class EnvelopeResult:
     envelope: "tuple[np.ndarray, ...]"
     stop_region: "tuple[np.ndarray, ...]"
     first_optimal_stop: "tuple[np.ndarray, ...]"
-    tol: float
 
 
 def snell_envelope(payoff: PayoffProcess, tol: float = DEFAULT_TOL) -> EnvelopeResult:
@@ -59,7 +58,6 @@ def snell_envelope(payoff: PayoffProcess, tol: float = DEFAULT_TOL) -> EnvelopeR
         envelope=tuple(envelope),
         stop_region=tuple(stop),
         first_optimal_stop=tuple(first_stop),
-        tol=tol,
     )
 
 

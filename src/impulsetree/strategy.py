@@ -134,8 +134,6 @@ class Strategy:
 
     chains: "tuple[np.ndarray, ...]"
     impulses: "tuple[float, ...]"
-    iteration: "int | None" = None
-    tol: "float | None" = None
 
     @property
     def depth(self) -> int:
@@ -199,9 +197,6 @@ class Strategy:
         return MappingProxyType(
             {(lv, ix, (cum, ct)): Decision(act, beta) for lv, ix, cum, ct, act, beta in self.rows()}
         )
-
-    def decision_at(self, level: int, index: int, cumulative: float, count: int) -> "Decision | None":
-        return self.decisions.get((level, index, state_key(cumulative, count)))
 
     @classmethod
     def from_rows(cls, rows, impulses) -> "Strategy":

@@ -1,5 +1,5 @@
-"""Exact binary scenario tree for the driving noise and the uncontrolled
-state process, plus the backward operators and the one reflected backward
+"""Exact binary scenario tree of the uncontrolled state process and its
+path features, plus the backward operators and the one reflected backward
 recursion every solver runs."""
 
 import math
@@ -62,7 +62,6 @@ class ScenarioTree:
     running_max: "tuple[np.ndarray, ...]"
     running_min: "tuple[np.ndarray, ...]"
     running_avg: "tuple[np.ndarray, ...]"
-    noise: "tuple[np.ndarray, ...]"  # cumulative Brownian value per level
 
     @property
     def horizon(self) -> float:
@@ -107,21 +106,23 @@ class ScenarioTree:
         return [slice(j, min(j + width, n_shifts)) for j in range(0, n_shifts, width)]
 
 
-def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_NODES) -> ScenarioTree:
+def build_tree(process: ProcessModel, depth: int) -> ScenarioTree:
     """Build the full binary tree for ``process`` with ``depth`` steps.
 
     Deterministic: the tree enumerates every increment sign pattern.  The
     state recursion uses left-endpoint coefficient evaluation:
     L(child) = L(node) + b(t_k, node)*dt + sigma(t_k, node)*dB, dB = +-sqrt(dt).
     A coefficient that is not finite at a node raises ConfigError naming it
-    and the level, and so does a state or running sum that overflows.
+    and the level, and so does a state or running sum that overflows.  A
+    tree of more than DEFAULT_MAX_NODES nodes raises LimitError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if 2 ** (depth + 1) - 1 > max_nodes:
-        raise LimitError(
-            f"tree with depth {depth} needs {2 ** (depth + 1) - 1} nodes, over the limit of {max_nodes}"
-        )
+    # A depth past the limit's bit length is over it before its node count
+    # is built; a count past 2^64 is written as a power (too long to print).
+    if depth >= DEFAULT_MAX_NODES.bit_length() or 2 ** (depth + 1) - 1 > DEFAULT_MAX_NODES:
+        nodes = 2 ** (depth + 1) - 1 if depth < 64 else f"2^{depth + 1} - 1"
+        raise LimitError(f"tree with depth {depth} needs {nodes} nodes, over the limit of {DEFAULT_MAX_NODES}")
 
     dt = process.horizon / depth
     sqrt_dt = math.sqrt(dt)
@@ -131,7 +132,6 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
     running_max = [state[0].copy()]
     running_min = [state[0].copy()]
     running_sum = [state[0].copy()]
-    noise = [np.zeros(1)]
 
     def coefficient(name, expr, k, env):
         try:
@@ -154,15 +154,10 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
         if not np.isfinite(child_sum).all():  # the parents' sums are finite, so a child state is too
             raise ConfigError(f"the process state or its running sum overflows on the tree at level {k + 1}")
 
-        child_noise = np.empty(size)
-        child_noise[0::2] = noise[k] + sqrt_dt
-        child_noise[1::2] = noise[k] - sqrt_dt
-
         state.append(child_state)
         running_max.append(np.maximum(np.repeat(running_max[k], 2), child_state))
         running_min.append(np.minimum(np.repeat(running_min[k], 2), child_state))
         running_sum.append(child_sum)
-        noise.append(child_noise)
 
     running_avg = [running_sum[k] / (k + 1) for k in range(depth + 1)]
     return ScenarioTree(
@@ -174,7 +169,6 @@ def build_tree(process: ProcessModel, depth: int, max_nodes: int = DEFAULT_MAX_N
         running_max=tuple(_frozen(a) for a in running_max),
         running_min=tuple(_frozen(a) for a in running_min),
         running_avg=tuple(_frozen(a) for a in running_avg),
-        noise=tuple(_frozen(a) for a in noise),
     )
 
 

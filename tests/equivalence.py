@@ -17,7 +17,10 @@ exp, min, max and abs of conftest.U_FUNCTIONS, each with and without
 `--budget 1`; `eval` of the
 strategy the library solves each impulse seed, each with_impulse_chains
 impulse seed and the pinned instance to, exactly and by Monte Carlo with
-1 and STACK_CELLS + 1 samples; `snell` of
+1 and STACK_CELLS + 1 samples; `oracle` with at most 0, 1 and 2
+impulses of the pinned instance and impulse seeds 300-304, at depth 4
+where theirs is deeper; `dump` of every level of impulse seed 300 and
+combined seed 400; `snell` of
 payoffs whose envelope ties the payoff as zeros of opposite sign, and of
 a depth-0 payoff; then the benchmark's invocations
 (perfbench/workloads.py) for seeds 1 and 2.  Their inputs are made once,
@@ -97,6 +100,13 @@ def invocations(inputs: Path):
             yield f"{label}-eval", eval_args
             for samples in (1, STACK_CELLS + 1):
                 yield f"{label}-eval-mc-{samples}", eval_args + ["--mc-samples", str(samples), "--seed", "7"]
+        if label in ("pinned", *(f"impulse-{s}" for s in range(300, 305))):
+            depth = str(min(config["numerics"]["depth"], 4))
+            for most in (0, 1, 2):
+                yield f"{label}-oracle-{most}", ["oracle", "--config", str(path), "--depth", depth, "--max-impulses", str(most)]
+        if label in ("impulse-300", "combined-400"):
+            for level in range(config["numerics"]["depth"] + 1):
+                yield f"{label}-dump-{level}", ["dump", "--config", str(path), "--level", str(level)]
 
     for label, levels in SNELL_PAYOFFS.items():
         path = inputs / f"snell-{label}.csv"
@@ -119,8 +129,9 @@ def run_cli(src: Path, args, cwd: Path) -> dict:
     """One invocation with ``src`` on PYTHONPATH; what the comparison reads."""
     cwd.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    out_args = [] if args[0] == "dump" else ["--out", "out"]  # dump writes its level to stdout
     proc = subprocess.run(
-        [sys.executable, "-m", "impulsetree.cli", *args, "--out", "out"],
+        [sys.executable, "-m", "impulsetree.cli", *args, *out_args],
         cwd=cwd, env=env, capture_output=True, timeout=600,
     )
     out = cwd / "out"

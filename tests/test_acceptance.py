@@ -25,6 +25,7 @@ from impulsetree import (
     mc_evaluate_strategy,
     obstacle,
     snell_envelope,
+    state_key,
     stopping_rule_value,
     value_iteration,
 )
@@ -195,7 +196,7 @@ def test_criterion_08_pinned_deterministic_instance():
         oracle_value, _ = enumerate_optimal(tree, loaded.impulse, 2)
         assert abs(result.y0 - oracle_value) <= ORACLE_TOL
         strategy = extract_strategy(result.fields, tree, loaded.impulse)
-        assert strategy.decision_at(0, 0, 0.0, 0) == Decision("impulse", 1.0)
+        assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
         assert strategy.impulse_decision_count == 1
         forward = evaluate_strategy_exact(tree, loaded.impulse, strategy)
         assert abs(forward.value - result.y0) <= FORWARD_TOL

@@ -352,11 +352,16 @@ def test_eval_rejects_bad_monte_carlo_arguments_before_making_out(tmp_path, caps
         ("solve-combined", {}, ["--threads", "0"], "--threads must be at least 1, got 0"),
         ("solve", {}, ["--depth", "25"], "tree with depth 25 needs 67108863 nodes, over the limit of 4194304"),
         ("solve", {}, ["--budget", "100000"], "impulse state count exceeds the limit of 20000"),
+        # a node count too long to print
+        ("solve", {"depth": 20000}, [], "tree with depth 20000 needs 2^20001 - 1 nodes, over the limit of 4194304"),
+        ("dump", {"depth": 20000}, ["--level", "0"], "tree with depth 20000 needs 2^20001 - 1 nodes, over the limit of 4194304"),
+        ("oracle", {"depth": 20000}, ["--max-impulses", "1"], "tree with depth 20000 needs 2^20001 - 1 nodes, over the limit of 4194304"),
     ],
     ids=[
         "depth-flag", "depth-config", "budget-flag", "budget-config", "eval-budget-config",
         "max-impulses", "strategy-missing", "payoff-missing", "snell-tol-negative", "snell-tol-nan",
         "threads-negative", "threads-zero", "depth-over-node-limit", "budget-over-state-limit",
+        "solve-depth-20000", "dump-depth-20000", "oracle-depth-20000",
     ],
 )
 def test_usage_errors_name_their_flag_or_key_before_making_out(tmp_path, capsys, command, numerics, args, message):
@@ -373,9 +378,15 @@ def test_usage_errors_name_their_flag_or_key_before_making_out(tmp_path, capsys,
         args += ["--config", str(config)]
     capsys.readouterr()
     out = tmp_path / "out"
-    assert run([command, *args, "--out", str(out)]) == 1
+    assert run([command, *args, *([] if command == "dump" else ["--out", str(out)])]) == 1  # dump writes stdout
     assert capsys.readouterr() == ("", "error: " + message.replace("{tmp}", str(tmp_path)) + "\n")
     assert not out.exists()
+
+
+def test_an_unknown_command_is_a_usage_error(capsys):
+    assert run(["bogus"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: argument command: invalid choice: 'bogus' (choose from ")
 
 
 _SIGMA_EXP = {"x0": 1.0, "sigma": "0.3 + exp(1000*x)"}

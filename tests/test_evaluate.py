@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import impulsetree.evaluate
 from impulsetree import (
     Decision,
     HamiltonianSpec,
@@ -239,7 +240,7 @@ def test_oracle_pinned_instance(pinned_problem):
     loaded, tree = pinned_problem
     value, strategy = enumerate_optimal(tree, loaded.impulse, 2)
     assert value == pytest.approx(0.7, abs=1e-8)
-    assert strategy.decision_at(0, 0, 0.0, 0) == Decision("impulse", 1.0)
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
     forward = evaluate_strategy_exact(tree, loaded.impulse, strategy)
     assert forward.value == pytest.approx(value, abs=1e-12)
 
@@ -261,12 +262,13 @@ def test_oracle_zero_impulses_is_plain_expectation():
     assert strategy.impulse_decision_count == 0
 
 
-def test_oracle_call_limit():
+def test_oracle_call_limit(monkeypatch):
     from impulsetree import LimitError
 
+    monkeypatch.setattr(impulsetree.evaluate, "DEFAULT_ORACLE_CALL_LIMIT", 10)
     loaded, tree = build_problem(random_impulse_config(104, depth=4))
-    with pytest.raises(LimitError):
-        enumerate_optimal(tree, loaded.impulse, 3, call_limit=10)
+    with pytest.raises(LimitError, match="oracle search exceeded 10 recursive calls"):
+        enumerate_optimal(tree, loaded.impulse, 3)
 
 
 def test_forced_impulse_strategies_bound_and_decrease():

@@ -104,9 +104,10 @@ def test_enumerate_states_count_against_brute_force():
     assert np.array_equal(states.succ, again.succ)
 
 
-def test_enumerate_states_limit():
-    with pytest.raises(LimitError):
-        enumerate_states((0.1, 0.231), 10, max_states=12)
+def test_enumerate_states_limit(monkeypatch):
+    monkeypatch.setattr(impulse, "DEFAULT_MAX_STATES", 12)
+    with pytest.raises(LimitError, match="impulse state count exceeds the limit of 12"):
+        enumerate_states((0.1, 0.231), 10)
 
 
 def test_successor_table():
@@ -438,10 +439,9 @@ def test_extract_pinned_strategy(pinned_problem):
     loaded, tree = pinned_problem
     result = value_iteration(tree, loaded.impulse)
     strategy = extract_strategy(result.fields, tree, loaded.impulse)
-    assert strategy.decision_at(0, 0, 0.0, 0) == Decision("impulse", 1.0)
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
     others = [d for key, d in strategy.decisions.items() if key != (0, 0, state_key(0.0, 0))]
     assert all(d.action == "continue" for d in others)
-    assert strategy.iteration == result.fields[-1].n
 
 
 @pytest.mark.parametrize("impulses", [(1.0, 2.0), (2.0, 1.0)])
@@ -454,7 +454,7 @@ def test_extraction_breaks_ties_in_declared_impulse_order(pinned_problem, impuls
     succ = y1.states.succ[0]
     assert y0.values[0][0, succ[0]] == y0.values[0][0, succ[1]]
     strategy = extract_strategy(result.fields, tree, model)
-    assert strategy.decision_at(0, 0, 0.0, 0) == Decision("impulse", impulses[0])
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", impulses[0])
     assert strategy.rows() == _depth_first_extract(result.fields, tree, model, 1e-12)[0]
 
 
@@ -463,7 +463,7 @@ def test_extraction_with_zero_tol_impulses_where_the_value_meets_the_obstacle(pi
     loaded, tree = pinned_problem
     result = value_iteration(tree, loaded.impulse, tol=0.0)
     strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=0.0)
-    assert strategy.decision_at(0, 0, 0.0, 0) == Decision("impulse", 1.0)
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
     assert strategy.rows() == _depth_first_extract(result.fields, tree, loaded.impulse, 0.0)[0]
 
 
@@ -499,7 +499,6 @@ def test_strategy_decisions_are_built_once(pinned_problem):
     result = value_iteration(tree, loaded.impulse)
     strategy = extract_strategy(result.fields, tree, loaded.impulse)
     assert strategy.decisions is strategy.decisions
-    assert strategy.decision_at(0, 0, 0.0, 0) is strategy.decisions[(0, 0, (0.0, 0))]
 
 
 def test_strategy_from_rule_builds_complete_tables(pinned_problem):
@@ -507,7 +506,7 @@ def test_strategy_from_rule_builds_complete_tables(pinned_problem):
     strategy = strategy_from_rule(
         tree, lambda level, index, cum, count: 1.0 if (level, count) == (0, 0) else None, (1.0,)
     )
-    assert strategy.decision_at(0, 0, 0.0, 0) == Decision("impulse", 1.0)
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
     value = evaluate_strategy_exact(tree, loaded.impulse, strategy)
     assert value.value == pytest.approx(0.7, abs=1e-8)
 

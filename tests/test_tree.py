@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import impulsetree.tree
 from impulsetree import (
     LimitError,
     ProcessModel,
@@ -61,7 +64,6 @@ def _recompute_node(process, depth, level, index):
 def test_single_step_leaves():
     tree = build_tree(_process("1"), 1)
     np.testing.assert_allclose(tree.state[1], [1.0, -1.0])
-    np.testing.assert_allclose(tree.noise[1], [1.0, -1.0])
 
 
 def test_near_deterministic_path():
@@ -113,11 +115,29 @@ def test_arrays_are_read_only():
         tree.state[1][0] = 99.0
 
 
-def test_depth_and_size_limits():
+def test_a_tree_holds_only_the_path_features():
+    """Four arrays of 2^(d+1) - 1 nodes (state, running max, min and
+    average) and the times: nothing the recursion does not read."""
+    depth = 6
+    tree = build_tree(_process("1"), depth)
+    held = 0
+    for field in dataclasses.fields(tree):
+        value = getattr(tree, field.name)
+        held += sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray))
+    assert held == 4 * (2 ** (depth + 1) - 1) * 8 + tree.times.nbytes
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 7, 100, 127, 128])
+def test_depth_and_size_limits(monkeypatch, limit):
     with pytest.raises(ValueError):
         build_tree(_process("1"), 0)
-    with pytest.raises(LimitError, match="over the limit"):
-        build_tree(_process("1"), 8, max_nodes=100)
+    monkeypatch.setattr(impulsetree.tree, "DEFAULT_MAX_NODES", limit)
+    deepest = max((d for d in range(1, 8) if 2 ** (d + 1) - 1 <= limit), default=0)
+    if deepest:
+        assert build_tree(_process("1"), deepest).node_count == 2 ** (deepest + 1) - 1
+    message = f"tree with depth {deepest + 1} needs {2 ** (deepest + 2) - 1} nodes, over the limit of {limit}"
+    with pytest.raises(LimitError, match=message):
+        build_tree(_process("1"), deepest + 1)
 
 
 def test_cond_expect_examples():
@@ -136,9 +156,11 @@ def test_z_repr_examples():
 
 
 def test_z_repr_of_noise_is_one():
+    """With no drift, sigma = 1 and x0 = 0 the state is the driving path,
+    whose representation coefficient is 1 at every node."""
     tree = build_tree(_process("1"), 4)
     for k in range(4):
-        np.testing.assert_allclose(z_repr(tree.noise[k + 1], tree.dt), np.ones(2**k), rtol=1e-14)
+        np.testing.assert_allclose(z_repr(tree.state[k + 1], tree.dt), np.ones(2**k), rtol=1e-14)
 
 
 def test_martingale_reconstruction_identity():
