@@ -119,7 +119,9 @@ def build_tree(process: ProcessModel, depth: int) -> ScenarioTree:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     # A depth past the limit's bit length is over it before its node count
-    # is built; a count past 2^64 is written as a power (too long to print).
+    # is built.  Past 2^64 the count is written as a power, which keeps the
+    # message readable; Python also refuses to format an integer of more
+    # than 4300 digits, which a depth near 14000 reaches.
     if depth >= DEFAULT_MAX_NODES.bit_length() or 2 ** (depth + 1) - 1 > DEFAULT_MAX_NODES:
         nodes = 2 ** (depth + 1) - 1 if depth < 64 else f"2^{depth + 1} - 1"
         raise LimitError(f"tree with depth {depth} needs {nodes} nodes, over the limit of {DEFAULT_MAX_NODES}")

@@ -142,6 +142,8 @@ def test_variables_collection():
         "1e-9*xmax + 2.5E+2",
         "x/t/u",
         "abs(-x)",
+        "-x + 1",
+        "-x - xmax*2",
     ],
 )
 def test_sources_evaluate_as_python_reads_them(source):
@@ -166,6 +168,11 @@ def _compound(children):
     return st.one_of(
         st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: BinOp(t[0], t[1], t[2])),
         children.map(Neg),
+        # A negated left operand of + or - is where the unary and additive
+        # precedences meet; drawn on its own it is not rare.
+        st.tuples(st.sampled_from("+-"), children.map(Neg), children).map(
+            lambda t: BinOp(t[0], t[1], t[2])
+        ),
         st.tuples(st.sampled_from(["min", "max"]), children, children).map(
             lambda t: Call(t[0], (t[1], t[2]))
         ),
@@ -177,16 +184,22 @@ def _compound(children):
 
 @settings(max_examples=200, deadline=None)
 @given(st.recursive(_leaves, _compound, max_leaves=20))
-def test_parse_reads_back_any_fully_parenthesised_ast(node):
-    def source(n):
+def test_parse_reads_back_any_ast_printed_with_fewest_parentheses(node):
+    # Precedence levels: 1 for + and -, 2 for * and /, 3 for unary minus.
+    # A node is wrapped only where its level is below its context's, so a
+    # negation as the left operand of + or - is printed bare, as "-a + b".
+    def source(n, context=0):
         if isinstance(n, Lit):
             return repr(n.value)
         if isinstance(n, Var):
             return n.name
         if isinstance(n, Neg):
-            return f"(-{source(n.operand)})"
+            text = "-" + source(n.operand, 3)
+            return f"({text})" if context > 1 else text
         if isinstance(n, BinOp):
-            return f"({source(n.left)} {n.op} {source(n.right)})"
-        return f"{n.func}({', '.join(map(source, n.args))})"
+            prec = 1 if n.op in "+-" else 2
+            text = f"{source(n.left, prec)} {n.op} {source(n.right, prec + 1)}"
+            return f"({text})" if context > prec else text
+        return f"{n.func}({', '.join(source(arg) for arg in n.args)})"
 
     assert parse_expr(source(node)) == CoefficientExpr(node)
