@@ -13,16 +13,8 @@ import time
 from pathlib import Path
 
 from .combined import HamiltonianSpec, combined_value_iteration, extract_pair
-from .csvio import (
-    CsvFormatError,
-    read_payoff_csv,
-    read_strategy_csv,
-    write_controls_csv,
-    write_dump,
-    write_envelope_csv,
-    write_strategy_csv,
-    write_values_csv,
-)
+from .csvio import write_controls_csv, write_dump, write_envelope_csv, write_strategy_csv, write_values_csv
+from .csvread import CsvFormatError, read_payoff_csv, read_strategy_csv
 from .evaluate import (
     evaluate_pair,
     evaluate_strategy_exact,
@@ -56,6 +48,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_outputs(out: Path, writes: dict):
+    """Make ``out`` and write each named file into it, in order, with its
+    function.  If one fails, every file they wrote is removed, and so is an
+    ``out`` this call made and left empty."""
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    started = []
+    try:
+        for name, write in writes.items():
+            started.append(out / name)
+            write(out / name)
+    except BaseException:
+        for path in started:
+            path.unlink(missing_ok=True)
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
 
 
 def _audit_or_fail(loaded, tree, budget):
@@ -162,24 +173,19 @@ def _cmd_solve(args, combined: bool) -> int:
         },
     }
 
-    out = Path(args.out)
-    made = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        write_values_csv(out / "values.csv", result, tree)
-        _write_json(out / "report.json", report)
-        write_strategy_csv(out / "strategy.csv", strategy)
-        if combined:
-            write_controls_csv(out / "controls.csv", controls, states)
-    except BaseException:
-        # values.csv is the one large file: leave none partly written, and
-        # no --out this run made and left empty
-        (out / "values.csv").unlink(missing_ok=True)
-        if made and not any(out.iterdir()):
-            out.rmdir()
-        raise
-    timings["write"] = time.perf_counter() - t0
-    _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
+    def timings_json(path):
+        timings["write"] = time.perf_counter() - t0
+        _write_json(path, {k: round(v, 6) for k, v in timings.items()})
+
+    writes = {
+        "values.csv": lambda path: write_values_csv(path, result, tree),
+        "report.json": lambda path: _write_json(path, report),
+        "strategy.csv": lambda path: write_strategy_csv(path, strategy),
+    }
+    if combined:
+        writes["controls.csv"] = lambda path: write_controls_csv(path, controls, states)
+    writes["timings.json"] = timings_json
+    _write_outputs(Path(args.out), writes)
 
     print(f"Y0 = {result.y0!r}  forward = {forward.value!r}  residual = {residual:.3e}  status = {status}")
     return 0 if status == "ok" else 1
@@ -252,9 +258,7 @@ def _cmd_snell(args) -> int:
     payoff = read_payoff_csv(_existing_file("--payoff", args.payoff))
     result = snell_envelope(payoff, tol=args.tol if args.tol is not None else DEFAULT_TOL)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_envelope_csv(out / "envelope.csv", payoff, result)
+    _write_outputs(Path(args.out), {"envelope.csv": lambda path: write_envelope_csv(path, payoff, result)})
     print(f"envelope root value = {float(result.envelope[0][0])!r}")
     return 0
 

@@ -1,108 +1,229 @@
-"""The CLI's CSV files: columnar writers and strict readers.
+"""The CLI's CSV writers: values.csv, strategy.csv, controls.csv,
+envelope.csv and dump's rows.
 
 Byte contract of every file written here (that of csv.writer's default
 dialect for these fields): fields joined by ",", "\\r\\n" line ends,
 floats as repr (the shortest round trip), ints as str and an empty field
 for no value.
 
-The writers format column by column.  A column is a pool, the text of
-each distinct value of the column within one level (within the file for
-strategy.csv): repr once per distinct bit pattern of a float, so -0.0 and
-0.0 keep their own reprs, and an int in decimal.  Each row's field is
-looked up in the pool.  A chunk of at most CHUNK_ROWS rows becomes one
-(rows x width) byte matrix, each field padded with NULs to its column's
-width and "," and "\\r\\n" in columns of their own; the NULs are dropped
-and the rest goes out in one write, so neither a file nor a whole-level
-column of strings is held in memory.
+A file goes out table by table: one tree level, or consecutive small
+levels joined, as an (outer, inner) grid of rows in C order (values.csv:
+node x state).  A column is one field for every row, an array over the
+grid or along one of its axes, or codes into a list of texts.  Its texts
+are made once per table into a pool, and each row's field is looked up
+there: repr of each distinct bit pattern of a float (so -0.0 and 0.0 keep
+their own) and the digits of an int.  The file keeps the repr of each
+float met while it holds no more than one chunk has float fields, so an
+iterate that repeats the last one's values is not formatted again; the
+digits of ints below CHUNK_ROWS come from one table per width.  Ints
+spanning more values are formatted a chunk at a time by digit arithmetic.
+A column of one value, or one that is the same on every node (values.csv's
+states), is filled in once per table.
 
-The readers parse a file of plain bytes (see _PAYOFF_BYTES) with
-np.loadtxt a chunk of lines at a time and check its columns as arrays.
-The payoff reader counts the file's commas first and fills one array of
-that many nodes, so neither reader holds a whole-file table.  Any other
-file, or one that fails a check, is read again row by row, which names
-the first faulty line.
+A chunk of at most CHUNK_ROWS rows is one byte matrix, each field padded
+with NULs to its column's width and followed by its "," or "\\r\\n"; the
+NULs are dropped and the rest goes out in one write.  So neither a file
+nor a whole-level column of strings is held in memory.
 """
 
-import csv
-import math
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .impulse import field_terms
-from .strategy import CodedColumn, Strategy, StrategyRowError
+from .strategy import Strategy
 from .snell import PayoffProcess
 
-# Rows per write: about 256 kB of byte matrix at values.csv's ~110 bytes a row.
+# Rows per write: values.csv's widest chunk matrix takes about 170 kB.
 CHUNK_ROWS = 2048
 STRATEGY_HEADER = ["level", "index", "state_cum", "state_count", "action", "beta"]
-PAYOFF_HEADER = ["level", "index", "value"]
-# The largest payoff magnitude read, so that two siblings' sum stays finite.
-PAYOFF_LIMIT = float(np.finfo(np.float64).max) / 2
+_REPR = "S24"  # repr of a float64 takes at most 24 bytes
 
 
-class CsvFormatError(ValueError):
-    """An input CSV that breaks its format; the message names the line."""
+class _Texts:
+    """The field texts of one file's pools, as void items each followed by
+    its column's end.  A float is formatted by repr per bit pattern (so
+    -0.0 and 0.0 keep their own).  A cache, sorted by bit pattern, keeps
+    the repr of each pattern met while it holds no more than one chunk has
+    float fields; it starts with 0.0.  Ints in [0, CHUNK_ROWS) are sliced
+    from one table of their digits per width."""
+
+    def __init__(self, float_columns):
+        self.limit = CHUNK_ROWS * float_columns
+        self.keys, self.reprs = np.zeros(1, dtype=np.int64), np.array([b"0.0"], dtype=_REPR)  # sorted by key
+        self.tables = {}
+
+    def floats(self, keys, end):
+        """The repr of each of the sorted distinct float64 bit patterns
+        ``keys`` (an int64 array)."""
+        at = np.searchsorted(self.keys, keys)
+        text = self.reprs.take(at, mode="clip")
+        new = np.flatnonzero(self.keys.take(at, mode="clip") != keys)
+        if new.size:
+            text[new] = [repr(x).encode() for x in keys[new].view(np.float64).tolist()]
+            if self.keys.size + new.size <= self.limit:  # merge them in, keeping the keys sorted
+                into = at[new] + np.arange(new.size)
+                rest = np.ones(self.keys.size + new.size, dtype=bool)
+                rest[into] = False
+                merged_keys, merged_reprs = np.empty(rest.size, dtype=np.int64), np.empty(rest.size, dtype=_REPR)
+                merged_keys[into], merged_keys[rest] = keys[new], self.keys
+                merged_reprs[into], merged_reprs[rest] = text[new], self.reprs
+                self.keys, self.reprs = merged_keys, merged_reprs
+        return _items(text, end)
+
+    def ints(self, low, high, sign, digits, end):
+        """The decimal text of each of low..high, as _decimal makes it."""
+        if not 0 <= low <= high < CHUNK_ROWS:
+            return _decimal(np.arange(high - low + 1) + low, sign, digits, end)
+        table = self.tables.get((digits, end))
+        if table is None:
+            table = self.tables[digits, end] = _decimal(np.arange(min(CHUNK_ROWS, 10**digits)), False, digits, end)
+        return table[low : high + 1]
 
 
-def _keys(values):
-    """What a pool is keyed on: the bit pattern of a float64 (so -0.0 and
-    0.0 keep their own repr), the value of an int."""
-    return values.view(np.int64) if values.dtype == np.float64 else values.astype(np.int64, copy=False)
+def _items(text, end):
+    """Each text of a list of bytes or an S array, NUL-padded to the
+    longest, then ``end``, as void items."""
+    text = np.asarray(text, dtype="S")
+    chars = text.view(np.uint8).reshape(text.size, text.itemsize)
+    width = int(np.count_nonzero(chars.any(axis=0)))  # the columns the longest text fills
+    out = np.empty((text.size, width + len(end)), dtype=np.uint8)
+    out[:, :width] = chars[:, :width]
+    out[:, width:] = np.frombuffer(end, np.uint8)
+    return out.view(f"V{out.shape[1]}")[:, 0]
 
 
-def _decimal(ints):
-    """str of each element of an int64 array, as an S array just wide
-    enough for them."""
-    return ints.astype(f"S{max(len(str(int(ints.min()))), len(str(int(ints.max()))))}")
+def _decimal(ints, sign, digits, end):
+    """The decimal text of each element of an integer array, followed by
+    ``end``, as void items: a "-" column if ``sign``, then ``digits`` digits
+    with NULs for leading zeros."""
+    mag = ints.astype(np.uint64).ravel()  # -2**63 wraps to 2**63, its magnitude
+    out = np.empty((mag.size, sign + digits + len(end)), dtype=np.uint8)
+    if sign:
+        neg = ints.ravel() < 0
+        mag[neg] = -mag[neg]
+        out[:, 0] = neg * ord("-")
+    shortest = len(str(int(mag.min())))  # below this place no digit is a leading zero
+    q = mag
+    for place in range(digits):
+        rest = q // 10
+        digit = q - rest * 10 + ord("0")
+        if place >= shortest:
+            digit *= q != 0
+        out[:, sign + digits - 1 - place] = digit
+        q = rest
+    out[:, sign + digits :] = np.frombuffer(end, np.uint8)
+    return out.view(f"V{out.shape[1]}").reshape(ints.shape)
 
 
-def _pool(values):
-    """(the sorted distinct _keys of a float64 or integer array, the text of
-    each as an S array): repr of a float, str of an int."""
-    bits = np.sort(_keys(np.ravel(values, order="K")))  # in memory order: a view of either layout
-    first = np.ones(bits.size, dtype=bool)
-    first[1:] = bits[1:] != bits[:-1]
-    keys = bits[first]
-    if values.dtype != np.float64:
-        return keys, _decimal(keys)
-    return keys, np.array(list(map(repr, keys.view(np.float64).tolist())), dtype="S")
-
-
-def _column(values):
-    """A column's fields as a function of a row slice: ``values`` itself
-    for bytes (the same field on every row), else the text of each row's
-    value looked up in the array's _pool, a 2-D array's rows in C order."""
+def _column(texts, values, end):
+    """(width, fields, varies) of a table column: its width in bytes, its
+    fields (each followed by ``end``) as a function of a chunk's outer and
+    inner slices that returns void items broadcastable to the chunk, and
+    whether they vary along the outer axis.  ``values`` is bytes (the same
+    field on every row), an array broadcastable to the table (a 1-D array
+    runs along the outer axis) or a pair (list of bytes, integer array of
+    indices into it).  A float, and an int of a column spanning fewer than
+    CHUNK_ROWS values, is looked up in a pool of the column's texts; other
+    ints are formatted a chunk at a time."""
     if isinstance(values, bytes):
-        return lambda rows: values
-    keys, text = _pool(values)
-    n = values.shape[1] if values.ndim == 2 else 1  # elements per row: a block of whole rows is copied
-    block = lambda r: np.ravel(values[r.start // n : -(-r.stop // n)])[r.start % n :][: r.stop - r.start]
-    return lambda rows: text[np.searchsorted(keys, _keys(block(rows)))]
+        pool = _items([values], end)
+    elif isinstance(values, tuple):
+        pool, values = _items(values[0], end), values[1]
+        codes = lambda block: block
+    elif values.dtype == np.float64:
+        values = values.view(np.int64)
+        keys = np.sort(values, axis=None)
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        pool, codes = texts.floats(keys, end), lambda block: np.searchsorted(keys, block)
+    else:
+        low, high = int(values.min()), int(values.max())
+        sign, digits = low < 0, len(str(max(high, -low)))
+        if high - low >= CHUNK_ROWS:
+            return _chunked(values, sign + digits + len(end), lambda block: _decimal(block, sign, digits, end))
+        pool, codes = texts.ints(low, high, sign, digits, end), lambda block: block - low
+    if pool.size == 1:  # the same field on every row
+        return pool.itemsize, lambda o, i: pool, False
+    return _chunked(values, pool.itemsize, lambda block: pool.take(codes(block)))
 
 
-def _write_rows(fh, *columns):
-    """One chunk's CSV rows, written at once to a binary stream.  Each
-    column is an S array with one field per row or bytes shared by every
-    row; at least one is an array."""
-    fields = [np.frombuffer(c, np.uint8).reshape(-1, len(c) if isinstance(c, bytes) else c.itemsize) for c in columns]
-    mat = np.empty((max(f.shape[0] for f in fields), sum(f.shape[1] + 1 for f in fields) + 1), dtype=np.uint8)
-    at = 0
-    for f in fields:
-        mat[:, at : at + f.shape[1]] = f
-        mat[:, at + f.shape[1]] = ord(",")
-        at += f.shape[1] + 1
-    mat[:, -2:] = (ord("\r"), ord("\n"))
-    fh.write(mat[mat != 0])
+def _chunked(values, width, fields):
+    """_column's triple for ``fields`` of a block of ``values``: formatted
+    once if the values do not vary along the outer axis."""
+    values = values.reshape(len(values), -1)
+    inner = (lambda i: i) if values.shape[1] > 1 else (lambda i: slice(None))
+    if values.shape[0] == 1:
+        fixed = fields(values)
+        return width, lambda o, i: fixed[:, inner(i)], False
+    return width, lambda o, i: fields(values[o, inner(i)]), True
 
 
-def _write_table(fh, size, *columns):
-    """Rows 0..size-1, CHUNK_ROWS to a write; each column is a function of
-    a row slice, as from _column."""
-    for r0 in range(0, size, CHUNK_ROWS):
-        rows = slice(r0, min(r0 + CHUNK_ROWS, size))
-        _write_rows(fh, *(column(rows) for column in columns))
+def _write_table(fh, texts, shape, *columns):
+    """The rows of an (outer, inner) table in C order to a binary stream,
+    a chunk of at most CHUNK_ROWS rows to a write: whole outer rows, or a
+    slice of one where it alone is longer.  Each column is as for _column;
+    fields are joined by "," and rows end with "\\r\\n".  One byte matrix
+    serves every chunk, and a column that does not vary along the outer
+    axis is filled in only when the chunk's inner slice changes.  A chunk's
+    rows are written with their NULs dropped."""
+    outer, inner = shape
+    made = [_column(texts, c, b",") for c in columns[:-1]] + [_column(texts, columns[-1], b"\r\n")]
+    nodes, span = max(1, CHUNK_ROWS // inner), min(inner, CHUNK_ROWS)
+    width = sum(w for w, _, _ in made)
+    buf = bytearray(min(nodes, outer) * span * width)
+    mat = np.frombuffer(buf, dtype=np.uint8).reshape(-1, span, width)
+    slots, at = [], 0
+    for w, _, _ in made:
+        slots.append(mat[..., at : at + w].view(f"V{w}")[..., 0])
+        at += w
+    filled = None
+    for o0 in range(0, outer, nodes):
+        o = slice(o0, min(o0 + nodes, outer))
+        for i0 in range(0, inner, span):
+            i = slice(i0, min(i0 + span, inner))
+            part = (slice(o.stop - o.start), slice(i.stop - i.start))
+            for slot, (_, fields, varies) in zip(slots, made):
+                if varies or i0 != filled:
+                    slot[part] = fields(o, i)
+            filled = i0
+            # whole inner rows or one outer row: a prefix of the buffer
+            size = (o.stop - o.start) * (i.stop - i.start) * width
+            fh.write((buf if size == len(buf) else buf[:size]).translate(None, b"\0"))
+
+
+def _write_levels(fh, texts, shared, levels):
+    """The rows (prefix, index, *shared, *columns) of each (prefix, columns)
+    of ``levels`` in turn: a level's columns run along its nodes first, so
+    index is 0..nodes-1.  The levels are a binary tree's, each with twice
+    the rows of the one before.  Consecutive levels whose rows fit in one
+    chunk together are joined into one table, so small levels share its
+    set-up.  A table is written before the next level is drawn, so a lazy
+    ``levels`` makes one level's columns at a time."""
+    group, rows = [], 0
+    for level in levels:
+        group.append(level)
+        rows += level[1][0].size
+        if rows + 2 * level[1][0].size > CHUNK_ROWS:  # the next level would not fit
+            _write_group(fh, texts, shared, group)
+            group, rows = [], 0
+    if group:
+        _write_group(fh, texts, shared, group)
+
+
+def _write_group(fh, texts, shared, group):
+    """One table of the consecutive levels ``group``, as _write_levels
+    lays them out."""
+    prefixes, columns = zip(*group)
+    nodes = [len(c[0]) for c in columns]
+    if len(group) == 1:
+        head, columns = (prefixes[0], np.arange(nodes[0])), columns[0]
+    else:
+        index = np.concatenate([np.arange(n) for n in nodes])
+        head = (list(prefixes), np.repeat(np.arange(len(nodes)), nodes)), index
+        columns = [np.concatenate(c) for c in zip(*columns)]
+    _write_table(fh, texts, (sum(nodes), columns[0].size // sum(nodes)), *head, *shared, *columns)
 
 
 def _open_csv(path: Path, header):
@@ -114,280 +235,40 @@ def _open_csv(path: Path, header):
 def write_values_csv(path: Path, result, tree):
     """values.csv of a value iteration, its fields in order of n: one row
     per (level, node, state) with Y and field_terms' Z and K_inc."""
+    texts = _Texts(3)
     with _open_csv(path, ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"]) as fh:
         for fld in result.fields:
             shifts, counts = fld.states.shifts.tolist(), fld.states.counts.tolist()
-            states = np.array([f"{cum!r},{n}" for cum, n in zip(shifts, counts)], dtype="S")
-            index = _decimal(np.arange(fld.values[-1].shape[0]))
-            for level, (y, (z, k_inc)) in enumerate(zip(fld.values, field_terms(result, fld.n, tree))):
-                _write_table(
-                    fh, y.size, _column(f"{fld.n},{level}".encode()),
-                    lambda rows: index[np.arange(rows.start, rows.stop) // states.size],
-                    lambda rows: states[np.arange(rows.start, rows.stop) % states.size],
-                    *map(_column, (y, z, k_inc)),
-                )
+            states = ([f"{cum!r},{n}".encode() for cum, n in zip(shifts, counts)], np.arange(len(shifts))[None, :])
+            terms = enumerate(zip(fld.values, field_terms(result, fld.n, tree)))
+            _write_levels(fh, texts, [states], ((f"{fld.n},{k}".encode(), (y, *zk)) for k, (y, zk) in terms))
 
 
 def write_strategy_csv(path: Path, strategy: Strategy):
     """Strategy.rows() as CSV, formatted from Strategy.row_arrays()."""
     level, index, cum, count, code = strategy.row_arrays()
-    actions = np.array(["continue,"] + [f"impulse,{float(beta)!r}" for beta in strategy.impulses], dtype="S")
+    actions = [b"continue,"] + [f"impulse,{float(beta)!r}".encode() for beta in strategy.impulses]
     with _open_csv(path, STRATEGY_HEADER) as fh:
-        _write_table(
-            fh, level.size, *map(_column, (level, index, cum, count)), lambda rows: actions[code[rows] + 1]
-        )
+        _write_table(fh, _Texts(1), (level.size, 1), level, index, cum, count, (actions, code + 1))
 
 
 def write_controls_csv(path: Path, controls, states):
     """One row per node below the horizon: its post-chain state, from
     walk_strategy_states, and its control."""
-    index = _decimal(np.arange(states.cum[-1].size))
+    levels = ((str(k).encode(), (states.cum[k], states.count[k], controls[k])) for k in range(len(states.cum) - 1))
     with _open_csv(path, ["level", "index", "state_cum", "state_count", "u_star"]) as fh:
-        for k in range(len(states.cum) - 1):
-            _write_table(
-                fh, states.cum[k].size, _column(str(k).encode()), index.__getitem__,
-                *map(_column, (states.cum[k], states.count[k], controls[k])),
-            )
+        _write_levels(fh, _Texts(2), [], levels)
 
 
 def write_envelope_csv(path: Path, payoff: PayoffProcess, result):
-    index = _decimal(np.arange(2**payoff.depth))
+    columns = (payoff.values, result.envelope, result.stop_region, result.first_optimal_stop)
     with _open_csv(path, ["level", "index", "payoff", "envelope", "stop", "first_stop"]) as fh:
-        for k in range(payoff.depth + 1):
-            columns = (payoff.values[k], result.envelope[k], result.stop_region[k], result.first_optimal_stop[k])
-            _write_table(fh, 2**k, _column(str(k).encode()), index.__getitem__, *map(_column, columns))
+        _write_levels(fh, _Texts(2), [], ((str(k).encode(), level) for k, level in enumerate(zip(*columns))))
 
 
 def write_dump(fh, tree, level: int):
     """One tree level's (level, index, t, L, xmax, xmin, xavg) rows to an
     open binary stream."""
-    size = tree.level_size(level)
     columns = (tree.state[level], tree.running_max[level], tree.running_min[level], tree.running_avg[level])
     fh.write(b"level,index,t,L,xmax,xmin,xavg\r\n")
-    _write_table(
-        fh, size, _column(str(level).encode()), _decimal(np.arange(size)).__getitem__,
-        _column(repr(float(tree.times[level])).encode()), *map(_column, columns),
-    )
-
-
-def _csv_records(path: Path, header, what, parsers=None):
-    """(line number, fields) of each non-blank CSV row after the header,
-    which must equal ``header``.  With ``parsers`` (one per column) each
-    row must have one field per parser and is yielded parsed; the first
-    row that breaks this raises a CsvFormatError naming its line."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
-            raise CsvFormatError(f"{what} CSV must have columns {header}, got {got}")
-        for rec in reader:
-            if not rec:
-                continue
-            line = reader.line_num
-            if parsers is not None:
-                if len(rec) != len(parsers):
-                    raise CsvFormatError(f"{what} CSV line {line}: expected {len(parsers)} fields, got {len(rec)}")
-                try:
-                    rec = [parse(field) for parse, field in zip(parsers, rec)]
-                except ValueError:
-                    raise CsvFormatError(f"{what} CSV line {line}: non-numeric field") from None
-                except OverflowError:
-                    raise CsvFormatError(f"{what} CSV line {line}: integer field outside the 64-bit range") from None
-            yield line, rec
-
-
-def _int64(field: str) -> int:
-    value = int(field)
-    if not -(2**63) <= value < 2**63:
-        raise OverflowError(field)
-    return value
-
-
-def _beta(field: str) -> "float | None":
-    return None if field == "" else float(field)
-
-
-STRATEGY_PARSERS = (_int64, _int64, float, _int64, str, _beta)
-
-
-def read_strategy_csv(path: Path, impulses) -> Strategy:
-    """The strategy a CSV of Strategy.rows() describes, over ``impulses``;
-    a row that breaks a rule of Strategy.from_columns is reported by line.
-    A file the column reader cannot take is read row by row, which names
-    the first faulty line."""
-    columns = _read_strategy_columns(path)
-    if columns is None:
-        records = [rec for _, rec in _csv_records(path, STRATEGY_HEADER, "strategy", STRATEGY_PARSERS)]
-        columns = list(zip(*records)) or [()] * len(STRATEGY_HEADER)
-    try:
-        return Strategy.from_columns(*columns, impulses)
-    except StrategyRowError as exc:
-        lines = [line for line, _ in _csv_records(path, STRATEGY_HEADER, "strategy")]
-        lines.append(lines[-1] + 1 if lines else 2)  # where a row missing at the end belongs
-        raise CsvFormatError(f"strategy CSV line {lines[exc.position]}: {exc}") from None
-
-
-# np.loadtxt and the csv module with int/float read a file made only of
-# these bytes alike (and the strategy's action fields as they are); the
-# array readers leave any other file to the rows.
-_PAYOFF_BYTES = b"0123456789,.+-eE\r\n"
-_STRATEGY_BYTES = _PAYOFF_BYTES + b"continueimpulse"
-# The beta field's width; a beta this long or longer (loadtxt would cut it
-# short) is left to the rows.  repr of a float64 takes at most 24 bytes.
-BETA_WIDTH = 25
-_STRATEGY_DTYPE = [
-    ("level", "i8"), ("index", "i8"), ("cum", "f8"), ("count", "i8"), ("action", "S9"), ("beta", f"S{BETA_WIDTH}")
-]
-# Bytes of a CSV parsed at once (whole lines: a longer line is taken
-# whole), so that loadtxt's table (~66 bytes a strategy row) stays small.
-READ_BYTES = 2**15
-
-
-def _plain_chunks(path: Path, header, allowed):
-    """The bytes after a CSV's header line in chunks of about READ_BYTES,
-    each ending at a line end (the last at the end of the file); or a None,
-    which ends them, unless the file starts with ``header`` and a line end
-    and holds only ``allowed`` bytes after them."""
-    header = ",".join(header).encode()
-    with path.open("rb") as fh:
-        head = fh.read(len(header) + 1)
-        plain = head[:-1] == header and head[-1:] in (b"\r", b"\n")
-        rest = []  # the blocks of a line not yet ended
-        while plain and not (block := fh.read(READ_BYTES)).translate(None, allowed):
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
-            if cut or not block:
-                yield b"".join(rest) + block[:cut]
-                rest = []
-            if not block:
-                return
-            rest.append(block[cut:])
-    yield None
-
-
-def _loadtxt(lines, dtype):
-    """The rows of a list of CSV lines as np.loadtxt parses them, or None if
-    it raises or warns (numpy 1.x reads "1.0" as an int with a
-    DeprecationWarning, and no rows warn)."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, encoding="utf-8", ndmin=1)
-    except (ValueError, Warning):
-        return None
-
-
-def _read_strategy_columns(path: Path):
-    """The parsed columns of a strategy CSV, a chunk of lines at a time,
-    action and beta as CodedColumns; or None where that could differ from
-    the csv module's reading or a row is faulty: a byte other than
-    _STRATEGY_BYTES (a quote, a NUL, a space, ...), a line longer than the
-    csv field limit, another header, a wrong field count, a field its
-    parser rejects, an action other than continue and impulse, or a beta
-    of BETA_WIDTH bytes or more.  Each distinct beta is parsed once."""
-    columns = [[] for _ in STRATEGY_HEADER]  # one piece per chunk
-    betas = {}  # beta field -> its code 1, 2, ... (0 is no beta)
-    for chunk in _plain_chunks(path, STRATEGY_HEADER, _STRATEGY_BYTES):
-        lines = None if chunk is None else chunk.decode("ascii").splitlines()
-        if lines is None or max(map(len, lines), default=0) > csv.field_size_limit():
-            return None
-        if not any(lines):
-            continue
-        table = _loadtxt(lines, _STRATEGY_DTYPE)
-        if table is None:
-            return None
-        impulse = table["action"] == b"impulse"
-        given = np.flatnonzero(table["beta"] != b"")  # few rows: a continue row's beta is empty
-        fields, inverse = np.unique(table["beta"][given], return_inverse=True)
-        fields = fields.tolist()
-        if not (impulse | (table["action"] == b"continue")).all() or max(map(len, fields), default=0) >= BETA_WIDTH:
-            return None
-        beta = np.zeros(impulse.size, dtype=np.int32)
-        beta[given] = np.array([betas.setdefault(b, len(betas) + 1) for b in fields], dtype=np.int32)[inverse]
-        pieces = [table[c].copy() for c in ("level", "index", "cum", "count")] + [impulse.view(np.int8), beta]
-        for column, piece in zip(columns, pieces):
-            column.append(piece)
-    try:
-        values = [None] + [float(b.decode()) for b in betas]
-    except ValueError:
-        return None
-    if not columns[0]:
-        return None
-    # Each column is joined, and its pieces dropped, before the next.
-    level, index, cum, count, action, beta = (np.concatenate(columns.pop(0)) for _ in STRATEGY_HEADER)
-    return level, index, cum, count, CodedColumn(action, ("continue", "impulse")), CodedColumn(beta, values)
-
-
-def read_payoff_csv(path: Path) -> PayoffProcess:
-    """Per-level payoff arrays from a (level, index, value) CSV that lists
-    every node of levels 0..depth exactly once, in any order.  A file the
-    array reader cannot take is read row by row, which names the first
-    faulty line; if it finds none, its result stands."""
-    return _read_payoff_columns(path) or _read_payoff_rows(path)
-
-
-def _read_payoff_columns(path: Path) -> "PayoffProcess | None":
-    """The payoff parsed by np.loadtxt a chunk of lines at a time into one
-    array sized from the file's comma count and checked as arrays; or None
-    for a file that holds other bytes or fails a parse or a check."""
-    with path.open("rb") as fh:  # two commas a row, and two in the header
-        blocks = iter(lambda: fh.read(READ_BYTES), b"")
-        size = int(sum(np.count_nonzero(np.frombuffer(b, np.uint8) == ord(",")) for b in blocks)) // 2 - 1
-    # Every node of levels 0..depth once: 2^(depth+1) - 1 rows at distinct
-    # breadth-first positions 2^level - 1 + index.
-    if size < 1 or size & (size + 1):
-        return None
-    depth = size.bit_length() - 1
-    flat = np.full(size, np.nan)  # nan where no row has landed
-    for chunk in _plain_chunks(path, PAYOFF_HEADER, _PAYOFF_BYTES):
-        lines = None if chunk is None else chunk.decode("ascii").splitlines()
-        if lines is not None and not any(lines):
-            continue
-        table = None if lines is None else _loadtxt(lines, [("level", "i8"), ("index", "i8"), ("value", "f8")])
-        if table is None or table["level"].min() < 0 or table["level"].max() > depth:
-            return None
-        first = np.int64(1) << table["level"]
-        if not ((table["index"] >= 0) & (table["index"] < first)).all():
-            return None
-        flat[first - 1 + table["index"]] = table["value"]
-    # As many rows as nodes: a repeated node leaves another nan, and a nan
-    # fails both comparisons (as an infinite value fails one).
-    if not (flat.min() >= -PAYOFF_LIMIT and flat.max() <= PAYOFF_LIMIT):
-        return None
-    return PayoffProcess.from_arrays(np.split(flat, 2 ** np.arange(1, depth + 1) - 1))
-
-
-def _read_payoff_rows(path: Path) -> PayoffProcess:
-    by_level = {}  # level -> (indices, values, line numbers)
-    for line, (level, index, value) in _csv_records(path, PAYOFF_HEADER, "payoff", (int, int, float)):
-        if not math.isfinite(value):
-            raise CsvFormatError(f"payoff CSV line {line}: non-finite value {value!r}")
-        if abs(value) > PAYOFF_LIMIT:
-            raise CsvFormatError(f"payoff CSV line {line}: value {value!r} outside [-{PAYOFF_LIMIT!r}, {PAYOFF_LIMIT!r}]")
-        if level < 0:
-            raise CsvFormatError(f"payoff CSV line {line}: negative level {level}")
-        if index < 0 or index.bit_length() > level:  # index outside [0, 2^level)
-            raise CsvFormatError(f"payoff CSV line {line}: index {index} outside [0, 2^{level})")
-        for column, field in zip(by_level.setdefault(level, ([], [], [])), (index, value, line)):
-            column.append(field)
-    if not by_level:
-        raise CsvFormatError("payoff CSV is empty")
-    values = []
-    # Level k is reached only when levels 0..k-1 are complete, i.e. after
-    # 2^k - 1 rows, so 2^k stays within the file's own size.
-    for k in range(max(by_level) + 1):
-        indices, level_values, lines = by_level.pop(k, ([], [], []))
-        idx = np.asarray(indices, dtype=np.int64)
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        repeats = order[1:][sorted_idx[1:] == sorted_idx[:-1]]  # later rows of a repeated index
-        if repeats.size:
-            j = int(repeats.min())
-            raise CsvFormatError(f"payoff CSV line {lines[j]}: duplicate node (level {k}, index {indices[j]})")
-        if idx.size < 2**k:
-            gaps = np.flatnonzero(sorted_idx != np.arange(idx.size))
-            missing = int(gaps[0]) if gaps.size else idx.size
-            raise CsvFormatError(f"payoff CSV missing node (level {k}, index {missing})")
-        arr = np.empty(2**k)
-        arr[idx] = level_values
-        values.append(arr)
-    return PayoffProcess.from_arrays(values)
+    _write_levels(fh, _Texts(4), [repr(float(tree.times[level])).encode()], [(str(level).encode(), columns)])

@@ -507,6 +507,48 @@ def test_snell_command(tmp_path):
     assert rows[(1, 0)]["stop"] == "1"
 
 
+def _snell_payoff(tmp_path):
+    payoff = tmp_path / "payoff.csv"
+    payoff.write_text("level,index,value\n0,0,0.0\n1,0,1.0\n1,1,0.0\n", encoding="utf-8")
+    return ["snell", "--payoff", str(payoff)]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize(
+    "command, writer",
+    [
+        ("solve", "write_values_csv"),
+        ("solve", "write_strategy_csv"),
+        ("solve-combined", "write_controls_csv"),
+        ("snell", "write_envelope_csv"),
+    ],
+)
+def test_a_failed_write_leaves_no_output_behind(tmp_path, capsys, monkeypatch, command, writer, existing):
+    """A writer that fails part way (a few bytes reach its file, then the
+    disk is full) leaves none of the run's files, files that were there
+    before the run, and no --out the run made."""
+
+    def failing(path, *args):
+        path.write_bytes(b"level,ind")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(impulsetree.cli, writer, failing)
+    if command == "snell":
+        args = _snell_payoff(tmp_path)
+    else:
+        config = PINNED_CONFIG if command == "solve" else random_combined_config(202, depth=3)
+        args = [command, "--config", str(_write_config(tmp_path, config))]
+    out = tmp_path / "run"
+    if existing:
+        out.mkdir()
+        (out / "keep.txt").write_text("from before", encoding="utf-8")
+    assert run(args + ["--out", str(out)]) == 1
+    assert "OSError" in capsys.readouterr().err
+    assert out.exists() is existing
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
 def test_snell_missing_node_is_an_error(tmp_path, capsys):
     payoff = tmp_path / "payoff.csv"
     with payoff.open("w", newline="") as fh:

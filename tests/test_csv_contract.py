@@ -25,7 +25,7 @@ from impulsetree import (
     snell_envelope,
     value_iteration,
 )
-from impulsetree import cli, csvio
+from impulsetree import cli, csvio, csvread
 from impulsetree.combined import extract_pair
 from impulsetree.impulse import StateSpace, ValueField
 
@@ -120,7 +120,7 @@ def _check_envelope_bytes(tmp_path, levels):
     payoff_csv = tmp_path / "payoff.csv"
     with payoff_csv.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(csvio.PAYOFF_HEADER)
+        writer.writerow(csvread.PAYOFF_HEADER)
         for k in range(depth, -1, -1):  # any row order is accepted
             writer.writerows((k, i, repr(v)) for i, v in enumerate(levels[k].tolist()))
     out = tmp_path / "run"
@@ -176,6 +176,36 @@ def test_envelope_csv_bytes_with_repeated_values(tmp_path, monkeypatch, chunk_ro
     assert b"5,0,-0.0," in data and b"5,1,0.0," in data
 
 
+# Node indices at depth 10 run from one to four digits.
+WIDTH_CHUNKS = [csvio.CHUNK_ROWS, 3]
+
+
+@pytest.mark.parametrize("chunk_rows", WIDTH_CHUNKS)
+def test_envelope_csv_bytes_with_indices_of_every_width(tmp_path, monkeypatch, chunk_rows):
+    """A depth-10 payoff (2,047 rows): indices 0..1023 take 1 to 4 digits."""
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(216)
+    levels = [np.round(rng.normal(size=2**k), 3) for k in range(11)]
+    data = _check_envelope_bytes(tmp_path, levels)
+    assert b"\r\n10,1023," in data and b"\r\n10,999," in data and b"\r\n10,9," in data
+
+
+@pytest.mark.parametrize("chunk_rows", WIDTH_CHUNKS)
+def test_values_csv_bytes_with_indices_of_every_width(tmp_path, monkeypatch, chunk_rows):
+    """values.csv at depth 10, whose node indices take 1 to 4 digits."""
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+    config = random_impulse_config(216, depth=10)
+    out = _solve_cli(tmp_path, "solve", config)
+    loaded = load_config(config)
+    tree = build_tree(loaded.process, 10)
+    result = value_iteration(tree, loaded.impulse, tol=loaded.numerics.tol, budget=loaded.numerics.budget)
+    data = (out / "values.csv").read_bytes()
+    assert data == _reference_csv(
+        ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows(result, tree)
+    )
+    assert b"\r\n0,10,1023," in data and b"\r\n0,10,999," in data
+
+
 @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
 @pytest.mark.parametrize("level", [0, 3, 4])
 def test_dump_bytes(tmp_path, capsysbinary, monkeypatch, chunk_rows, level):
@@ -224,12 +254,9 @@ def test_formatter_matches_csv_writer(data, chunk_rows):
     ints = data.draw(st.lists(INT64, min_size=size, max_size=size))
     single = data.draw(FINITE)
     codes = np.array(data.draw(st.lists(st.integers(-1, 0), min_size=size, max_size=size)))
-    actions = np.array([b"continue,", b"impulse,1.5"])
-    columns = (np.array(floats), np.array(ints, dtype=np.int64), np.full(size, single))
-    got = _written(
-        chunk_rows,
-        lambda fh: csvio._write_table(fh, size, *map(csvio._column, columns), lambda rows: actions[codes[rows] + 1]),
-    )
+    actions = [b"continue,", b"impulse,1.5"]
+    columns = (np.array(floats), np.array(ints, dtype=np.int64), np.full(size, single), (actions, codes + 1))
+    got = _written(chunk_rows, lambda fh: csvio._write_table(fh, csvio._Texts(2), (size, 1), *columns))
     decisions = [("continue", None), ("impulse", 1.5)]
     rows = [(f, i, single, *decisions[c + 1]) for f, i, c in zip(floats, ints, codes.tolist())]
     assert got == _body(["f", "i", "single", "action", "beta"], rows)

@@ -2,7 +2,7 @@
 they replace: the same result on every valid file, and the same
 CsvFormatError text on every corrupted one.
 
-The payoff reference is csvio's own row loop, which the column reader
+The payoff reference is csvread's own row loop, which the column reader
 falls back to.  The strategy reference is a copy, kept here, of the
 row-wise reader: each row parsed to a tuple, sorted in Python and walked
 one row at a time."""
@@ -22,8 +22,8 @@ from impulsetree import (
     Strategy, StrategyRowError, build_tree, extract_strategy, load_config, strategy_from_rule, value_iteration
 )
 from impulsetree.strategy import shift_key
-from impulsetree import csvio
-from impulsetree.csvio import CsvFormatError
+from impulsetree import csvio, csvread
+from impulsetree.csvread import CsvFormatError
 
 from conftest import PINNED_CONFIG
 from memory_deep import BASELINE
@@ -75,7 +75,7 @@ PAYOFF_CORRUPTIONS = [
 @st.composite
 def payoff_files(draw, corrupt: bool):
     depth = draw(st.integers(0, 4))
-    limit = csvio.PAYOFF_LIMIT
+    limit = csvread.PAYOFF_LIMIT
     pool = draw(st.lists(st.floats(-limit, limit), min_size=1, max_size=4)) + [0.0, -0.0, limit, -limit]
     rows = [[k, i, draw(st.sampled_from(pool))] for k in range(depth + 1) for i in range(2**k)]
     rows = draw(st.permutations(rows))
@@ -134,9 +134,9 @@ def test_payoff_column_reader_equals_the_row_loop_on_valid_files(file):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "payoff.csv"
         _write(path, lines, newline)
-        reference = csvio._read_payoff_rows(path)
-        columns = csvio._read_payoff_columns(path)
-        result = csvio.read_payoff_csv(path)
+        reference = csvread._read_payoff_rows(path)
+        columns = csvread._read_payoff_columns(path)
+        result = csvread.read_payoff_csv(path)
     assert _payoff_equal(result, reference)
     if columns is not None:
         assert _payoff_equal(columns, reference)
@@ -151,9 +151,9 @@ def test_payoff_readers_agree_on_corrupted_files(file):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "payoff.csv"
         _write(path, lines, newline)
-        reference = _outcome(csvio._read_payoff_rows, path)
-        columns = csvio._read_payoff_columns(path)
-        result = _outcome(csvio.read_payoff_csv, path)
+        reference = _outcome(csvread._read_payoff_rows, path)
+        columns = csvread._read_payoff_columns(path)
+        result = _outcome(csvread.read_payoff_csv, path)
     if isinstance(reference, str):
         assert columns is None
         assert result == reference
@@ -235,8 +235,8 @@ def _reference_read_strategy(path, impulses):
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
-        if got != csvio.STRATEGY_HEADER:
-            raise CsvFormatError(f"strategy CSV must have columns {csvio.STRATEGY_HEADER}, got {got}")
+        if got != csvread.STRATEGY_HEADER:
+            raise CsvFormatError(f"strategy CSV must have columns {csvread.STRATEGY_HEADER}, got {got}")
         for rec in reader:
             if not rec:
                 continue
@@ -284,7 +284,7 @@ def strategy_files(draw, corrupt: bool):
         return choices[(level * 7 + index * 3 + count * 5) % 64] if count < 3 else None
 
     rows = [list(row) for row in strategy_from_rule(tree, rule, IMPULSES).rows()]
-    header = csvio.STRATEGY_HEADER
+    header = csvread.STRATEGY_HEADER
     for _ in range(draw(st.integers(1, 3)) if corrupt else 0):
         kind = draw(st.sampled_from(STRATEGY_CORRUPTIONS))
         if not rows:
@@ -346,8 +346,8 @@ def test_strategy_column_reader_equals_the_row_loop_on_valid_files(file):
         path = Path(tmp) / "strategy.csv"
         _write(path, lines, newline)
         reference = _reference_read_strategy(path, IMPULSES)
-        columns = csvio._read_strategy_columns(path)
-        result = csvio.read_strategy_csv(path, IMPULSES)
+        columns = csvread._read_strategy_columns(path)
+        result = csvread.read_strategy_csv(path, IMPULSES)
     assert result.rows() == reference.rows()
     assert all(np.array_equal(a, b) for a, b in zip(result.chains, reference.chains))
     if not any(c in "".join(lines[1:]) for c in ' \t"_'):
@@ -362,7 +362,7 @@ def test_strategy_readers_agree_on_corrupted_files(file):
         path = Path(tmp) / "strategy.csv"
         _write(path, lines, newline)
         reference = _outcome(_reference_read_strategy, path, IMPULSES)
-        result = _outcome(csvio.read_strategy_csv, path, IMPULSES)
+        result = _outcome(csvread.read_strategy_csv, path, IMPULSES)
     if isinstance(reference, str):
         assert result == reference
     else:
@@ -374,10 +374,10 @@ def test_strategy_readers_agree_on_corrupted_files(file):
 def test_a_strategy_file_with_no_rows_lacks_the_root(tmp_path, lines, newline):
     """A header with no rows names the missing root row, as the row loop does."""
     path = tmp_path / "strategy.csv"
-    _write(path, [",".join(csvio.STRATEGY_HEADER)] + lines, newline)
+    _write(path, [",".join(csvread.STRATEGY_HEADER)] + lines, newline)
     message = "error: strategy CSV line 2: missing the continue row of node (level 0, index 0)"
     assert _outcome(_reference_read_strategy, path, IMPULSES) == message
-    assert _outcome(csvio.read_strategy_csv, path, IMPULSES) == message
+    assert _outcome(csvread.read_strategy_csv, path, IMPULSES) == message
 
 
 STRATEGY_ROW = ["1", "0", "0.5", "1", "continue", ""]
@@ -392,15 +392,15 @@ def test_strategy_column_reader_parses_a_plain_field_as_the_row_parsers_do(colum
     left to the rows."""
     row = STRATEGY_ROW[:column] + [text] + STRATEGY_ROW[column + 1 :]
     try:
-        expected = [parse(field) for parse, field in zip(csvio.STRATEGY_PARSERS, row)]
+        expected = [parse(field) for parse, field in zip(csvread.STRATEGY_PARSERS, row)]
     except (ValueError, OverflowError):
         expected = None
     if column == 4 and text not in ("continue", "impulse"):
         expected = None
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "strategy.csv"
-        _write(path, [",".join(csvio.STRATEGY_HEADER), ",".join(row)], "\n")
-        columns = csvio._read_strategy_columns(path)
+        _write(path, [",".join(csvread.STRATEGY_HEADER), ",".join(row)], "\n")
+        columns = csvread._read_strategy_columns(path)
     got = None if columns is None else [c[0] for c in columns]
     assert (got is None) == (expected is None)
     if got is not None:
@@ -411,25 +411,25 @@ def test_strategy_column_reader_parses_a_plain_field_as_the_row_parsers_do(colum
 
 def test_strategy_column_reader_leaves_long_betas_and_other_actions_to_the_rows(tmp_path):
     path = tmp_path / "strategy.csv"
-    long_beta = "0." + "5" * (csvio.BETA_WIDTH - 2)  # loadtxt would cut it to BETA_WIDTH bytes
+    long_beta = "0." + "5" * (csvread.BETA_WIDTH - 2)  # loadtxt would cut it to BETA_WIDTH bytes
     for fields in (["impulse", long_beta], ["continueimpulse", ""], ["", ""]):
-        _write(path, [",".join(csvio.STRATEGY_HEADER), ",".join(["0", "0", "0.0", "0", *fields])], "\n")
-        assert csvio._read_strategy_columns(path) is None
-        assert _outcome(csvio.read_strategy_csv, path, IMPULSES) == _outcome(_reference_read_strategy, path, IMPULSES)
+        _write(path, [",".join(csvread.STRATEGY_HEADER), ",".join(["0", "0", "0.0", "0", *fields])], "\n")
+        assert csvread._read_strategy_columns(path) is None
+        assert _outcome(csvread.read_strategy_csv, path, IMPULSES) == _outcome(_reference_read_strategy, path, IMPULSES)
 
 
 def test_strategy_field_beyond_int64_is_named_by_line(tmp_path):
     path = tmp_path / "strategy.csv"
-    _write(path, [",".join(csvio.STRATEGY_HEADER), "0,0,0.0,0,continue,", f"{2**64},0,0.0,0,continue,"], "\n")
+    _write(path, [",".join(csvread.STRATEGY_HEADER), "0,0,0.0,0,continue,", f"{2**64},0,0.0,0,continue,"], "\n")
     with pytest.raises(CsvFormatError, match=r"^strategy CSV line 3: integer field outside the 64-bit range$"):
-        csvio.read_strategy_csv(path, IMPULSES)
+        csvread.read_strategy_csv(path, IMPULSES)
 
 
 @pytest.mark.parametrize("text", ['"0"', "0\x00", "0" * (csv.field_size_limit() + 1)])
 def test_strategy_column_reader_leaves_quotes_nul_and_long_fields_to_the_csv_module(tmp_path, text):
     path = tmp_path / "strategy.csv"
-    _write(path, [",".join(csvio.STRATEGY_HEADER), f"0,0,{text},0,continue,"], "\n")
-    assert csvio._read_strategy_columns(path) is None
+    _write(path, [",".join(csvread.STRATEGY_HEADER), f"0,0,{text},0,continue,"], "\n")
+    assert csvread._read_strategy_columns(path) is None
 
 
 def test_from_rows_matches_the_reference_on_api_rows():
@@ -460,10 +460,10 @@ def test_the_strategy_reader_peaks_at_a_small_multiple_of_the_file(tmp_path):
     del tree, result
     small = tmp_path / "small.csv"  # a first read loads what any read needs
     csvio.write_strategy_csv(small, strategy_from_rule(build_tree(loaded.process, 2), lambda *_: None, IMPULSES))
-    csvio.read_strategy_csv(small, IMPULSES)
+    csvread.read_strategy_csv(small, IMPULSES)
     tracemalloc.start()
     try:
-        read = csvio.read_strategy_csv(path, loaded.impulse.impulses)
+        read = csvread.read_strategy_csv(path, loaded.impulse.impulses)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -488,10 +488,10 @@ def test_the_payoff_reader_peaks_below_the_file_size(tmp_path):
     del tree, lines
     small = tmp_path / "small.csv"  # a first read loads what any read needs
     _write(small, ["level,index,value", "0,0,1.0", "1,0,0.5", "1,1,0.0"], "\r\n")
-    csvio.read_payoff_csv(small)
+    csvread.read_payoff_csv(small)
     tracemalloc.start()
     try:
-        read = csvio.read_payoff_csv(path)
+        read = csvread.read_payoff_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

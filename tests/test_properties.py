@@ -21,7 +21,8 @@ from impulsetree import (
     extract_strategy,
     value_iteration,
 )
-from impulsetree.csvio import read_strategy_csv, write_strategy_csv
+from impulsetree.csvio import write_strategy_csv
+from impulsetree.csvread import read_strategy_csv
 
 from conftest import (
     build_problem,
