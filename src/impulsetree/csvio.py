@@ -8,17 +8,18 @@ for no value.
 
 A file goes out table by table: one tree level, or consecutive small
 levels joined, as an (outer, inner) grid of rows in C order (values.csv:
-node x state).  A column is one field for every row, an array over the
-grid or along one of its axes, or codes into a list of texts.  Its texts
-are made once per table into a pool, and each row's field is looked up
-there: repr of each distinct bit pattern of a float (so -0.0 and 0.0 keep
-their own) and the digits of an int.  The file keeps the repr of each
-float met while it holds no more than one chunk has float fields, so an
-iterate that repeats the last one's values is not formatted again; the
-digits of ints below CHUNK_ROWS come from one table per width.  Ints
-spanning more values are formatted a chunk at a time by digit arithmetic.
-A column of one value, or one that is the same on every node (values.csv's
-states), is filled in once per table.
+node x state).  A column is one field shared by every row, an array over
+the grid or along one of its axes, or codes into a list of texts.  Its
+texts are made once per table into a pool, and each row's field is looked
+up there: repr of each distinct bit pattern of a float (so -0.0 and 0.0
+keep their own) and the digits of an int.  The file keeps the repr of
+each float met while it holds no more than one chunk has float fields, so
+an iterate that repeats the last one's values is not formatted again; the
+digits of ints in [0, CHUNK_ROWS) come from one table per width.  An int
+column spanning CHUNK_ROWS values or more gets no pool: it is formatted a
+chunk at a time by digit arithmetic.  A column of one value, or one that
+is the same on every node (values.csv's states), is filled in once per
+table.
 
 A chunk of at most CHUNK_ROWS rows is one byte matrix, each field padded
 with NULs to its column's width and followed by its "," or "\\r\\n"; the

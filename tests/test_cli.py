@@ -525,8 +525,8 @@ def _snell_payoff(tmp_path):
 )
 def test_a_failed_write_leaves_no_output_behind(tmp_path, capsys, monkeypatch, command, writer, existing):
     """A writer that fails part way (a few bytes reach its file, then the
-    disk is full) leaves none of the run's files, files that were there
-    before the run, and no --out the run made."""
+    disk is full) leaves none of the run's files and no --out the run
+    made; files that were in --out before the run stay."""
 
     def failing(path, *args):
         path.write_bytes(b"level,ind")
