@@ -55,7 +55,7 @@ from .model import (
     validate_model,
 )
 from .snell import EnvelopeResult, PayoffProcess, snell_envelope, stopping_rule_value
-from .strategy import Decision, Strategy, StrategyRowError, state_key, strategy_from_rule
+from .strategy import Strategy, StrategyRowError, state_key, strategy_from_rule
 from .tree import ScenarioTree, build_tree, cond_expect, reflect_backward, z_repr
 
 __version__ = "0.1.0"

@@ -103,6 +103,14 @@ def _resolve_numerics(loaded, args):
     return pick("depth", 1, "at least 1"), pick("tol", 0, "non-negative"), pick("budget", 0, "non-negative")
 
 
+def _check_out(name: str):
+    """--out must be a directory, or a path that does not exist yet and whose
+    nearest existing ancestor is a directory."""
+    existing = next(p for p in (Path(name), *Path(name).parents) if p.exists())
+    if not existing.is_dir():
+        raise CliUsageError(f"--out must be a directory or a path not yet made, but {existing} is not a directory")
+
+
 def _existing_file(flag: str, name: str) -> Path:
     path = Path(name)
     if not path.is_file():
@@ -197,20 +205,16 @@ def _cmd_oracle(args) -> int:
     depth, _, _ = _resolve_numerics(loaded, args)
     tree = _audited_tree(loaded, depth, None)
     value, strategy = enumerate_optimal(tree, loaded.impulse, args.max_impulses)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out / "oracle.json",
-        {
-            "value": value,
-            "max_impulses": args.max_impulses,
-            "config_hash": loaded.config_hash,
-            "strategy": [
-                {"level": lv, "index": ix, "state_cum": cum, "state_count": ct, "action": act, "beta": beta}
-                for lv, ix, cum, ct, act, beta in strategy.rows()
-            ],
-        },
-    )
+    payload = {
+        "value": value,
+        "max_impulses": args.max_impulses,
+        "config_hash": loaded.config_hash,
+        "strategy": [
+            {"level": lv, "index": ix, "state_cum": cum, "state_count": ct, "action": act, "beta": beta}
+            for lv, ix, cum, ct, act, beta in strategy.rows()
+        ],
+    }
+    _write_outputs(Path(args.out), {"oracle.json": lambda path: _write_json(path, payload)})
     print(f"oracle value = {value!r} with at most {args.max_impulses} impulse(s)")
     return 0
 
@@ -223,7 +227,7 @@ def _cmd_eval(args) -> int:
         _at_least("--seed", args.seed, 0, "non-negative")
     loaded = load_config(args.config)
     depth, _, budget = _resolve_numerics(loaded, args)
-    if "u" in loaded.impulse.reward.variables():
+    if "u" in loaded.impulse.reward.variables:
         raise CliUsageError("eval evaluates an impulse strategy without controls, but impulse.h reads 'u'")
     strategy = read_strategy_csv(_existing_file("--strategy", args.strategy), loaded.impulse.impulses)
     if strategy.depth != depth:
@@ -234,9 +238,6 @@ def _cmd_eval(args) -> int:
         policy = mc_evaluate_strategy(
             _audited_tree(loaded, depth, budget), loaded.impulse, strategy, args.mc_samples, args.seed
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     payload = {
         "value": policy.value,
         "reward_integral": policy.reward_integral,
@@ -248,7 +249,7 @@ def _cmd_eval(args) -> int:
         payload.update(
             samples=policy.samples, std_error=policy.std_error, seed=policy.seed, generator=policy.generator
         )
-    _write_json(out / "policy_value.json", payload)
+    _write_outputs(Path(args.out), {"policy_value.json": lambda path: _write_json(path, payload)})
     print(f"policy value = {policy.value!r} ({policy.method})")
     return 0
 
@@ -266,12 +267,11 @@ def _cmd_snell(args) -> int:
 def _cmd_dump(args) -> int:
     loaded = load_config(args.config)
     depth, _, _ = _resolve_numerics(loaded, args)
+    if not 0 <= args.level <= depth:
+        raise CliUsageError(f"--level must be in [0, {depth}], got {args.level}")
     tree = build_tree(loaded.process, depth)
-    level = args.level
-    if not 0 <= level <= tree.depth:
-        raise CliUsageError(f"level must be in [0, {tree.depth}]")
     sys.stdout.flush()
-    write_dump(sys.stdout.buffer, tree, level)
+    write_dump(sys.stdout.buffer, tree, args.level)
     return 0
 
 
@@ -325,6 +325,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)  # an unknown command is argparse's usage error
+        if getattr(args, "out", None) is not None:  # dump has no --out
+            _check_out(args.out)
         handlers = {
             "solve": lambda a: _cmd_solve(a, combined=False),
             "solve-combined": lambda a: _cmd_solve(a, combined=True),

@@ -248,7 +248,7 @@ def write_values_csv(path: Path, result, tree):
 def write_strategy_csv(path: Path, strategy: Strategy):
     """Strategy.rows() as CSV, formatted from Strategy.row_arrays()."""
     level, index, cum, count, code = strategy.row_arrays()
-    actions = [b"continue,"] + [f"impulse,{float(beta)!r}".encode() for beta in strategy.impulses]
+    actions = [f"{act},{'' if beta is None else repr(float(beta))}".encode() for act, beta in strategy.actions]
     with _open_csv(path, STRATEGY_HEADER) as fh:
         _write_table(fh, _Texts(1), (level.size, 1), level, index, cum, count, (actions, code + 1))
 

@@ -2,16 +2,17 @@
 
 Volatility, drift, reward and controlled-drift functionals are written as
 small arithmetic expressions over the path features cached at each tree
-node.  Grammar:
+node.  The language is the three tables below: VARIABLES, OPERATORS (the
+binary operators, all left-associative, with their precedence) and
+FUNCTIONS (with their arity).  Grammar, where a higher precedence binds
+tighter and unary minus binds tightest:
 
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := number | ident | '-' factor | ident '(' args ')' | '(' expr ')'
+    expr   := factor (OPERATOR factor)*
+    factor := number | variable | '-' factor | function '(' args ')' | '(' expr ')'
 
-Identifiers are restricted to the variables {t, x, xmax, xmin, xavg, u}
-and the functions {min, max, abs, exp, clamp}.  Evaluation is strict:
-division by zero, overflow and NaN raise instead of propagating, so a
-coefficient either yields a finite number or the model build aborts.
+Evaluation is strict: division by zero, overflow and NaN raise instead of
+propagating, so a coefficient either yields a finite number or the model
+build aborts.
 """
 
 import re
@@ -21,8 +22,16 @@ from typing import Mapping, Union
 
 import numpy as np
 
-VARIABLES = ("t", "x", "xmax", "xmin", "xavg", "u")
-FUNCTIONS = {"min": 2, "max": 2, "abs": 1, "exp": 1, "clamp": 3}
+FEATURES = ("x", "xmax", "xmin", "xavg")
+VARIABLES = ("t", *FEATURES, "u")  # time, the path features and, last, the control
+OPERATORS = {"+": (1, np.add), "-": (1, np.subtract), "*": (2, np.multiply), "/": (2, np.divide)}
+FUNCTIONS = {
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+    "abs": (1, np.abs),
+    "exp": (1, np.exp),
+    "clamp": (3, lambda v, lo, hi: np.minimum(np.maximum(v, lo), hi)),
+}
 
 
 class ExprError(ValueError):
@@ -74,11 +83,8 @@ class CoefficientExpr:
 
     ast: Node
 
-    def variables(self) -> frozenset:
-        return self._variables
-
     @cached_property  # the coefficient kernel asks on every call
-    def _variables(self) -> frozenset:
+    def variables(self) -> frozenset:
         return frozenset(_collect_vars(self.ast))
 
 
@@ -118,7 +124,7 @@ def _tokenize(source: str):
             tokens.append(("ident", m.group(), pos))
             pos = m.end()
             continue
-        if ch in "+-*/(),":
+        if ch in OPERATORS or ch in "(),":
             tokens.append(("op", ch, pos))
             pos += 1
             continue
@@ -153,25 +159,17 @@ class _Parser:
             raise ExprError(f"unexpected trailing input {text!r}", offset)
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
-
-    def term(self):
+    def expr(self, lowest=1):
+        """Precedence climbing: a run of factors joined by operators of
+        precedence at least ``lowest``, grouped from the left."""
         node = self.factor()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.factor())
-            else:
+            precedence = OPERATORS[text][0] if kind == "op" and text in OPERATORS else 0
+            if precedence < lowest:
                 return node
+            self.advance()
+            node = BinOp(text, node, self.expr(precedence + 1))
 
     def factor(self):
         kind, text, offset = self.peek()
@@ -202,7 +200,7 @@ class _Parser:
                     else:
                         break
                 self.expect_op(")")
-                arity = FUNCTIONS[text]
+                arity = FUNCTIONS[text][0]
                 if len(args) != arity:
                     raise ExprError(
                         f"function '{text}' expects {arity} argument(s), got {len(args)}",
@@ -246,29 +244,10 @@ def _eval(node, env):
     if isinstance(node, Neg):
         return -_eval(node.operand, env)
     if isinstance(node, BinOp):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        if node.op == "+":
-            value = left + right
-        elif node.op == "-":
-            value = left - right
-        elif node.op == "*":
-            value = left * right
-        else:
-            value = left / right
+        value = OPERATORS[node.op][1](_eval(node.left, env), _eval(node.right, env))  # left operand first
         return _require_finite(value, f"operator '{node.op}'")
     if isinstance(node, Call):
-        args = [_eval(arg, env) for arg in node.args]
-        if node.func == "min":
-            value = np.minimum(args[0], args[1])
-        elif node.func == "max":
-            value = np.maximum(args[0], args[1])
-        elif node.func == "abs":
-            value = np.abs(args[0])
-        elif node.func == "exp":
-            value = np.exp(args[0])
-        else:  # clamp(v, lo, hi)
-            value = np.minimum(np.maximum(args[0], args[1]), args[2])
+        value = FUNCTIONS[node.func][1](*[_eval(arg, env) for arg in node.args])
         return _require_finite(value, f"function '{node.func}'")
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -14,9 +14,9 @@ except ImportError:
 
 import numpy as np
 
-from .expr import CoefficientExpr, EvalError, eval_expr, parse_expr
+from .expr import VARIABLES, CoefficientExpr, EvalError, eval_expr, parse_expr
 
-PATH_VARIABLES = frozenset({"t", "x", "xmax", "xmin", "xavg"})
+PATH_VARIABLES = frozenset(VARIABLES[:-1])  # all but the control
 
 DEFAULT_DEPTH = 10
 DEFAULT_TOL = 1e-12
@@ -30,8 +30,8 @@ class LimitError(RuntimeError):
     """A configured size limit (tree nodes, states, search space) was hit."""
 
 
-def _check_vars(expr, allowed, what):
-    extra = expr.variables() - allowed
+def _check_vars(expr, what):
+    extra = expr.variables - PATH_VARIABLES
     if extra:
         raise ConfigError(f"{what} uses unsupported variable(s): {sorted(extra)}")
 
@@ -52,9 +52,9 @@ class ProcessModel:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ConfigError("horizon must be positive")
-        _check_vars(self.sigma, PATH_VARIABLES, "sigma")
+        _check_vars(self.sigma, "sigma")
         if self.drift is not None:
-            _check_vars(self.drift, PATH_VARIABLES, "drift")
+            _check_vars(self.drift, "drift")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,6 @@ class ImpulseModel:
             raise ConfigError("impulse set contains duplicates")
         if set(self.costs) != set(self.impulses):
             raise ConfigError("cost table must cover exactly the impulse set")
-        _check_vars(self.reward, PATH_VARIABLES | {"u"}, "reward")
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class ControlGrid:
             raise ConfigError("control grid must be non-empty")
         if len(set(self.controls)) != len(self.controls):
             raise ConfigError("control grid contains duplicates")
-        _check_vars(self.controlled_drift, PATH_VARIABLES | {"u"}, "controlled drift")
 
 
 @dataclass(frozen=True)
@@ -376,7 +374,7 @@ def load_config(source) -> LoadedConfig:
         )
         if process.drift is not None:
             raise ConfigError("process.drift must be null in combined mode; drift enters via control.f")
-    elif "u" in impulse.reward.variables():
+    elif impulse.reward.variables - PATH_VARIABLES:
         raise ConfigError("impulse.h uses 'u' but no control section is present")
 
     numerics = Numerics()

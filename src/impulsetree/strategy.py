@@ -26,12 +26,6 @@ def state_key(cumulative: float, count: int) -> "tuple[float, int]":
     return (shift_key(cumulative), int(count))
 
 
-@dataclass(frozen=True)
-class Decision:
-    action: str  # "continue" | "impulse"
-    beta: "float | None" = None
-
-
 class StrategyRowError(ValueError):
     """A strategy row that does not fit the strategy the rows describe;
     ``position`` is its index in the rows given (their count for a row
@@ -179,24 +173,27 @@ class Strategy:
         """rows() as arrays (level, index, state_cum, state_count, code)."""
         return tuple(np.concatenate(column) for column in zip(*self.row_blocks()))
 
+    @cached_property
+    def actions(self) -> "list[tuple[str, float | None]]":
+        """The (action, beta) of a row whose code is c at index c + 1: the
+        continue row first, then an impulse of each of ``impulses``."""
+        return [("continue", None)] + [("impulse", beta) for beta in self.impulses]
+
     def rows(self):
         """(level, index, state_cum, state_count, action, beta) rows in
         (level, index, count) order: each node's impulses in chain order,
         then its continue row at the post-chain state."""
         level, index, cum, count, code = self.row_arrays()
-        decisions = [("continue", None)] + [("impulse", beta) for beta in self.impulses]
         return [
-            (k, i, c, n, *decisions[b + 1])
+            (k, i, c, n, *self.actions[b + 1])
             for k, i, c, n, b in zip(level.tolist(), index.tolist(), cum.tolist(), count.tolist(), code.tolist())
         ]
 
     @cached_property
     def decisions(self):
-        """Read-only {(level, index, state_key): Decision} view of rows(),
-        built on first access."""
-        return MappingProxyType(
-            {(lv, ix, (cum, ct)): Decision(act, beta) for lv, ix, cum, ct, act, beta in self.rows()}
-        )
+        """Read-only {(level, index, state_key): (action, beta)} view of
+        rows(), built on first access."""
+        return MappingProxyType({(lv, ix, (cum, ct)): (act, beta) for lv, ix, cum, ct, act, beta in self.rows()})
 
     @classmethod
     def from_rows(cls, rows, impulses) -> "Strategy":
@@ -268,7 +265,6 @@ class Strategy:
             chains.append(chain)
         strategy = cls(chains=tuple(chains), impulses=impulses)
         # The chains regenerate as many rows, node by node, as were given.
-        decisions = [("continue", None)] + [("impulse", b) for b in impulses]
         r0 = 0
         for want in strategy.row_blocks():
             rows = slice(r0, r0 + want[0].size)
@@ -277,7 +273,7 @@ class Strategy:
             if mismatch.any():
                 j = int(np.argmax(mismatch))
                 k, i, c, m, b = (w[j].item() for w in want)
-                raise StrategyRowError(position(r0 + j), f"expected the row {(k, i, c, m, *decisions[b + 1])}")
+                raise StrategyRowError(position(r0 + j), f"expected the row {(k, i, c, m, *strategy.actions[b + 1])}")
             r0 = rows.stop
         return strategy
 

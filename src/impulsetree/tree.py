@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalError, eval_expr
+from .expr import FEATURES, VARIABLES, EvalError, eval_expr
 from .model import ConfigError, LimitError, ProcessModel
 
 DEFAULT_MAX_NODES = 2**22
@@ -17,7 +17,6 @@ DEFAULT_MAX_NODES = 2**22
 # caches: stacking whole levels at depth 18 made the audit 2.5x slower and
 # raised its peak RSS by 250 MB (2-CPU host).
 STACK_CELLS = 2**13
-FEATURES = ("x", "xmax", "xmin", "xavg")
 
 
 def path_env(t, x, xmax, xmin, xavg, shift=0.0) -> dict:
@@ -31,13 +30,11 @@ def path_env(t, x, xmax, xmin, xavg, shift=0.0) -> dict:
     features themselves.  A feature given as None (one no expression
     reads) stays None.
     """
-    env = dict(zip(FEATURES, (x, xmax, xmin, xavg)))
+    features = (x, xmax, xmin, xavg)
     if np.ndim(shift) or shift != 0.0:
         neg = 0.0 - shift  # v - (0.0 - s) is v + s bit for bit, and v itself for s = +-0.0
-        for name, v in env.items():
-            if v is not None:
-                env[name] = (v[:, None] if np.ndim(neg) == 2 else v) - neg
-    return {"t": t, **env}
+        features = [None if v is None else (v[:, None] if np.ndim(neg) == 2 else v) - neg for v in features]
+    return dict(zip(VARIABLES, (t, *features)))  # every variable but the last, the control
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -89,10 +86,10 @@ class ScenarioTree:
         control per node or cell, or None.  0/0 gives nan, not a warning.
         Only the features the expressions read are shifted."""
         exprs = [e for e in (sigma, drift, reward) if e is not None]
-        env = self.env(level, shift, frozenset().union(*(e.variables() for e in exprs)))
+        env = self.env(level, shift, frozenset().union(*(e.variables for e in exprs)))
         sig = None if sigma is None else np.asarray(eval_expr(sigma, env))
         if u is not None:
-            env["u"] = u
+            env[VARIABLES[-1]] = u
         h = None if reward is None else np.asarray(eval_expr(reward, env))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             theta = None if drift is None else np.asarray(eval_expr(drift, env)) / sig

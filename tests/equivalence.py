@@ -20,7 +20,10 @@ impulse seed and the pinned instance to, exactly and by Monte Carlo with
 1 and STACK_CELLS + 1 samples; `oracle` with at most 0, 1 and 2
 impulses of the pinned instance and impulse seeds 300-304, at depth 4
 where theirs is deeper; `dump` of every level of impulse seed 300 and
-combined seed 400; `snell` of
+combined seed 400; `solve` of the pinned instance with a process.sigma
+that breaks one parse rule each (ERROR_SIGMAS), and of configs whose
+coefficients fail to evaluate in the tree build, the impulse audit and
+the combined audit; `snell` of
 payoffs whose envelope ties the payoff as zeros of opposite sign, and of
 a depth-0 payoff; then the benchmark's invocations
 (perfbench/workloads.py) for seeds 1 and 2.  Their inputs are made once,
@@ -60,6 +63,25 @@ def _configs():
     yield from ((f"signed-zero-{name}", config) for name, config in SIGNED_ZERO_TIES.items())
     for name in U_FUNCTIONS:
         yield from ((f"combined-{name}-{s}", with_u_functions(random_combined_config(s), name)) for s in (400, 401))
+
+
+# Sources that break one rule of the expression parser each.
+ERROR_SIGMAS = ["0.3 $ x", "(x", "x )", "foo(x)", "min(x)", "exp", "y", "x +"]
+
+
+def _error_configs():
+    """(label, config) of configs that fail to parse or evaluate: sigma in
+    the tree build (exit 1), the reward in the audit and the controlled
+    drift in a combined audit (exit 2)."""
+    from conftest import PINNED_CONFIG, random_combined_config
+
+    process, impulse = PINNED_CONFIG["process"], PINNED_CONFIG["impulse"]
+    for i, sigma in enumerate(ERROR_SIGMAS):
+        yield f"parse-error-{i}", {**PINNED_CONFIG, "process": {**process, "sigma": sigma}}
+    yield "sigma-fails", {**PINNED_CONFIG, "process": {**process, "sigma": "1/(x - x)"}}
+    yield "reward-fails", {**PINNED_CONFIG, "impulse": {**impulse, "h": "1/(x - x)"}}
+    combined = random_combined_config(400)
+    yield "drift-fails", {**combined, "control": {**combined["control"], "f": "1/(u - u)"}}
 
 
 # Payoff levels for `snell`: signed-zero ties between payoff and
@@ -107,6 +129,11 @@ def invocations(inputs: Path):
         if label in ("impulse-300", "combined-400"):
             for level in range(config["numerics"]["depth"] + 1):
                 yield f"{label}-dump-{level}", ["dump", "--config", str(path), "--level", str(level)]
+
+    for label, config in _error_configs():
+        path = inputs / f"{label}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        yield label, ["solve" if config["control"] is None else "solve-combined", "--config", str(path)]
 
     for label, levels in SNELL_PAYOFFS.items():
         path = inputs / f"snell-{label}.csv"

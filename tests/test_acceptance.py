@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from impulsetree import (
-    Decision,
     HamiltonianSpec,
     PayoffProcess,
     cond_expect,
@@ -196,7 +195,7 @@ def test_criterion_08_pinned_deterministic_instance():
         oracle_value, _ = enumerate_optimal(tree, loaded.impulse, 2)
         assert abs(result.y0 - oracle_value) <= ORACLE_TOL
         strategy = extract_strategy(result.fields, tree, loaded.impulse)
-        assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
+        assert strategy.decisions[(0, 0, state_key(0.0, 0))] == ("impulse", 1.0)
         assert strategy.impulse_decision_count == 1
         forward = evaluate_strategy_exact(tree, loaded.impulse, strategy)
         assert abs(forward.value - result.y0) <= FORWARD_TOL

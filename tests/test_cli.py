@@ -356,12 +356,28 @@ def test_eval_rejects_bad_monte_carlo_arguments_before_making_out(tmp_path, caps
         ("solve", {"depth": 20000}, [], "tree with depth 20000 needs 2^20001 - 1 nodes, over the limit of 4194304"),
         ("dump", {"depth": 20000}, ["--level", "0"], "tree with depth 20000 needs 2^20001 - 1 nodes, over the limit of 4194304"),
         ("oracle", {"depth": 20000}, ["--max-impulses", "1"], "tree with depth 20000 needs 2^20001 - 1 nodes, over the limit of 4194304"),
+        ("dump", {}, ["--level", "99"], "--level must be in [0, 2], got 99"),
+        ("dump", {"depth": 3}, ["--level", "-1"], "--level must be in [0, 3], got -1"),
+        # --out given twice: argparse keeps the last, this one
+        (
+            "solve", {}, ["--out", "{tmp}/payoff.csv"],
+            "--out must be a directory or a path not yet made, but {tmp}/payoff.csv is not a directory",
+        ),
+        (
+            "eval", {}, ["--out", "{tmp}/payoff.csv/sub"],
+            "--out must be a directory or a path not yet made, but {tmp}/payoff.csv is not a directory",
+        ),
+        (
+            "snell", None, ["--payoff", "{tmp}/payoff.csv", "--out", "{tmp}/payoff.csv/a/b"],
+            "--out must be a directory or a path not yet made, but {tmp}/payoff.csv is not a directory",
+        ),
     ],
     ids=[
         "depth-flag", "depth-config", "budget-flag", "budget-config", "eval-budget-config",
         "max-impulses", "strategy-missing", "payoff-missing", "snell-tol-negative", "snell-tol-nan",
         "threads-negative", "threads-zero", "depth-over-node-limit", "budget-over-state-limit",
-        "solve-depth-20000", "dump-depth-20000", "oracle-depth-20000",
+        "solve-depth-20000", "dump-depth-20000", "oracle-depth-20000", "dump-level-over", "dump-level-negative",
+        "out-a-file", "out-under-a-file", "out-two-below-a-file",
     ],
 )
 def test_usage_errors_name_their_flag_or_key_before_making_out(tmp_path, capsys, command, numerics, args, message):
@@ -378,9 +394,9 @@ def test_usage_errors_name_their_flag_or_key_before_making_out(tmp_path, capsys,
         args += ["--config", str(config)]
     capsys.readouterr()
     out = tmp_path / "out"
-    assert run([command, *args, *([] if command == "dump" else ["--out", str(out)])]) == 1  # dump writes stdout
+    assert run([command, *([] if command == "dump" else ["--out", str(out)]), *args]) == 1  # dump writes stdout
     assert capsys.readouterr() == ("", "error: " + message.replace("{tmp}", str(tmp_path)) + "\n")
-    assert not out.exists()
+    assert not out.exists() and (tmp_path / "payoff.csv").is_file()
 
 
 def test_an_unknown_command_is_a_usage_error(capsys):
@@ -521,6 +537,9 @@ def _snell_payoff(tmp_path):
         ("solve", "write_strategy_csv"),
         ("solve-combined", "write_controls_csv"),
         ("snell", "write_envelope_csv"),
+        ("eval", "_write_json"),
+        ("eval-mc", "_write_json"),
+        ("oracle", "_write_json"),
     ],
 )
 def test_a_failed_write_leaves_no_output_behind(tmp_path, capsys, monkeypatch, command, writer, existing):
@@ -532,12 +551,17 @@ def test_a_failed_write_leaves_no_output_behind(tmp_path, capsys, monkeypatch, c
         path.write_bytes(b"level,ind")
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(impulsetree.cli, writer, failing)
     if command == "snell":
         args = _snell_payoff(tmp_path)
+    elif command.startswith("eval"):
+        config, _ = _solved_strategy(tmp_path)  # before the writer fails
+        args = ["eval", "--config", str(config), "--strategy", str(tmp_path / "solve" / "strategy.csv")]
+        args += ["--mc-samples", "10", "--seed", "1"] if command == "eval-mc" else []
     else:
-        config = PINNED_CONFIG if command == "solve" else random_combined_config(202, depth=3)
+        config = random_combined_config(202, depth=3) if command == "solve-combined" else PINNED_CONFIG
         args = [command, "--config", str(_write_config(tmp_path, config))]
+        args += ["--max-impulses", "1"] if command == "oracle" else []
+    monkeypatch.setattr(impulsetree.cli, writer, failing)
     out = tmp_path / "run"
     if existing:
         out.mkdir()

@@ -6,7 +6,6 @@ import pytest
 
 import impulsetree.evaluate
 from impulsetree import (
-    Decision,
     HamiltonianSpec,
     ImpulseModel,
     PolicyValue,
@@ -240,7 +239,7 @@ def test_oracle_pinned_instance(pinned_problem):
     loaded, tree = pinned_problem
     value, strategy = enumerate_optimal(tree, loaded.impulse, 2)
     assert value == pytest.approx(0.7, abs=1e-8)
-    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == ("impulse", 1.0)
     forward = evaluate_strategy_exact(tree, loaded.impulse, strategy)
     assert forward.value == pytest.approx(value, abs=1e-12)
 
@@ -456,7 +455,7 @@ def test_mc_matches_per_node_masked_reference(config, samples):
         tree, lambda level, index, cum, count: beta if index % 3 == 1 and count < min(level, 2) else None,
         loaded.impulse.impulses,
     )
-    impulse_nodes = {key[:2] for key, d in strategy.decisions.items() if d.action == "impulse"}
+    impulse_nodes = {key[:2] for key, d in strategy.decisions.items() if d[0] == "impulse"}
     assert len(impulse_nodes) >= 5
     estimate = mc_evaluate_strategy(tree, loaded.impulse, strategy, samples=samples, seed=seed)
     assert estimate == _mc_masked_reference(loaded.impulse, loaded.process, strategy, samples, seed)

@@ -128,7 +128,7 @@ def test_eval_is_pure_and_bit_identical():
 
 def test_variables_collection():
     expr = parse_expr("clamp(x + u, 0, xmax)")
-    assert expr.variables() == {"x", "u", "xmax"}
+    assert expr.variables == {"x", "u", "xmax"}
 
 
 @pytest.mark.parametrize(

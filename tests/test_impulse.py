@@ -6,7 +6,6 @@ import pytest
 
 import impulsetree.impulse as impulse
 from impulsetree import (
-    Decision,
     HamiltonianSpec,
     ImpulseModel,
     LimitError,
@@ -439,9 +438,9 @@ def test_extract_pinned_strategy(pinned_problem):
     loaded, tree = pinned_problem
     result = value_iteration(tree, loaded.impulse)
     strategy = extract_strategy(result.fields, tree, loaded.impulse)
-    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == ("impulse", 1.0)
     others = [d for key, d in strategy.decisions.items() if key != (0, 0, state_key(0.0, 0))]
-    assert all(d.action == "continue" for d in others)
+    assert all(d == ("continue", None) for d in others)
 
 
 @pytest.mark.parametrize("impulses", [(1.0, 2.0), (2.0, 1.0)])
@@ -454,7 +453,7 @@ def test_extraction_breaks_ties_in_declared_impulse_order(pinned_problem, impuls
     succ = y1.states.succ[0]
     assert y0.values[0][0, succ[0]] == y0.values[0][0, succ[1]]
     strategy = extract_strategy(result.fields, tree, model)
-    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", impulses[0])
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == ("impulse", impulses[0])
     assert strategy.rows() == _depth_first_extract(result.fields, tree, model, 1e-12)[0]
 
 
@@ -463,7 +462,7 @@ def test_extraction_with_zero_tol_impulses_where_the_value_meets_the_obstacle(pi
     loaded, tree = pinned_problem
     result = value_iteration(tree, loaded.impulse, tol=0.0)
     strategy = extract_strategy(result.fields, tree, loaded.impulse, tol=0.0)
-    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == ("impulse", 1.0)
     assert strategy.rows() == _depth_first_extract(result.fields, tree, loaded.impulse, 0.0)[0]
 
 
@@ -506,7 +505,7 @@ def test_strategy_from_rule_builds_complete_tables(pinned_problem):
     strategy = strategy_from_rule(
         tree, lambda level, index, cum, count: 1.0 if (level, count) == (0, 0) else None, (1.0,)
     )
-    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == Decision("impulse", 1.0)
+    assert strategy.decisions[(0, 0, state_key(0.0, 0))] == ("impulse", 1.0)
     value = evaluate_strategy_exact(tree, loaded.impulse, strategy)
     assert value.value == pytest.approx(0.7, abs=1e-8)
 
