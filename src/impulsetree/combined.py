@@ -7,14 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import CoefficientExpr
-from .impulse import (
-    ImpulseModel,
-    StateSpace,
-    ValueIterationResult,
-    SolverError,
-    _extract_walk,
-    _reflect_until_stall,
-)
+from .impulse import ImpulseModel, SolverError, StateSpace, ValueIterationResult, _extract_walk, _iterate
 from .model import DEFAULT_TOL, ControlGrid
 from .tree import ScenarioTree, _z
 
@@ -43,7 +36,7 @@ def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace,
         u = np.asarray(spec.grid.controls, dtype=float)[:, None, None]
     coefficients = (spec.sigma, spec.grid.controlled_drift, spec.reward)
     _, theta, reward = tree.coefficients(k, states.shifts[None, cols], u, *coefficients)
-    if not (np.abs(theta) * tree.sqrt_dt < 1).all():
+    if not np.abs(theta).max() * tree.sqrt_dt < 1:  # the bound at every cell; nan fails it
         for j in range(k):  # a lower level that fails is named first, as in a check from the root
             for block in tree.shift_blocks(j, len(states), len(spec.grid.controls)):
                 driver_tables(tree, spec, states, j, block)
@@ -52,8 +45,7 @@ def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace,
 
 
 def _by_control(a):
-    """A coefficient over (controls, nodes, shifts); one that reads no u has
-    no control axis, and its one control stands for every control."""
+    """A coefficient over (controls, nodes, shifts); one without a control axis stands for every control."""
     return np.reshape(a, (1,) * (3 - np.ndim(a)) + np.shape(a))
 
 
@@ -70,42 +62,41 @@ def combined_value_iteration(
     maximized Hamiltonian: Z_k = z_repr(Y_{k+1}), then
     Y_k = max(E[Y_{k+1}] + H*(t_k, shifted path, Z_k)*dt, obstacle).
 
-    Theta and the reward live for one (level, block of shifts) of a sweep,
-    the block counting the grid's controls.  The maximum is a running one
-    over the controls; a strict > keeps the first maximizer, as argmax
-    does, and np.maximum keeps the bits of the max over the control axis.
+    Theta and the reward live for one (level, block of shifts, counting
+    the grid's controls) of the engine's pass, and each field reads its
+    part of the block.  The maximum is a running one per field (Z differs
+    between fields) over the controls; a strict > keeps the first
+    maximizer, as argmax does, and np.maximum keeps the bits of the max.
     ``fixed_controls`` (per-level (2^k, n_states) arrays of control-grid
     indices over the run's states, levels 0..depth-1) evaluates the
-    recursion under a frozen control table instead of the pointwise
-    maximum; the value fields then record that table.
+    recursion under that frozen table, which the fields then record.
     """
     grid = np.asarray(spec.grid.controls, dtype=float)
     dtype = np.min_scalar_type(-grid.size)  # the smallest signed dtype holding a grid index
 
-    def driver(k, y_next, states, u_idx=None):  # at u_idx, else at fixed_controls, else maximized over the grid
-        z = _z(y_next, tree.dt)  # the sweep checks Y's finiteness once per field
+    def drive(k, y_nexts, states, u_idx=None):  # at u_idx, else at fixed_controls, else maximized over the grid
         if u_idx is None and fixed_controls is not None:
-            u_idx = fixed_controls[k][:, : z.shape[1]]
-        drv = np.empty_like(z)
-        if u_idx is not None:
-            at = np.asarray(u_idx).astype(dtype, order="F")
-            for cols in tree.shift_blocks(k, z.shape[1]):
-                theta, reward = driver_tables(tree, spec, states, k, cols, grid[at[:, cols]])
-                drv[:, cols] = z[:, cols] * theta + reward
-            return drv, at
-        at = np.zeros(z.shape, dtype, order="F")
-        for cols in tree.shift_blocks(k, z.shape[1], grid.size):
-            theta, reward = np.broadcast_arrays(*map(_by_control, driver_tables(tree, spec, states, k, cols)))
-            zc, best, at_c = z[:, cols], drv[:, cols], at[:, cols]
-            cand, better = np.empty_like(zc), np.empty(zc.shape, bool)
-            for c in range(theta.shape[0]):  # candidate c is z*theta + reward at control c
-                np.add(np.multiply(zc, theta[c], out=cand), reward[c], out=cand if c else best)
-                if c:
-                    np.copyto(at_c, c, where=np.greater(cand, best, out=better))
-                    np.maximum(best, cand, out=best)
-        return drv, at
+            u_idx = fixed_controls[k][:, : len(states)]
+        at = None if u_idx is None else np.asarray(u_idx).astype(dtype, order="F")
+        drvs = [np.empty((tree.level_size(k), y.shape[1]), order="F") for y in y_nexts]
+        ats = [np.zeros(d.shape, dtype, order="F") if at is None else at[:, : d.shape[1]] for d in drvs]
+        for cols in tree.shift_blocks(k, len(states), grid.size if at is None else 1):
+            tables = driver_tables(tree, spec, states, k, cols, None if at is None else grid[at[:, cols]])
+            theta, reward = np.broadcast_arrays(*map(_by_control, tables))
+            for y, drv, at_n in zip(y_nexts, drvs, ats):  # the widest field first; each takes its part of the block
+                part = slice(cols.start, min(cols.stop, y.shape[1]))
+                if part.start >= part.stop:
+                    break
+                z, best, width = _z(y[:, part], tree.dt), drv[:, part], part.stop - part.start
+                cand, better = np.empty_like(z), np.empty(z.shape, bool)
+                for c in range(theta.shape[0]):  # candidate c is z*theta + reward at control c
+                    np.add(np.multiply(z, theta[c][:, :width], out=cand), reward[c][:, :width], out=cand if c else best)
+                    if c:
+                        np.copyto(at_n[:, part], c, where=np.greater(cand, best, out=better))
+                        np.maximum(best, cand, out=best)
+        return drvs, ats
 
-    return _reflect_until_stall(tree, model, tol, budget, driver)
+    return _iterate(tree, model, tol, budget, drive)
 
 
 def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: HamiltonianSpec, tol: float = DEFAULT_TOL):

@@ -4,8 +4,8 @@ Volatility, drift, reward and controlled-drift functionals are written as
 small arithmetic expressions over the path features cached at each tree
 node.  The language is the three tables below: VARIABLES, OPERATORS (the
 binary operators, all left-associative, with their precedence) and
-FUNCTIONS (with their arity).  Grammar, where a higher precedence binds
-tighter and unary minus binds tightest:
+FUNCTIONS (with their arity and whether they can overflow).  Grammar,
+where a higher precedence binds tighter and unary minus binds tightest:
 
     expr   := factor (OPERATOR factor)*
     factor := number | variable | '-' factor | function '(' args ')' | '(' expr ')'
@@ -25,13 +25,17 @@ import numpy as np
 FEATURES = ("x", "xmax", "xmin", "xavg")
 VARIABLES = ("t", *FEATURES, "u")  # time, the path features and, last, the control
 OPERATORS = {"+": (1, np.add), "-": (1, np.subtract), "*": (2, np.multiply), "/": (2, np.divide)}
-FUNCTIONS = {
-    "min": (2, np.minimum),
-    "max": (2, np.maximum),
-    "abs": (1, np.abs),
-    "exp": (1, np.exp),
-    "clamp": (3, lambda v, lo, hi: np.minimum(np.maximum(v, lo), hi)),
+FUNCTIONS = {  # name: (arity, implementation, whether finite arguments can give a non-finite result)
+    "min": (2, np.minimum, False),
+    "max": (2, np.maximum, False),
+    "abs": (1, np.abs, False),
+    "exp": (1, np.exp, True),
+    "clamp": (3, lambda v, lo, hi: _clamp(np.maximum(v, lo), hi), False),
 }
+
+
+def _clamp(low, hi):  # min(low, hi), written over low (max's new array) where the shapes allow
+    return np.minimum(low, hi, out=low if isinstance(low, np.ndarray) and np.shape(hi) in ((), low.shape) else None)
 
 
 class ExprError(ValueError):
@@ -247,8 +251,12 @@ def _eval(node, env):
         value = OPERATORS[node.op][1](_eval(node.left, env), _eval(node.right, env))  # left operand first
         return _require_finite(value, f"operator '{node.op}'")
     if isinstance(node, Call):
-        value = FUNCTIONS[node.func][1](*[_eval(arg, env) for arg in node.args])
-        return _require_finite(value, f"function '{node.func}'")
+        _, function, overflows = FUNCTIONS[node.func]
+        args = [_eval(arg, env) for arg in node.args]
+        # every value is finite but a scalar literal (negated or not), so only one of those needs a check
+        if overflows or not all(np.ndim(a) or np.isfinite(a) for a in args):
+            return _require_finite(function(*args), f"function '{node.func}'")
+        return function(*args)
     raise TypeError(f"not an expression node: {node!r}")
 
 

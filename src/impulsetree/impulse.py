@@ -4,6 +4,7 @@ extraction."""
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -99,10 +100,10 @@ class ValueField:
     budget - n impulses; their impulse successors all lie in Y^{n-1}'s
     states.  ``values[k]`` has shape (2^k, len(states)); in combined mode
     ``controls[k]`` holds the control-grid index of the driver at each
-    (node, state) of levels 0..depth-1.  The rest of the recursion is a
-    function of these: field_terms gives Z and the reflection increment,
-    obstacle(Y^{n-1}, model, k) the intervention value.  The sweeps
-    allocate the level arrays column-major, one state's nodes contiguous.
+    (node, state) of levels 0..depth-1.  field_terms gives Z and the
+    reflection increment, obstacle(Y^{n-1}, model, k) the intervention
+    value.  Levels are column-major (one state's nodes contiguous); one that
+    repeats Y^{n-1}'s bits may be a view of it.
     """
 
     n: int
@@ -128,43 +129,50 @@ def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, k
     return table
 
 
-def _reward_driver(tree: ScenarioTree, model: ImpulseModel):
-    """The pure impulse driver: the running reward h, which reads no Z and
-    uses no control."""
-    return lambda k, y_next, states, u_idx=None: (reward_tables(tree, model, states, k), None)
+def _reward_drive(tree: ScenarioTree, model: ImpulseModel):
+    """The pure impulse driver, the running reward h (no Z, no control): level
+    k's table on ``states``, whose column prefixes the fields read."""
+
+    def drive(k, y_nexts, states, u_idx=None):
+        table = reward_tables(tree, model, states, k)
+        return [table[:, : y.shape[1]] for y in y_nexts], None
+
+    return drive
 
 
-def _sweep(tree: ScenarioTree, model: ImpulseModel, driver, states: StateSpace, prev=None) -> ValueField:
-    """One backward sweep over ``states``, shared by both modes: the
-    reflected kernel with Y_k = E[Y_{k+1}] + driver*dt, reflected against
-    the obstacle from ``prev`` when one is given (then ``states`` are
-    prev.next_states).  ``driver(k, Y_{k+1}, states, u_idx=None)`` returns
-    the level-k driver on ``states`` and the control-grid indices it used
-    (None where it uses no control), at ``u_idx`` when one is given.
-    Terminal value 0: no impulses at the horizon.  The obstacle is built
-    one level at a time, as the kernel reaches it.
-    """
-    controls = [None] * tree.depth
+@np.errstate(over="ignore", invalid="ignore")  # past a non-finite field; the caller checks finiteness
+def _fields(tree: ScenarioTree, model: ImpulseModel, drive, states: StateSpace, count: int, prev=None):
+    """The backward engine both modes share: ``count`` consecutive fields in
+    one level-major pass, the first over ``states`` (prev.next_states when
+    reflected against ``prev``), from 0 at the horizon: Y^n_k =
+    max(obstacle from Y^{n-1}, E[Y^n_{k+1}] + driver*dt).  ``drive(k,
+    [Y_{k+1}, ...], states, u_idx=None)`` returns the fields' level-k
+    drivers and control-grid indices (None without a control), at ``u_idx``
+    when given, from one kernel call per (level, block) of ``states``."""
+    new = [ValueField(0 if prev is None else prev.n + 1, states, [None] * tree.depth)]
+    while len(new) < count:
+        new.append(ValueField(new[-1].n + 1, new[-1].next_states, [None] * tree.depth))
+    for f in new:
+        f.values.append(np.zeros((tree.level_size(tree.depth), len(f.states)), order="F"))
+    chain, controls = new if prev is None else [prev, *new], [[None] * tree.depth for _ in new]
 
-    def step(k, y_next):
-        drv, controls[k] = driver(k, y_next, states)
-        return drv * tree.dt
+    def step(k, y_nexts):  # the first new fields; a field past them repeats the last one's controls
+        drvs, ats = drive(k, y_nexts, states)
+        for i, (c, f) in enumerate(zip(controls, new) if ats else ()):
+            c[k] = ats[min(i, len(ats) - 1)][:, : len(f.states)]
+        # times dt in place where the driver owns its array, else (a shared reward table's prefix) anew
+        return [np.multiply(d, tree.dt, out=d if d.base is None else None) for d in drvs]
 
-    terminal = np.zeros((tree.level_size(tree.depth), len(states)), order="F")
-    obs = None if prev is None else (lambda k: obstacle(prev, model, k))
-    return ValueField(
-        n=0 if prev is None else prev.n + 1,
-        states=states,
-        values=tuple(reflect_backward(terminal, tree.depth, obs, step)),
-        controls=None if controls[0] is None else tuple(controls),
-    )
+    reflect_backward([f.values for f in chain], lambda n, k: obstacle(chain[n - 1], model, k) if n else None, step)
+    controls = [None if c[0] is None else tuple(c) for c in controls]
+    return [ValueField(f.n, f.states, tuple(f.values), c) for f, c in zip(new, controls)]
 
 
 def solve_y0(tree: ScenarioTree, model: ImpulseModel, states: StateSpace) -> ValueField:
-    """Unreflected base field: expected remaining reward for a strategy
-    already holding each state's cumulative impulse, with no further
-    impulses allowed.  Terminal value 0; reflection increments identically 0."""
-    return _sweep(tree, model, _reward_driver(tree, model), states)
+    """Unreflected base field, the engine's one-field case: expected
+    remaining reward for a strategy already holding each state's cumulative
+    impulse, with no further impulses allowed (no reflection)."""
+    return _fields(tree, model, _reward_drive(tree, model), states, 1)[0]
 
 
 def obstacle(prev: ValueField, model: ImpulseModel, k: int) -> np.ndarray:
@@ -192,8 +200,8 @@ def iterate_value(prev: ValueField, tree: ScenarioTree, model: ImpulseModel) -> 
     """One reflected step: Y_k = max(E[Y_{k+1}] + h*dt, obstacle from the
     previous field) on prev.next_states.  Terminal value stays 0 (no
     impulses at the horizon; the terminal obstacle is <= -cost floor and
-    never binds)."""
-    return _sweep(tree, model, _reward_driver(tree, model), prev.next_states, prev)
+    never binds).  The engine's one-step case."""
+    return _fields(tree, model, _reward_drive(tree, model), prev.next_states, 1, prev)[0]
 
 
 @dataclass
@@ -202,7 +210,11 @@ class ValueIterationResult:
     stall_index: "int | None"
     sup_increments: "list[float]"
     states: StateSpace
-    driver: object  # the sweeps' driver(k, Y_{k+1}, states, u_idx=None) -> (driver, control indices or None)
+    drive: object  # the engine's drive(k, [Y_{k+1}, ...], states, u_idx=None) -> (drivers, control indices or None)
+
+    def driver(self, k: int, y_next: np.ndarray, states: StateSpace, u_idx=None):  # the drive's one-field case
+        drvs, ats = self.drive(k, [y_next], states, u_idx)
+        return drvs[0], None if ats is None else ats[0]
 
     @property
     def stalled(self) -> bool:
@@ -225,40 +237,37 @@ class ValueIterationResult:
         return [f.root_value() for f in self.fields]
 
 
-def _sup_increment(prev: np.ndarray, values: np.ndarray) -> float:
-    diff = np.subtract(values, prev[:, : values.shape[1]])
-    return float(np.abs(diff, out=diff).max())
-
-
-def _reflect_until_stall(tree: ScenarioTree, model: ImpulseModel, tol: float, budget: "int | None", driver):
-    """The value iteration both modes share, with the mode's driver: Y^0 is
-    the unreflected sweep over the states reachable within the budget
-    (ceil(gamma*T/c) by default), then Y^n the sweep reflected against
-    Y^{n-1} over its next states, until the sup-norm of Y^n - Y^{n-1} over
-    Y^n's (node, state) pairs drops to ``tol`` or n reaches the budget.
-
-    Finiteness is checked once per field: a non-finite value of Y^0 reaches
-    the root of its state (no obstacle masks it), and one of Y^n, against
-    the finite Y^{n-1}, makes the sup increment non-finite."""
+def _iterate(tree: ScenarioTree, model: ImpulseModel, tol: float, budget: "int | None", drive):
+    """The value iteration both modes share, with the mode's drive: Y^0 over
+    the states within the budget (ceil(gamma*T/c) by default), then Y^n
+    reflected against Y^{n-1} over its next states, until the sup-norm of
+    Y^n - Y^{n-1} drops to ``tol`` (the stall) or n reaches the budget.
+    The engine runs before the stall is known, in windows of fields: the
+    first of at most 2*(|Y^0| + |Y^1|) state columns, each later one of at
+    most the columns done so far, so no run computes twice the columns up
+    to the stall; fields past it are dropped.  Finiteness is checked per
+    field, in order: at Y^0's root row, then through Y^n's sup increment."""
     if budget is None:
         budget = impulse_budget(model.reward_bound, model.cost_floor, tree.horizon)
     states = enumerate_states(model.impulses, budget)
-    fields = [_sweep(tree, model, driver, states)]
-    if not np.isfinite(fields[0].values[0]).all():
-        raise SolverError("non-finite values in field 0")
-    stall_index = 0 if states.budget == 0 else None  # no impulse is ever admissible, Y0 is the value
-    sups = []
-    for n in range(1, states.budget + 1):
-        nxt = _sweep(tree, model, driver, fields[-1].next_states, fields[-1])
-        sup = max(_sup_increment(a, b) for a, b in zip(fields[-1].values, nxt.values))
-        if not math.isfinite(sup):
-            raise SolverError(f"non-finite values in field {n}")
-        fields.append(nxt)
-        sups.append(sup)
-        if sup <= tol:
-            stall_index = n
-            break
-    return ValueIterationResult(fields, stall_index, sups, states, driver)
+    widths = np.searchsorted(states.counts, range(budget, -1, -1), side="right").tolist()  # each field's states
+    fields, sups, stall_index = [], [], 0 if budget == 0 else None  # budget 0: no impulse, Y0 is the value
+    while not fields or (stall_index is None and len(fields) <= budget):
+        n, prev = len(fields), fields[-1] if fields else None
+        room = sum(widths[:n]) if n else 2 * sum(widths[:2])
+        count = max(1, sum(total <= room for total in accumulate(widths[n:])))  # the fields that fit
+        for fld in _fields(tree, model, drive, prev.next_states if prev else states, count, prev):
+            if fld.n:
+                pairs = zip(fields[-1].values, fld.values)  # a level that is a view of the one below adds 0.0
+                diffs = (np.subtract(b, a[:, : b.shape[1]]) for a, b in pairs if not np.may_share_memory(a, b))
+                sups.append(max(float(np.abs(d, out=d).max()) for d in diffs))
+            if not (math.isfinite(sups[-1]) if fld.n else np.isfinite(fld.values[0]).all()):
+                raise SolverError(f"non-finite values in field {fld.n}")
+            fields.append(fld)
+            if fld.n and sups[-1] <= tol:
+                stall_index = fld.n
+                break
+    return ValueIterationResult(fields, stall_index, sups, states, drive)
 
 
 def value_iteration(
@@ -270,7 +279,7 @@ def value_iteration(
     Returns the field sequence and whether stabilization occurred; hitting
     the budget without a stall is reported, not fatal.
     """
-    return _reflect_until_stall(tree, model, tol, budget, _reward_driver(tree, model))
+    return _iterate(tree, model, tol, budget, _reward_drive(tree, model))
 
 
 def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
@@ -278,9 +287,9 @@ def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
     horizon): Z_k = z_repr(Y_{k+1}) and K_inc_k = Y_k - (E[Y_{k+1}] +
     driver*dt), the run's driver taken at the field's recorded controls.
 
-    The sweep's own operations, so the sweep's bits, without the finiteness
-    checks the sweep made on the same values.  A driver evaluated at a tied
-    argmax may differ from the sweep's max in the sign of a zero,
+    The engine's own operations, so the engine's bits, without the
+    finiteness checks it made on the same values.  A driver evaluated at a
+    tied argmax may differ from the engine's max in the sign of a zero,
     which never shows: no Y is -0.0 (the horizon's zeros are +0.0 and each
     obstacle lies a positive cost below a field), so E[Y_{k+1}] is not.
     """

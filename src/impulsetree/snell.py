@@ -43,10 +43,10 @@ class EnvelopeResult:
 
 def snell_envelope(payoff: PayoffProcess, tol: float = DEFAULT_TOL) -> EnvelopeResult:
     """Backward induction V_N = X_N, V_k = max(X_k, E[V_{k+1} | node]): the
-    reflected kernel with the payoff levels as obstacle and as terminal
-    value, and no driver (a payoff is checked finite when it is built)."""
+    reflected kernel's one-field case, the payoff levels as obstacle and as
+    terminal value, no driver (a payoff is checked finite when built)."""
     depth = payoff.depth
-    envelope = reflect_backward(payoff.values[depth].copy(), depth, payoff.values.__getitem__)
+    envelope = reflect_backward([[None] * depth + [payoff.values[depth].copy()]], lambda n, k: payoff.values[k])[0]
     stop = [np.abs(v - x) <= tol for v, x in zip(envelope[:depth], payoff.values)]
     stop.append(np.ones(2**depth, dtype=bool))
     first_stop = [None] * depth + [np.full(2**depth, depth, dtype=np.int64)]

@@ -182,7 +182,7 @@ def _checked(children: np.ndarray) -> np.ndarray:
     return children
 
 
-# cond_expect and z_repr without their checks, for values a sweep checks itself
+# cond_expect and z_repr without their checks, for values the engine checks itself
 def _expect(children: np.ndarray) -> np.ndarray:
     out = children[0::2] + children[1::2]
     out *= 0.5  # the bits of 0.5 * (up + down), in the sum's buffer
@@ -190,7 +190,9 @@ def _expect(children: np.ndarray) -> np.ndarray:
 
 
 def _z(children: np.ndarray, dt: float) -> np.ndarray:
-    return (children[0::2] - children[1::2]) / (2.0 * math.sqrt(dt))
+    out = children[0::2] - children[1::2]
+    out /= 2.0 * math.sqrt(dt)  # the bits of (up - down) / (2*sqrt(dt)), in the difference's buffer
+    return out
 
 
 def cond_expect(children: np.ndarray) -> np.ndarray:
@@ -212,20 +214,35 @@ def z_repr(children: np.ndarray, dt: float) -> np.ndarray:
     return _z(children, dt)
 
 
-def reflect_backward(terminal: np.ndarray, depth: int, obstacle=None, step=None) -> "list[np.ndarray]":
-    """The reflected recursion of every solver, laid out as in cond_expect:
-    Y_depth = terminal, Y_k = max(obstacle(k), E[Y_{k+1}] + step(k, Y_{k+1})),
-    the obstacle asked for one level at a time.  Each level keeps the
-    terminal's memory order.  Unchecked: the caller checks finiteness.
+def reflect_backward(fields, obstacle=None, step=None) -> list:
+    """The reflected recursion of every solver, level-major over fields laid
+    out as in cond_expect, each a list of levels 0..depth holding only its
+    terminal value (a first field given whole is only reflected against),
+    filled in place: for k = depth-1..0, then n = 0, 1, ... in order,
+    Y^n_k = max(obstacle(n, k), E[Y^n_{k+1}] + increment), so obstacle(n, k)
+    may read field n-1's level k; step(k, levels k+1 of the fields it
+    computes) returns their increments, to be overwritten.  No step adds
+    nothing, no obstacle (or None) reflects nothing, a tie keeps the
+    continuation's bits; the caller checks finiteness.  Each field holds a
+    prefix of the previous one's columns, which step and obstacle treat
+    column by column: so where field n repeats n-1 at levels k+1.. and n-1
+    repeats n-2 at level k, field n repeats n-1 at level k, as a view."""
+    start, copies = 0 if fields[0][0] is None else 1, 1  # fields copies, copies + 1, ... repeat so far
+    for k in range(len(fields[0]) - 2, -1, -1):
+        live = fields[start : copies + 1]
+        incs = [None] * len(live) if step is None else step(k, [f[k + 1] for f in live])
+        for n, (f, inc) in enumerate(zip(live, incs), start):
+            cont = _expect(f[k + 1]) if inc is None else np.add(inc, _expect(f[k + 1]), out=inc)  # in any order
+            obs = None if obstacle is None else obstacle(n, k)
+            f[k] = cont if obs is None else np.maximum(obs, cont, out=None if n == copies else cont)
+        while copies < len(fields) and not _same(fields[copies][k], fields[copies - 1][k]):
+            copies += 1  # the next field's level k+1 repeats it: so does the continuation, kept above
+            if copies < len(fields):
+                fields[copies][k] = np.maximum(obstacle(copies, k), cont[:, : fields[copies][k + 1].shape[1]])
+        for f in fields[copies + 1 :]:
+            f[k] = fields[copies][k][:, : f[k + 1].shape[1]]
+    return fields
 
-    No step adds nothing (-0.0 + 0.0 is +0.0); no obstacle reflects nothing.
-    np.maximum returns its second operand on a tie, so the continuation's
-    bits stand: a -0.0 obstacle over a 0.0 continuation gives 0.0."""
-    values = [None] * (depth + 1)
-    values[depth] = terminal
-    for k in range(depth - 1, -1, -1):
-        cont = _expect(values[k + 1])
-        if step is not None:
-            cont += step(k, values[k + 1])
-        values[k] = cont if obstacle is None else np.maximum(obstacle(k), cont, out=cont)
-    return values
+
+def _same(level: np.ndarray, prev: np.ndarray) -> bool:  # whether level has the bits of prev's first columns
+    return bool((level.view(np.int64) == prev[:, : level.shape[1]].view(np.int64)).all())

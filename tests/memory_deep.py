@@ -25,6 +25,12 @@
   node, state) of the run held 151 MB of a ~302 MB peak; evaluating them
   per (level, block of shifts) inside each sweep takes about 120 MB.
 
+- the stall bound: library `value_iteration` of the Baseline with c = 0.02
+  at depth 14 (budget 25, 76 states, the stall at 5) must stay at most
+  170 MB.  The field-major iteration, which stopped at the stall, took
+  about 120 MB; computing every field up to the budget would hold 2.44x
+  its field columns.
+
 The file name does not match pytest's default `test_*.py` pattern, so the
 default test run does not collect it; run it (on Linux) with
 
@@ -44,6 +50,7 @@ SOLVE_PEAK_LIMIT_MB = 140
 MC_PEAK_LIMIT_MB = 65
 EXACT_EVAL_PEAK_LIMIT_MB = 80
 COMBINED_PEAK_LIMIT_MB = 170
+STALL_BOUND_PEAK_LIMIT_MB = 170
 
 BASELINE = {
     "process": {"x0": -0.041266, "T": 1.0, "sigma": "0.3 + 0.1*abs(xmax - x)", "drift": None},
@@ -73,6 +80,17 @@ code = run(sys.argv[1:])
 with open("/proc/self/status", encoding="ascii") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 sys.exit(code)
+"""
+
+# Runs value_iteration on the config given as JSON and prints the stall
+# index and the interpreter's own VmHWM in kB.
+SOLVE_CHILD = """
+import json, sys
+from impulsetree import build_tree, load_config, value_iteration
+loaded = load_config(json.loads(sys.argv[1]))
+result = value_iteration(build_tree(loaded.process, loaded.numerics.depth), loaded.impulse, tol=loaded.numerics.tol)
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(result.stall_index, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
 
 
@@ -137,3 +155,17 @@ def test_depth_16_solve_combined_peak_rss(tmp_path):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["status"] == "ok"
     assert peak_mb <= COMBINED_PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {COMBINED_PEAK_LIMIT_MB} MB"
+
+
+def test_a_late_stall_solve_peak_rss():
+    raw = {**BASELINE, "impulse": {**BASELINE["impulse"], "c": 0.02}, "numerics": {**BASELINE["numerics"], "depth": 14}}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVE_CHILD, json.dumps(raw)], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    stall, peak_kb = proc.stdout.split()
+    peak_mb = int(peak_kb) * 1024 / 1e6
+    assert stall == "5"
+    assert peak_mb <= STALL_BOUND_PEAK_LIMIT_MB, f"peak RSS {peak_mb:.1f} MB above {STALL_BOUND_PEAK_LIMIT_MB} MB"

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impulsetree.expr import (
+    FUNCTIONS,
+    OPERATORS,
     VARIABLES,
     BinOp,
     Call,
@@ -13,6 +15,7 @@ from impulsetree.expr import (
     Lit,
     Neg,
     Var,
+    _require_finite,
     eval_expr,
     parse_expr,
 )
@@ -203,3 +206,71 @@ def test_parse_reads_back_any_ast_printed_with_fewest_parentheses(node):
         return f"{n.func}({', '.join(source(arg) for arg in n.args)})"
 
     assert parse_expr(source(node)) == CoefficientExpr(node)
+
+
+def _checked_at_every_node(node, env):
+    """The evaluation that checked the result of every operator and
+    function: the reference for the one that skips the functions whose
+    finite arguments give a finite result."""
+    if isinstance(node, Lit):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        value = env[node.name]
+        return _require_finite(value if isinstance(value, np.ndarray) else np.float64(value), f"variable '{node.name}'")
+    if isinstance(node, Neg):
+        return -_checked_at_every_node(node.operand, env)
+    if isinstance(node, BinOp):
+        left, right = _checked_at_every_node(node.left, env), _checked_at_every_node(node.right, env)
+        return _require_finite(OPERATORS[node.op][1](left, right), f"operator '{node.op}'")
+    args = [_checked_at_every_node(arg, env) for arg in node.args]
+    return _require_finite(FUNCTIONS[node.func][1](*args), f"function '{node.func}'")
+
+
+# Literals up to and past the float range (1e999 parses to inf), and
+# variables whose values overflow a product or an exp.
+_extreme_leaves = st.one_of(
+    st.sampled_from([0.0, 0.5, 3.0, 700.0, 1e200, 1e308, float("inf")]).map(Lit),
+    st.sampled_from(VARIABLES).map(Var),
+)
+_EXTREME_ENV = {
+    "t": 2.0,
+    "x": np.array([0.3, -1e300, 1e300, 710.0]),
+    "xmax": np.array([1.5, 1e308, -2.0, 0.0]),
+    "xmin": -0.7,
+    "xavg": np.array([0.4, 0.0, -0.0, 1e-300]),
+    "u": np.array([[3.0], [-1e200]]),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_extreme_leaves, _compound, max_leaves=12))
+def test_only_overflowing_nodes_are_checked_with_the_same_errors(node):
+    """The same bits, or the same EvalError naming the same node, as the
+    evaluation that checked every operator and function."""
+    try:
+        with np.errstate(all="ignore"):
+            want = _checked_at_every_node(node, _EXTREME_ENV)
+    except EvalError as exc:
+        with pytest.raises(EvalError) as got:
+            eval_expr(CoefficientExpr(node), _EXTREME_ENV)
+        assert str(got.value) == str(exc)
+        return
+    got = eval_expr(CoefficientExpr(node), _EXTREME_ENV)
+    assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "source, node",
+    [("abs(1e999)", "function 'abs'"), ("max(x, 1e999)", "function 'max'"), ("clamp(x, -1e999, 0)", None),
+     ("min(-1e999, x)", "function 'min'"), ("clamp(x, 0, 1e999) + 1", None), ("-1e999", None)],
+)
+def test_a_non_finite_literal_is_caught_by_the_function_it_reaches(source, node):
+    """abs, min, max and clamp are checked only where a literal argument is
+    not finite, and then raise where the result is not; a bare or negated
+    literal is not checked, as before."""
+    env = {"x": np.array([0.5, -2.0])}
+    if node is None:
+        eval_expr(parse_expr(source), env)
+    else:
+        with pytest.raises(EvalError, match=f"non-finite result in {node}"):
+            eval_expr(parse_expr(source), env)
