@@ -207,8 +207,8 @@ def test_the_engine_matches_the_field_major_reference(name, stack_cells):
 @pytest.mark.parametrize("name", ["impulse-300", "combined-400", "pinned"])
 @pytest.mark.parametrize("budget", [0, 1, 2])
 def test_small_budgets_match_the_reference(name, budget, stack_cells):
-    """Budget 0 is Y^0 alone, stalled at 0; budgets 1 and 2 end in one
-    window whatever the stall."""
+    """Budget 0 is Y^0 alone, stalled at 0; budgets 1 and 2, which never
+    stall at tol -1, fit in one window."""
     loaded = load_config(CONFIGS[name])
     tree = build_tree(loaded.process, loaded.numerics.depth)
     result, reference = _solve(loaded, tree, -1.0, budget)
