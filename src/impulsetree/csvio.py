@@ -31,13 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvread import FORMATS
 from .impulse import field_terms
 from .strategy import Strategy
 from .snell import PayoffProcess
 
 # Rows per write: values.csv's widest chunk matrix takes about 170 kB.
 CHUNK_ROWS = 2048
-STRATEGY_HEADER = ["level", "index", "state_cum", "state_count", "action", "beta"]
 _REPR = "S24"  # repr of a float64 takes at most 24 bytes
 
 
@@ -227,9 +227,9 @@ def _write_group(fh, texts, shared, group):
     _write_table(fh, texts, (sum(nodes), columns[0].size // sum(nodes)), *head, *shared, *columns)
 
 
-def _open_csv(path: Path, header):
+def _open_csv(path: Path, name: str):
     fh = path.open("wb")
-    fh.write((",".join(header) + "\r\n").encode())
+    fh.write((",".join(FORMATS[name]) + "\r\n").encode())
     return fh
 
 
@@ -237,7 +237,7 @@ def write_values_csv(path: Path, result, tree):
     """values.csv of a value iteration, its fields in order of n: one row
     per (level, node, state) with Y and field_terms' Z and K_inc."""
     texts = _Texts(3)
-    with _open_csv(path, ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"]) as fh:
+    with _open_csv(path, "values") as fh:
         for fld in result.fields:
             shifts, counts = fld.states.shifts.tolist(), fld.states.counts.tolist()
             states = ([f"{cum!r},{n}".encode() for cum, n in zip(shifts, counts)], np.arange(len(shifts))[None, :])
@@ -249,7 +249,7 @@ def write_strategy_csv(path: Path, strategy: Strategy):
     """Strategy.rows() as CSV, formatted from Strategy.row_arrays()."""
     level, index, cum, count, code = strategy.row_arrays()
     actions = [f"{act},{'' if beta is None else repr(float(beta))}".encode() for act, beta in strategy.actions]
-    with _open_csv(path, STRATEGY_HEADER) as fh:
+    with _open_csv(path, "strategy") as fh:
         _write_table(fh, _Texts(1), (level.size, 1), level, index, cum, count, (actions, code + 1))
 
 
@@ -257,13 +257,13 @@ def write_controls_csv(path: Path, controls, states):
     """One row per node below the horizon: its post-chain state, from
     walk_strategy_states, and its control."""
     levels = ((str(k).encode(), (states.cum[k], states.count[k], controls[k])) for k in range(len(states.cum) - 1))
-    with _open_csv(path, ["level", "index", "state_cum", "state_count", "u_star"]) as fh:
+    with _open_csv(path, "controls") as fh:
         _write_levels(fh, _Texts(2), [], levels)
 
 
 def write_envelope_csv(path: Path, payoff: PayoffProcess, result):
     columns = (payoff.values, result.envelope, result.stop_region, result.first_optimal_stop)
-    with _open_csv(path, ["level", "index", "payoff", "envelope", "stop", "first_stop"]) as fh:
+    with _open_csv(path, "envelope") as fh:
         _write_levels(fh, _Texts(2), [], ((str(k).encode(), level) for k, level in enumerate(zip(*columns))))
 
 
@@ -271,5 +271,5 @@ def write_dump(fh, tree, level: int):
     """One tree level's (level, index, t, L, xmax, xmin, xavg) rows to an
     open binary stream."""
     columns = (tree.state[level], tree.running_max[level], tree.running_min[level], tree.running_avg[level])
-    fh.write(b"level,index,t,L,xmax,xmin,xavg\r\n")
+    fh.write((",".join(FORMATS["dump"]) + "\r\n").encode())
     _write_levels(fh, _Texts(4), [repr(float(tree.times[level])).encode()], [(str(level).encode(), columns)])

@@ -25,7 +25,11 @@ that breaks one parse rule each (ERROR_SIGMAS), and of configs whose
 coefficients fail to evaluate in the tree build, the impulse audit and
 the combined audit; `snell` of
 payoffs whose envelope ties the payoff as zeros of opposite sign, and of
-a depth-0 payoff; then the benchmark's invocations
+a depth-0 payoff; `eval` and `snell` of corrupted copies of a depth-11
+Baseline strategy and drawdown payoff (CORRUPTIONS: a duplicated, a
+dropped and an off-path row, a quoted field past the first 32 kB, a
+non-finite value and a row more than a full tree holds); then the
+benchmark's invocations
 (perfbench/workloads.py) for seeds 1 and 2.  Their inputs are made once,
 by the library of NEW_SRC.
 
@@ -106,6 +110,58 @@ def _strategy_csv(path: Path, config: dict) -> Path:
     return path
 
 
+def _quote(line: str) -> str:
+    """A CSV line with its third field quoted (the same value to the csv module)."""
+    fields = line.split(",")
+    return ",".join([*fields[:2], f'"{fields[2]}"', *fields[3:]])
+
+
+def _shift(line: str) -> str:
+    """A strategy line with its state_cum moved off the strategy's path."""
+    fields = line.split(",")
+    return ",".join([*fields[:2], repr(float(fields[2]) + 0.5), *fields[3:]])
+
+
+# Row AT of a CSV lies past its first 32 kB (the readers' first chunk).
+AT = 2000
+# Corruptions of a CSV's lines, each for the files it is named for.
+CORRUPTIONS = {
+    "duplicate": (("strategy", "payoff"), lambda lines: lines[: AT + 1] + lines[AT:]),
+    "drop": (("strategy", "payoff"), lambda lines: lines[:AT] + lines[AT + 1 :]),
+    "quoted": (("strategy", "payoff"), lambda lines: lines[:AT] + [_quote(lines[AT])] + lines[AT + 1 :]),
+    "off-path": (("strategy",), lambda lines: lines[:AT] + [_shift(lines[AT])] + lines[AT + 1 :]),
+    "non-finite": (("payoff",), lambda lines: lines[:AT] + [lines[AT].rsplit(",", 1)[0] + ",inf"] + lines[AT + 1 :]),
+    "extra-row": (("payoff",), lambda lines: lines + ["12,0,0.5"]),
+}
+
+
+def _corrupted(inputs: Path):
+    """(label, arguments) of `eval` and `snell` on each of CORRUPTIONS of a
+    depth-11 Baseline strategy and drawdown payoff."""
+    import numpy as np
+
+    from impulsetree import build_tree, load_config
+    from memory_deep import BASELINE
+
+    raw = {**BASELINE, "numerics": {**BASELINE["numerics"], "depth": 11}}
+    config = inputs / "baseline-11.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    tree = build_tree(load_config(raw).process, 11)
+    payoff = [np.maximum(tree.running_max[k] - tree.state[k] - 0.1 * tree.times[k], 0.0).tolist() for k in range(12)]
+    files = {
+        "strategy": _strategy_csv(inputs / "baseline-11-strategy.csv", raw).read_text(encoding="utf-8").splitlines(),
+        "payoff": ["level,index,value"] + [f"{k},{i},{v!r}" for k, vs in enumerate(payoff) for i, v in enumerate(vs)],
+    }
+    for name, (kinds, corrupt) in CORRUPTIONS.items():
+        for kind in kinds:
+            path = inputs / f"{kind}-{name}.csv"
+            path.write_text("\r\n".join(corrupt(files[kind])) + "\r\n", encoding="utf-8")
+            if kind == "strategy":
+                yield f"eval-{name}", ["eval", "--config", str(config), "--strategy", str(path)]
+            else:
+                yield f"snell-{name}", ["snell", "--payoff", str(path)]
+
+
 def invocations(inputs: Path):
     """(label, CLI arguments without --out) of every invocation."""
     from impulsetree.tree import STACK_CELLS
@@ -140,6 +196,8 @@ def invocations(inputs: Path):
         rows = (f"{k},{i},{v!r}\n" for k, level in enumerate(levels) for i, v in enumerate(level))
         path.write_text("level,index,value\n" + "".join(rows), encoding="utf-8")
         yield f"snell-{label}", ["snell", "--payoff", str(path)]
+
+    yield from _corrupted(inputs)
 
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     import workloads

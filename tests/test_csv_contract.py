@@ -82,7 +82,7 @@ def test_solve_csv_bytes(tmp_path, monkeypatch, chunk_rows, config):
     assert (out / "values.csv").read_bytes() == _reference_csv(
         ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows(result, tree)
     )
-    assert (out / "strategy.csv").read_bytes() == _reference_csv(csvio.STRATEGY_HEADER, _strategy_rows(strategy))
+    assert (out / "strategy.csv").read_bytes() == _reference_csv(list(csvread.FORMATS["strategy"]), _strategy_rows(strategy))
     # a continue row ends with an empty beta field
     assert b",continue,\r\n" in (out / "strategy.csv").read_bytes()
 
@@ -101,7 +101,7 @@ def test_solve_combined_csv_bytes(tmp_path, monkeypatch, chunk_rows):
     assert (out / "values.csv").read_bytes() == _reference_csv(
         ["n", "level", "index", "state_cum", "state_count", "Y", "Z", "K_inc"], _values_rows(result, tree)
     )
-    assert (out / "strategy.csv").read_bytes() == _reference_csv(csvio.STRATEGY_HEADER, _strategy_rows(strategy))
+    assert (out / "strategy.csv").read_bytes() == _reference_csv(list(csvread.FORMATS["strategy"]), _strategy_rows(strategy))
     assert (out / "controls.csv").read_bytes() == _reference_csv(
         ["level", "index", "state_cum", "state_count", "u_star"],
         # a node's control belongs to its continue row's (post-chain) state
@@ -120,7 +120,7 @@ def _check_envelope_bytes(tmp_path, levels):
     payoff_csv = tmp_path / "payoff.csv"
     with payoff_csv.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(csvread.PAYOFF_HEADER)
+        writer.writerow(list(csvread.FORMATS["payoff"]))
         for k in range(depth, -1, -1):  # any row order is accepted
             writer.writerows((k, i, repr(v)) for i, v in enumerate(levels[k].tolist()))
     out = tmp_path / "run"

@@ -1,4 +1,4 @@
-"""Time each CSV writer of two source trees, one fresh process per run.
+"""Time each CSV writer and reader of two source trees, one fresh process per run.
 
     python tests/writer_timing.py OLD_SRC NEW_SRC [RUNS]
 
@@ -11,15 +11,17 @@ NEW_SRC, as tests/equivalence.py makes them):
 - strategy: write_strategy_csv of its extracted strategy;
 - controls: write_controls_csv of combined-wide's pair (depth 11, 9 controls);
 - envelope: write_envelope_csv of the replay payoff's Snell envelope (depth 16);
-- dump:     write_dump of the solve-d11 tree's deepest level.
+- dump:     write_dump of the solve-d11 tree's deepest level;
+- read-strategy: read_strategy_csv of the replay strategy.csv (depth 14);
+- read-payoff:   read_payoff_csv of the replay payoff.csv (depth 16).
 
 Each run is one fresh `python` process with one tree's `src` on
 PYTHONPATH.  It builds the writer's input untimed, then times the one
-writer call.  The trees alternate which runs first.  For every writer the
-script prints each tree's median and quartiles (in ms) and the ratio of
-the medians; it exits 1 if any output's sha256 differs between the trees
-or between runs.  RUNS (default 11) is the number of runs per tree and
-writer.
+writer (or reader) call.  The trees alternate which runs first.  For every
+entry the script prints each tree's median and quartiles (in ms) and the
+ratio of the medians; it exits 1 if the sha256 of any output (of a
+reader: of the arrays it returns) differs between the trees or between
+runs.  RUNS (default 11) is the number of runs per tree and entry.
 
 The file name does not match pytest's default `test_*.py` pattern, so
 the default test run does not collect it.
@@ -36,7 +38,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-WRITERS = ("values", "strategy", "controls", "envelope", "dump")
+WRITERS = ("values", "strategy", "controls", "envelope", "dump", "read-strategy", "read-payoff")
 
 
 def _prepare(inputs: Path):
@@ -58,6 +60,22 @@ def _child(writer: str, inputs: Path, out: Path):
     from impulsetree import PayoffProcess, build_tree, extract_strategy, load_config, snell_envelope, value_iteration
     from impulsetree import csvio
 
+    if writer.startswith("read-"):
+        from impulsetree import csvread
+
+        replay = inputs / "replay"
+        if writer == "read-strategy":
+            impulses = load_config(json.loads((replay / "replay.json").read_text())).impulse.impulses
+            read, args = csvread.read_strategy_csv, (replay / "strategy.csv", impulses)
+        else:
+            read, args = csvread.read_payoff_csv, (replay / "payoff.csv",)
+        t0 = time.perf_counter()
+        result = read(*args)
+        seconds = time.perf_counter() - t0
+        arrays = result.chains if writer == "read-strategy" else result.values
+        digest = hashlib.sha256(b"".join(repr(a.shape).encode() + a.tobytes() for a in arrays)).hexdigest()
+        print(json.dumps([seconds, digest]))
+        return
     if writer == "envelope":
         # payoff.csv lists its levels in order, each in index order
         values = np.loadtxt(inputs / "replay" / "payoff.csv", delimiter=",", skiprows=1)[:, 2]
@@ -143,7 +161,7 @@ def main(argv) -> int:
             row = {side: _quartiles(times[side]) for side in trees}
             summary[writer] = {side: [round(v, 3) for v in row[side]] for side in trees}
             print(
-                f"{writer:9s} old {row['old'][1]:8.2f} ms [{row['old'][0]:.2f}, {row['old'][2]:.2f}]"
+                f"{writer:13s} old {row['old'][1]:8.2f} ms [{row['old'][0]:.2f}, {row['old'][2]:.2f}]"
                 f"  new {row['new'][1]:8.2f} ms [{row['new'][0]:.2f}, {row['new'][2]:.2f}]"
                 f"  new/old {row['new'][1] / row['old'][1]:.3f}  sha256 {'same' if same else 'DIFFERS'}"
             )
