@@ -2,17 +2,16 @@
 driver over a finite control grid, the driver-augmented reflected
 recursion, and extraction of the optimal strategy/control pair."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .expr import CoefficientExpr
 from .impulse import ImpulseModel, SolverError, StateSpace, ValueIterationResult, _extract_walk, _iterate
 from .model import DEFAULT_TOL, ControlGrid
+from .record import record
 from .tree import ScenarioTree, _z
 
 
-@dataclass(frozen=True)
+@record
 class HamiltonianSpec:
     """Everything the driver needs: the control grid with its drift
     functional, the volatility, and the (possibly control-dependent)

@@ -2,14 +2,13 @@
 change-of-measure tilt for controlled drift, and the brute-force strategy
 enumeration oracle."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .combined import HamiltonianSpec
 from .expr import eval_expr
 from .impulse import ImpulseModel
 from .model import LimitError
+from .record import record
 from .strategy import Strategy, state_key, strategy_from_rule
 from .tree import STACK_CELLS, ScenarioTree, path_env
 
@@ -17,7 +16,7 @@ MC_GENERATOR = "numpy.random.PCG64"
 DEFAULT_ORACLE_CALL_LIMIT = 5_000_000
 
 
-@dataclass(frozen=True)
+@record
 class PolicyValue:
     """Expected reward of a policy with its reward/cost breakdown.
 
@@ -35,7 +34,7 @@ class PolicyValue:
     generator: "str | None" = None
 
 
-@dataclass(frozen=True)
+@record
 class PathStates:
     """Per-node impulse state along every path under a strategy: cumulative
     shift, impulse count, and the intervention cost charged at the node

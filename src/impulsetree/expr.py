@@ -16,11 +16,12 @@ build aborts.
 """
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
+
+from .record import record
 
 FEATURES = ("x", "xmax", "xmin", "xavg")
 VARIABLES = ("t", *FEATURES, "u")  # time, the path features and, last, the control
@@ -50,29 +51,29 @@ class EvalError(ValueError):
     """Evaluation failure: unbound variable or non-finite result."""
 
 
-@dataclass(frozen=True)
+@record
 class Lit:
     value: float
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     operand: "Node"
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     func: str
     args: "tuple[Node, ...]"
@@ -81,7 +82,7 @@ class Call:
 Node = Union[Lit, Var, Neg, BinOp, Call]
 
 
-@dataclass(frozen=True)
+@record
 class CoefficientExpr:
     """A parsed coefficient expression; immutable, structurally comparable."""
 

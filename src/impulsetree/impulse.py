@@ -3,12 +3,12 @@ Y0, Y1, ... with impulse obstacle, stall detection and optimal strategy
 extraction."""
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .model import DEFAULT_TOL, ImpulseModel, LimitError
+from .record import record
 from .strategy import Strategy, shift_key
 from .tree import ScenarioTree, _expect, _z, reflect_backward
 
@@ -39,7 +39,7 @@ def impulse_budget(reward_bound: float, cost_floor: float, horizon: float) -> in
     return max(0, math.ceil(ratio - 1e-12))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class StateSpace:
     """Cumulative shifts reachable with at most ``budget`` impulses, as
     arrays in count-major order.
@@ -92,7 +92,7 @@ def enumerate_states(impulses, budget: int) -> StateSpace:
     return StateSpace(np.array(shifts), np.array(counts, dtype=np.int64), table, budget)
 
 
-@dataclass(frozen=True)
+@record
 class ValueField:
     """One iterate Y^n of the reflected recursion.
 
@@ -204,7 +204,7 @@ def iterate_value(prev: ValueField, tree: ScenarioTree, model: ImpulseModel) -> 
     return _fields(tree, model, _reward_drive(tree, model), prev.next_states, 1, prev)[0]
 
 
-@dataclass
+@record(frozen=False)
 class ValueIterationResult:
     fields: "list[ValueField]"
     stall_index: "int | None"
@@ -286,6 +286,8 @@ def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
     """Yield field n's (Z_k, K_inc_k), levels 0..depth (both 0 at the
     horizon): Z_k = z_repr(Y_{k+1}) and K_inc_k = Y_k - (E[Y_{k+1}] +
     driver*dt), the run's driver taken at the field's recorded controls.
+    Y^0 has no obstacle: the engine set it to that continuation, so its
+    K_inc is +0.0 with no driver evaluated.
 
     The engine's own operations, so the engine's bits, without the
     finiteness checks it made on the same values.  A driver evaluated at a
@@ -296,10 +298,10 @@ def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
     fld = result.fields[n]
     for k, u_idx in enumerate(fld.controls or (None,) * tree.depth):
         y_next = fld.values[k + 1]
-        drv, _ = result.driver(k, y_next, fld.states, u_idx)
-        cont = _expect(y_next)
-        cont += drv * tree.dt
-        yield _z(y_next, tree.dt), np.subtract(fld.values[k], cont, out=cont)
+        if n:
+            cont = _expect(y_next)
+            cont += result.driver(k, y_next, fld.states, u_idx)[0] * tree.dt
+        yield _z(y_next, tree.dt), np.subtract(fld.values[k], cont, out=cont) if n else np.zeros_like(fld.values[k])
     horizon = fld.values[tree.depth]  # zeros: nothing is paid or reflected at the horizon
     yield horizon, horizon
 

@@ -2,7 +2,6 @@
 and JSON config loading."""
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 try:  # hashlib loads OpenSSL (about 3.6 MB resident) for this one digest; the built-in module does not
     from _sha256 import sha256
@@ -15,6 +14,7 @@ except ImportError:
 import numpy as np
 
 from .expr import VARIABLES, CoefficientExpr, EvalError, eval_expr, parse_expr
+from .record import factory, record
 
 PATH_VARIABLES = frozenset(VARIABLES[:-1])  # all but the control
 
@@ -36,7 +36,7 @@ def _check_vars(expr, what):
         raise ConfigError(f"{what} uses unsupported variable(s): {sorted(extra)}")
 
 
-@dataclass(frozen=True)
+@record
 class ProcessModel:
     """Uncontrolled state process: initial value, horizon and coefficients.
 
@@ -57,7 +57,7 @@ class ProcessModel:
             _check_vars(self.drift, "drift")
 
 
-@dataclass(frozen=True)
+@record
 class ImpulseModel:
     """Impulse set, intervention cost table and running reward.
 
@@ -81,7 +81,7 @@ class ImpulseModel:
             raise ConfigError("cost table must cover exactly the impulse set")
 
 
-@dataclass(frozen=True)
+@record
 class ControlGrid:
     """Finite control grid and the controlled-drift functional."""
 
@@ -95,7 +95,7 @@ class ControlGrid:
             raise ConfigError("control grid contains duplicates")
 
 
-@dataclass(frozen=True)
+@record
 class AuditViolation:
     rule: str  # "A1" | "A2" | "sigma" | "tilt"
     message: str
@@ -104,7 +104,7 @@ class AuditViolation:
     control: "float | None" = None
 
 
-@dataclass(frozen=True)
+@record
 class AuditReport:
     violations: "tuple[AuditViolation, ...]"
     nodes_checked: int = 0
@@ -242,20 +242,20 @@ def validate_model(process, impulse, grid, tree, budget=None) -> AuditReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Numerics:
     depth: int = DEFAULT_DEPTH
     tol: float = DEFAULT_TOL
     budget: "int | None" = None
 
 
-@dataclass(frozen=True)
+@record(hidden=("raw",))
 class LoadedConfig:
     process: ProcessModel
     impulse: ImpulseModel
     grid: "ControlGrid | None"
     numerics: Numerics
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict = factory(dict)
 
     @property
     def config_hash(self) -> str:

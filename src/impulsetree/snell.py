@@ -1,15 +1,14 @@
 """Discrete Snell envelope: smallest supermartingale dominating a payoff
 process on the tree, with optimal stopping extraction."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import DEFAULT_TOL
+from .record import record
 from .tree import cond_expect, reflect_backward
 
 
-@dataclass(frozen=True)
+@record
 class PayoffProcess:
     """Per-node payoff values, one array of length 2^k per level."""
 
@@ -31,7 +30,7 @@ class PayoffProcess:
         return cls(tuple(np.asarray(a, dtype=np.float64) for a in values))
 
 
-@dataclass(frozen=True)
+@record
 class EnvelopeResult:
     """Envelope values, the stopping region (envelope meets payoff within
     tol) and the earliest stopping level reachable from each node."""

@@ -2,11 +2,12 @@
 forward walk of the impulse state along it, and its rows, the form the
 strategy CSV and the oracle report use."""
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
+
+from .record import record
 
 STATE_DECIMALS = 12
 # Rows (or nodes) that a check, a gather or a regeneration of rows takes
@@ -115,7 +116,7 @@ def _in_order(*columns) -> bool:
     return bool(np.all(ordered))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Strategy:
     """The impulse chain applied at each node of the tree.
 

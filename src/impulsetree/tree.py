@@ -3,12 +3,12 @@ path features, plus the backward operators and the one reflected backward
 recursion every solver runs."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import FEATURES, VARIABLES, EvalError, eval_expr
 from .model import ConfigError, LimitError, ProcessModel
+from .record import record
 
 DEFAULT_MAX_NODES = 2**22
 # The most (control, node, shift) cells one stacked evaluation holds, 64 KB
@@ -42,7 +42,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ScenarioTree:
     """Full binary tree of +-sqrt(dt) noise increments with per-node caches
     of the state value and its running max / min / average.

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -379,7 +378,7 @@ def test_default_next_field_keeps_a_zero_impulse_state():
     run = value_iteration(tree, model, tol=-1.0, budget=3)
     want = run.fields[1]
     # Z and K_inc of y1 with the run's driver, which shares y1's one state
-    terms = field_terms(dataclasses.replace(run, fields=[y0, y1]), 1, tree)
+    terms = field_terms(type(run)(**{**vars(run), "fields": [y0, y1]}), 1, tree)
     for got, ref in zip(
         (y1.values, obs, *zip(*terms)),
         (want.values, [obstacle(run.fields[0], model, k) for k in range(tree.depth + 1)], *zip(*field_terms(run, 1, tree))),

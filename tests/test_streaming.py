@@ -4,7 +4,6 @@ indices): values.csv derives Z and K_inc from them after the iteration
 checked against the library's own run of the same config."""
 
 import copy
-import dataclasses
 import json
 
 import numpy as np
@@ -21,8 +20,16 @@ from impulsetree import (
     walk_strategy_states,
 )
 from impulsetree import cli, csvio
+from impulsetree.tree import _expect, _z
 
-from conftest import PINNED_CONFIG, build_problem, random_combined_config, random_impulse_config, with_impulse_chains
+from conftest import (
+    PINNED_CONFIG,
+    SIGNED_ZERO_TIES,
+    build_problem,
+    random_combined_config,
+    random_impulse_config,
+    with_impulse_chains,
+)
 
 
 def _zero_impulse_config():
@@ -85,6 +92,37 @@ def test_streamed_outputs_match_the_full_fields(tmp_path, name):
     assert strategy.impulse_decision_count or "chains" not in name
 
 
+FIELD_ZERO_CASES = {
+    **{f"impulse-{seed}": random_impulse_config(seed) for seed in (931, 932, 933)},
+    **{f"combined-{seed}": random_combined_config(seed) for seed in (941, 942, 943)},
+    "impulse-934-chains": with_impulse_chains(random_impulse_config(934, depth=5), 934),
+    "combined-944-chains": with_impulse_chains(random_combined_config(944, depth=4), 944),
+    **{f"ties-{name}": config for name, config in SIGNED_ZERO_TIES.items()},
+    "impulse-935-budget-0": random_impulse_config(935, budget=0),
+}
+
+
+@pytest.mark.parametrize("name", list(FIELD_ZERO_CASES))
+def test_field_zero_terms_keep_the_bits_of_the_driver_pass(name):
+    """Y^0 has no obstacle, so field_terms gives its K_inc as +0.0 without
+    evaluating the driver: bit for bit what Y - (E[Y_{k+1}] + drv*dt) gives,
+    computed here as field_terms computes it for the later fields."""
+    _, tree, _, result = _library(FIELD_ZERO_CASES[name])
+    fld = result.fields[0]
+    terms = list(field_terms(result, 0, tree))
+    assert len(terms) == tree.depth + 1
+    for k, (u_idx, (z, k_inc)) in enumerate(zip(fld.controls or (None,) * tree.depth, terms)):
+        y_next = fld.values[k + 1]
+        drv, _ = result.driver(k, y_next, fld.states, u_idx)
+        cont = _expect(y_next)
+        cont += drv * tree.dt
+        want = np.subtract(fld.values[k], cont, out=cont)
+        assert k_inc.shape == want.shape and k_inc.tobytes() == want.tobytes()
+        assert z.tobytes() == _z(y_next, tree.dt).tobytes()
+        assert not np.signbit(k_inc).any()
+    assert all(not a.any() for a in terms[tree.depth])
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_extraction_from_compacted_fields_matches_the_full_fields(name):
     # fields rebuilt from their values and controls alone
@@ -118,7 +156,7 @@ def test_the_cli_keeps_only_compacted_fields(tmp_path, monkeypatch):
         assert _solve(tmp_path, CASES[name], tmp_path / name) == 0
     impulse, combined = (result.fields for result in kept)
     assert len(impulse) > 1 and len(combined) > 1
-    assert [f.name for f in dataclasses.fields(ValueField)] == ["n", "states", "values", "controls"]
+    assert ValueField.__match_args__ == ("n", "states", "values", "controls")
     assert all(field.values is not None for field in impulse + combined)
     assert all(f.controls is None for f in impulse)
     assert all(c.dtype == np.int8 for f in combined for c in f.controls)

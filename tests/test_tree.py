@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -121,8 +119,8 @@ def test_a_tree_holds_only_the_path_features():
     depth = 6
     tree = build_tree(_process("1"), depth)
     held = 0
-    for field in dataclasses.fields(tree):
-        value = getattr(tree, field.name)
+    for name in type(tree).__match_args__:
+        value = getattr(tree, name)
         held += sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray))
     assert held == 4 * (2 ** (depth + 1) - 1) * 8 + tree.times.nbytes
 

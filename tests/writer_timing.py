@@ -1,4 +1,5 @@
-"""Time each CSV writer and reader of two source trees, one fresh process per run.
+"""Time each CSV writer and reader of two source trees, and the import of
+their CLI, one fresh process per run.
 
     python tests/writer_timing.py OLD_SRC NEW_SRC [RUNS]
 
@@ -13,15 +14,17 @@ NEW_SRC, as tests/equivalence.py makes them):
 - envelope: write_envelope_csv of the replay payoff's Snell envelope (depth 16);
 - dump:     write_dump of the solve-d11 tree's deepest level;
 - read-strategy: read_strategy_csv of the replay strategy.csv (depth 14);
-- read-payoff:   read_payoff_csv of the replay payoff.csv (depth 16).
+- read-payoff:   read_payoff_csv of the replay payoff.csv (depth 16);
+- import:   `import impulsetree.cli`, after numpy (a run's fixed start-up
+            cost); its output is build_parser().format_help().
 
 Each run is one fresh `python` process with one tree's `src` on
 PYTHONPATH.  It builds the writer's input untimed, then times the one
 writer (or reader) call.  The trees alternate which runs first.  For every
 entry the script prints each tree's median and quartiles (in ms) and the
 ratio of the medians; it exits 1 if the sha256 of any output (of a
-reader: of the arrays it returns) differs between the trees or between
-runs.  RUNS (default 11) is the number of runs per tree and entry.
+reader: of the arrays it returns; of the import: of the help text)
+differs between the trees or between runs.  RUNS (default 11) is the number of runs per tree and entry.
 
 The file name does not match pytest's default `test_*.py` pattern, so
 the default test run does not collect it.
@@ -38,7 +41,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-WRITERS = ("values", "strategy", "controls", "envelope", "dump", "read-strategy", "read-payoff")
+WRITERS = ("values", "strategy", "controls", "envelope", "dump", "read-strategy", "read-payoff", "import")
 
 
 def _prepare(inputs: Path):
@@ -56,6 +59,15 @@ def _child(writer: str, inputs: Path, out: Path):
     """Build ``writer``'s input from ``inputs``, time the writer into
     ``out`` and print (seconds, sha256) as JSON."""
     import numpy as np
+
+    if writer == "import":  # the first import of the package in this process
+        t0 = time.perf_counter()
+        import impulsetree.cli
+
+        seconds = time.perf_counter() - t0
+        digest = hashlib.sha256(impulsetree.cli.build_parser().format_help().encode()).hexdigest()
+        print(json.dumps([seconds, digest]))
+        return
 
     from impulsetree import PayoffProcess, build_tree, extract_strategy, load_config, snell_envelope, value_iteration
     from impulsetree import csvio
