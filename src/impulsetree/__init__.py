@@ -14,7 +14,6 @@ from .evaluate import (
     enumerate_optimal,
     evaluate_pair,
     evaluate_strategy_exact,
-    girsanov_weights,
     impulse_count_distribution,
     mc_evaluate_strategy,
     walk_strategy_states,
@@ -56,6 +55,6 @@ from .model import (
 )
 from .snell import EnvelopeResult, PayoffProcess, snell_envelope, stopping_rule_value
 from .strategy import Strategy, StrategyRowError, state_key, strategy_from_rule
-from .tree import ScenarioTree, build_tree, cond_expect, reflect_backward, z_repr
+from .tree import ScenarioTree, build_tree, cond_expect, reflect_backward
 
 __version__ = "0.1.0"

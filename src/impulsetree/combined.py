@@ -22,23 +22,18 @@ class HamiltonianSpec:
     reward: CoefficientExpr
 
 
-def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace, k: int = 0, cols=slice(None), u=None):
+def driver_tables(tree: ScenarioTree, spec: HamiltonianSpec, states: StateSpace, k: int, cols, u):
     """Level k's (theta = f/sigma, reward) under the shifts of the block
-    ``cols`` of ``states`` (by default the root and every state), at ``u``:
-    one control per cell, or the grid broadcast as (C, 1, 1) by default.
+    ``cols`` of ``states``, at ``u``: one control per cell, or the grid
+    broadcast as (C, 1, 1).
 
-    Raises SolverError naming the lowest level where the tilt bound
-    |theta|*sqrt(dt) < 1 fails over ``states`` and the grid, 0/0 included
-    (the audit should have rejected the model first).
+    Raises SolverError naming level k where the tilt bound
+    |theta|*sqrt(dt) < 1 fails in the block, 0/0 included (the audit
+    should have rejected the model first).
     """
-    if u is None:
-        u = np.asarray(spec.grid.controls, dtype=float)[:, None, None]
     coefficients = (spec.sigma, spec.grid.controlled_drift, spec.reward)
     _, theta, reward = tree.coefficients(k, states.shifts[None, cols], u, *coefficients)
     if not np.abs(theta).max() * tree.sqrt_dt < 1:  # the bound at every cell; nan fails it
-        for j in range(k):  # a lower level that fails is named first, as in a check from the root
-            for block in tree.shift_blocks(j, len(states), len(spec.grid.controls)):
-                driver_tables(tree, spec, states, j, block)
         raise SolverError(f"tilt bound |f/sigma|*sqrt(dt) < 1 violated at level {k}")
     return theta, reward
 
@@ -48,39 +43,27 @@ def _by_control(a):
     return np.reshape(a, (1,) * (3 - np.ndim(a)) + np.shape(a))
 
 
-def combined_value_iteration(
-    tree: ScenarioTree,
-    model: ImpulseModel,
-    spec: HamiltonianSpec,
-    tol: float = DEFAULT_TOL,
-    budget: "int | None" = None,
-    *,
-    fixed_controls=None,
-) -> ValueIterationResult:
-    """The impulse value iteration with the driver h replaced by the
-    maximized Hamiltonian: Z_k = z_repr(Y_{k+1}), then
-    Y_k = max(E[Y_{k+1}] + H*(t_k, shifted path, Z_k)*dt, obstacle).
+def _hamiltonian_drive(tree: ScenarioTree, spec: HamiltonianSpec):
+    """The combined driver, the maximized Hamiltonian H*(t_k, shifted path,
+    Z_k) over the grid: level k's drivers and maximizing control-grid
+    indices on ``states``, whose column prefixes the fields read; the
+    Hamiltonian at the indices ``u_idx`` instead, when given.
 
     Theta and the reward live for one (level, block of shifts, counting
-    the grid's controls) of the engine's pass, and each field reads its
-    part of the block.  The maximum is a running one per field (Z differs
-    between fields) over the controls; a strict > keeps the first
-    maximizer, as argmax does, and np.maximum keeps the bits of the max.
-    ``fixed_controls`` (per-level (2^k, n_states) arrays of control-grid
-    indices over the run's states, levels 0..depth-1) evaluates the
-    recursion under that frozen table, which the fields then record.
-    """
+    the grid's controls), and each field reads its part of the block.  The
+    maximum is a running one per field (Z differs between fields) over the
+    controls; a strict > keeps the first maximizer, as argmax does, and
+    np.maximum keeps the bits of the max."""
     grid = np.asarray(spec.grid.controls, dtype=float)
+    broadcast = grid[:, None, None]  # every control, against (nodes, shifts)
     dtype = np.min_scalar_type(-grid.size)  # the smallest signed dtype holding a grid index
 
-    def drive(k, y_nexts, states, u_idx=None):  # at u_idx, else at fixed_controls, else maximized over the grid
-        if u_idx is None and fixed_controls is not None:
-            u_idx = fixed_controls[k][:, : len(states)]
+    def drive(k, y_nexts, states, u_idx=None):
         at = None if u_idx is None else np.asarray(u_idx).astype(dtype, order="F")
         drvs = [np.empty((tree.level_size(k), y.shape[1]), order="F") for y in y_nexts]
         ats = [np.zeros(d.shape, dtype, order="F") if at is None else at[:, : d.shape[1]] for d in drvs]
         for cols in tree.shift_blocks(k, len(states), grid.size if at is None else 1):
-            tables = driver_tables(tree, spec, states, k, cols, None if at is None else grid[at[:, cols]])
+            tables = driver_tables(tree, spec, states, k, cols, broadcast if at is None else grid[at[:, cols]])
             theta, reward = np.broadcast_arrays(*map(_by_control, tables))
             for y, drv, at_n in zip(y_nexts, drvs, ats):  # the widest field first; each takes its part of the block
                 part = slice(cols.start, min(cols.stop, y.shape[1]))
@@ -95,7 +78,20 @@ def combined_value_iteration(
                         np.maximum(best, cand, out=best)
         return drvs, ats
 
-    return _iterate(tree, model, tol, budget, drive)
+    return drive
+
+
+def combined_value_iteration(
+    tree: ScenarioTree,
+    model: ImpulseModel,
+    spec: HamiltonianSpec,
+    tol: float = DEFAULT_TOL,
+    budget: "int | None" = None,
+) -> ValueIterationResult:
+    """The impulse value iteration with the driver h replaced by the maximized
+    Hamiltonian: Y_k = max(E[Y_{k+1}] + H*(t_k, shifted path, Z_k)*dt, obstacle),
+    Z_k as in field_terms; the fields record each (node, state)'s maximizing control."""
+    return _iterate(tree, model, tol, budget, _hamiltonian_drive(tree, spec))
 
 
 def extract_pair(fields, tree: ScenarioTree, model: ImpulseModel, spec: HamiltonianSpec, tol: float = DEFAULT_TOL):

@@ -122,14 +122,6 @@ def _tilted_levels(tree: ScenarioTree, reward, shifts, spec: "HamiltonianSpec | 
     yield weights, None
 
 
-def girsanov_weights(tree: ScenarioTree, spec: HamiltonianSpec, controls) -> np.ndarray:
-    """Per-leaf positive weights turning reference-measure expectations into
-    controlled-drift expectations on the uncontrolled path (zero impulse
-    shift); they average exactly to 1.  ``controls[k]`` holds the control
-    at each node of level k, as extract_pair returns them."""
-    return list(_tilted_levels(tree, spec.reward, [0.0] * tree.depth, spec, controls))[-1][0]
-
-
 def evaluate_pair(
     tree: ScenarioTree,
     model: ImpulseModel,

@@ -120,9 +120,9 @@ class ValueField:
         return float(self.values[0][0, 0])
 
 
-def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, k: int = 0):
+def reward_tables(tree: ScenarioTree, model: ImpulseModel, states: StateSpace, k: int):
     """Level k's running reward under each state's path shift, (2^k,
-    len(states)), the shifts stacked a block at a time; by default the root's."""
+    len(states)), the shifts stacked a block at a time."""
     table = np.empty((tree.level_size(k), len(states)), order="F")
     for cols in tree.shift_blocks(k, len(states)):
         table[:, cols] = tree.coefficients(k, states.shifts[None, cols], reward=model.reward)[2]
@@ -284,8 +284,8 @@ def value_iteration(
 
 def field_terms(result: ValueIterationResult, n: int, tree: ScenarioTree):
     """Yield field n's (Z_k, K_inc_k), levels 0..depth (both 0 at the
-    horizon): Z_k = z_repr(Y_{k+1}) and K_inc_k = Y_k - (E[Y_{k+1}] +
-    driver*dt), the run's driver taken at the field's recorded controls.
+    horizon): Z_k = (Y_{k+1}(up) - Y_{k+1}(down))/(2*sqrt(dt)) and K_inc_k =
+    Y_k - (E[Y_{k+1}] + driver*dt), the run's driver at the field's controls.
     Y^0 has no obstacle: the engine set it to that continuation, so its
     K_inc is +0.0 with no driver evaluated.
 

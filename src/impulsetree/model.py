@@ -14,7 +14,7 @@ except ImportError:
 import numpy as np
 
 from .expr import VARIABLES, CoefficientExpr, EvalError, eval_expr, parse_expr
-from .record import factory, record
+from .record import record
 
 PATH_VARIABLES = frozenset(VARIABLES[:-1])  # all but the control
 
@@ -255,7 +255,7 @@ class LoadedConfig:
     impulse: ImpulseModel
     grid: "ControlGrid | None"
     numerics: Numerics
-    raw: dict = factory(dict)
+    raw: dict
 
     @property
     def config_hash(self) -> str:

@@ -9,10 +9,6 @@ class FrozenInstanceError(AttributeError):
     """Assignment to or deletion of an attribute of a frozen record."""
 
 
-class factory(staticmethod):
-    """A field default made anew for each record by calling it."""
-
-
 def record(cls=None, /, *, frozen=True, eq=True, hidden=()):
     """Give ``cls`` construction from its annotated fields by position or
     keyword (class attributes are the defaults), ``__post_init__``, a repr
@@ -21,7 +17,7 @@ def record(cls=None, /, *, frozen=True, eq=True, hidden=()):
     equality of the field tuples, hashed if frozen and unhashable if not."""
     if cls is None:
         return lambda cls: record(cls, frozen=frozen, eq=eq, hidden=hidden)
-    names = tuple(cls.__dict__.get("__annotations__", {}))
+    names = tuple(cls.__annotations__)  # its own: no base class annotations, since 3.10
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init, get = getattr(cls, "__post_init__", None), attrgetter(*names)
     shown = [name for name in names if name not in hidden]
@@ -29,7 +25,7 @@ def record(cls=None, /, *, frozen=True, eq=True, hidden=()):
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):  # fill in the defaults; a missing, repeated or unknown field raises
-            given = {name: d() if isinstance(d, factory) else d for name, d in defaults.items()}
+            given = dict(defaults)
             given.update(zip(names, args), **kwargs)
             if len(args) > len(names) or given.keys() != set(names) or not kwargs.keys().isdisjoint(names[: len(args)]):
                 raise TypeError(f"{cls.__qualname__}() takes {names}: got {len(args)} by position, {sorted(kwargs)}")

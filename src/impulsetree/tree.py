@@ -182,7 +182,7 @@ def _checked(children: np.ndarray) -> np.ndarray:
     return children
 
 
-# cond_expect and z_repr without their checks, for values the engine checks itself
+# cond_expect without its checks, for values the engine checks itself
 def _expect(children: np.ndarray) -> np.ndarray:
     out = children[0::2] + children[1::2]
     out *= 0.5  # the bits of 0.5 * (up + down), in the sum's buffer
@@ -190,6 +190,7 @@ def _expect(children: np.ndarray) -> np.ndarray:
 
 
 def _z(children: np.ndarray, dt: float) -> np.ndarray:
+    """The discrete martingale-representation coefficient (value(up) - value(down)) / (2*sqrt(dt)), unchecked."""
     out = children[0::2] - children[1::2]
     out /= 2.0 * math.sqrt(dt)  # the bits of (up - down) / (2*sqrt(dt)), in the difference's buffer
     return out
@@ -203,15 +204,6 @@ def cond_expect(children: np.ndarray) -> np.ndarray:
     (value(up) + value(down)) / 2.
     """
     return _expect(_checked(children))
-
-
-def z_repr(children: np.ndarray, dt: float) -> np.ndarray:
-    """Discrete martingale-representation coefficient:
-    (value(up) - value(down)) / (2*sqrt(dt)), laid out as in cond_expect."""
-    children = _checked(children)
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return _z(children, dt)
 
 
 def reflect_backward(fields, obstacle=None, step=None) -> list:

@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from impulsetree import build_tree, eval_expr, load_config, validate_model
+from impulsetree.combined import _hamiltonian_drive
+from impulsetree.evaluate import _tilted_levels
+from impulsetree.impulse import _iterate
+from impulsetree.model import DEFAULT_TOL
 
 # The pinned deterministic instance: near-zero volatility, reward
 # clamp(x, 0, 1), single impulse of +1 costing 0.3.  One impulse at the
@@ -168,6 +172,33 @@ def build_problem(config):
 def uniform_controls(tree, u):
     """Per-level controls applying the control ``u`` at every node."""
     return tuple(np.full(tree.level_size(k), float(u)) for k in range(tree.depth))
+
+
+def grid_column(spec):
+    """The spec's control grid broadcast as (C, 1, 1), as driver_tables takes it."""
+    return np.asarray(spec.grid.controls, dtype=float)[:, None, None]
+
+
+def frozen_control_iteration(tree, model, spec, controls, tol=DEFAULT_TOL, budget=None):
+    """combined_value_iteration's recursion with the driver at the
+    control-grid indices ``controls`` (per level 0..depth-1, (2^k,
+    n_states) over the run's states) instead of maximized over the grid:
+    the engine's drive, pinned to the table through its ``u_idx``.  The
+    fields record that table."""
+    drive = _hamiltonian_drive(tree, spec)
+
+    def pinned(k, y_nexts, states, u_idx=None):
+        return drive(k, y_nexts, states, controls[k][:, : len(states)] if u_idx is None else u_idx)
+
+    return _iterate(tree, model, tol, budget, pinned)
+
+
+def leaf_weights(tree, spec, controls):
+    """The per-leaf change-of-measure weights on the uncontrolled path (zero
+    impulse shift), as evaluate_pair's _tilted_levels yields them;
+    ``controls[k]`` holds level k's control at each node."""
+    *_, (weights, _) = _tilted_levels(tree, spec.reward, [0.0] * tree.depth, spec, controls)
+    return weights
 
 
 def node_env(tree, level, index, shift=0.0):

@@ -20,7 +20,6 @@ from impulsetree import (
     extract_pair,
     extract_strategy,
     field_terms,
-    girsanov_weights,
     mc_evaluate_strategy,
     obstacle,
     snell_envelope,
@@ -33,8 +32,10 @@ from impulsetree.cli import run
 from conftest import (
     PINNED_CONFIG,
     build_problem,
+    frozen_control_iteration,
     hamiltonian,
     hamiltonian_max,
+    leaf_weights,
     node_env,
     random_combined_config,
     random_comparison_pair,
@@ -224,7 +225,7 @@ def test_criterion_09_combined_control(combined_batch):
                     rng.integers(0, len(loaded.grid.controls), size=(tree.level_size(k), len(result.states)))
                     for k in range(tree.depth)
                 ]
-                controlled = combined_value_iteration(tree, loaded.impulse, spec, fixed_controls=fixed)
+                controlled = frozen_control_iteration(tree, loaded.impulse, spec, fixed)
                 for fa, fb in zip(controlled.fields, result.fields):
                     for a, b in zip(fa.values, fb.values):
                         assert np.all(a <= b + MONOTONE_TOL)
@@ -261,7 +262,7 @@ def test_criterion_10_girsanov_exactness(combined_batch):
         rng = np.random.default_rng(1000)
         for loaded, tree, spec, result in instances:
             for u in loaded.grid.controls:
-                weights = girsanov_weights(tree, spec, uniform_controls(tree, u))
+                weights = leaf_weights(tree, spec, uniform_controls(tree, u))
                 assert np.all(weights > 0)
                 assert abs(float(weights.mean()) - 1.0) <= GIRSANOV_MEAN_TOL
 
@@ -274,7 +275,7 @@ def test_criterion_10_girsanov_exactness(combined_batch):
                     rng.integers(0, len(loaded.grid.controls), size=(tree.level_size(k), len(result.states)))
                     for k in range(tree.depth)
                 ]
-                controlled = combined_value_iteration(tree, loaded.impulse, spec, fixed_controls=fixed)
+                controlled = frozen_control_iteration(tree, loaded.impulse, spec, fixed)
                 s_u, c_u = extract_pair(controlled.fields, tree, loaded.impulse, spec, tol=1e-12)
                 forward_u = evaluate_pair(tree, loaded.impulse, spec, s_u, c_u)
                 assert abs(forward_u.value - controlled.y0) <= FORWARD_TOL

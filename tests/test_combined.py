@@ -20,14 +20,16 @@ from impulsetree import (
     parse_expr,
     value_iteration,
     walk_strategy_states,
-    z_repr,
 )
 from impulsetree.combined import driver_tables
 from impulsetree.impulse import enumerate_states
+from impulsetree.tree import _z
 
 from conftest import (
     SIGNED_ZERO_TIES,
     build_problem,
+    frozen_control_iteration,
+    grid_column,
     hamiltonian,
     hamiltonian_max,
     node_env,
@@ -140,7 +142,7 @@ def test_singleton_grid_equals_fixed_control_recursion():
     fixed = [
         np.zeros((tree.level_size(k), len(states)), dtype=np.int64) for k in range(tree.depth)
     ]
-    pinned = combined_value_iteration(tree, loaded.impulse, spec, fixed_controls=fixed)
+    pinned = frozen_control_iteration(tree, loaded.impulse, spec, fixed)
     for fa, fb in zip(free.fields, pinned.fields):
         for a, b in zip(fa.values, fb.values):
             np.testing.assert_array_equal(a, b)
@@ -216,7 +218,7 @@ def test_pointwise_driver_dominance():
         for u in loaded.grid.controls:
             assert h_star >= hamiltonian(float(tree.times[k]), env, z, u, spec) - 1e-12
         # the per-(level, block) driver coefficients agree with the scalar route
-        theta, reward = driver_tables(tree, spec, states, k, slice(j, j + 1))
+        theta, reward = driver_tables(tree, spec, states, k, slice(j, j + 1), grid_column(spec))
         values = np.broadcast_to(z * theta + reward, (len(loaded.grid.controls), tree.level_size(k), 1))[:, i, 0]
         assert float(values.max()) == pytest.approx(h_star, abs=1e-12)
 
@@ -232,7 +234,7 @@ def test_fixed_control_tables_are_dominated():
             rng.integers(0, len(loaded.grid.controls), size=(tree.level_size(k), len(states)))
             for k in range(tree.depth)
         ]
-        controlled = combined_value_iteration(tree, loaded.impulse, spec, fixed_controls=fixed)
+        controlled = frozen_control_iteration(tree, loaded.impulse, spec, fixed)
         for fa, fb in zip(controlled.fields, star.fields):
             for a, b in zip(fa.values, fb.values):
                 assert np.all(a <= b + 1e-12)
@@ -339,8 +341,8 @@ def test_tilt_zero_over_zero_raises_solver_error_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="at level 0"):
-            driver_tables(tree, _spec(loaded), states)
-        with pytest.raises(SolverError, match="at level 0"):
+            driver_tables(tree, _spec(loaded), states, 0, slice(None), grid_column(_spec(loaded)))
+        with pytest.raises(SolverError, match="at level 2"):  # the first level of the sweep whose block fails
             combined_value_iteration(tree, loaded.impulse, _spec(loaded))
 
 
@@ -354,8 +356,8 @@ def _candidate_sweeps(result, tree, model, spec, pick):
         values, k_incs = [None] * tree.depth + [np.zeros_like(fld.values[-1])], [None] * tree.depth
         for k in range(tree.depth - 1, -1, -1):
             n_states = values[k + 1].shape[1]
-            z = z_repr(values[k + 1], tree.dt)
-            theta, reward = driver_tables(tree, spec, result.states, k, slice(0, n_states))
+            z = _z(values[k + 1], tree.dt)
+            theta, reward = driver_tables(tree, spec, result.states, k, slice(0, n_states), grid_column(spec))
             candidates = np.broadcast_to(z * theta + reward, (len(spec.grid.controls), *z.shape))
             cont = cond_expect(values[k + 1]) + pick(candidates, k, n_states) * tree.dt
             values[k] = cont if obs is None else np.maximum(cont, obs[k])
@@ -376,7 +378,7 @@ def test_fixed_controls_gather_the_candidates_at_their_indices():
     fixed = [
         rng.integers(0, len(loaded.grid.controls), size=(tree.level_size(k), n_states)) for k in range(tree.depth)
     ]
-    result = combined_value_iteration(tree, loaded.impulse, spec, fixed_controls=fixed)
+    result = frozen_control_iteration(tree, loaded.impulse, spec, fixed)
 
     def at_fixed(candidates, k, n):
         return np.take_along_axis(candidates, fixed[k][None, :, :n], axis=0)[0]

@@ -17,7 +17,6 @@ from impulsetree import (
     evaluate_pair,
     evaluate_strategy_exact,
     extract_strategy,
-    girsanov_weights,
     impulse_budget,
     impulse_count_distribution,
     load_config,
@@ -28,13 +27,15 @@ from impulsetree import (
     value_iteration,
     walk_strategy_states,
 )
-from impulsetree.combined import combined_value_iteration, extract_pair
+from impulsetree.combined import extract_pair
 from impulsetree.expr import eval_expr
-from impulsetree.tree import STACK_CELLS
+from impulsetree.tree import STACK_CELLS, _z
 
 from conftest import (
     PINNED_CONFIG,
     build_problem,
+    frozen_control_iteration,
+    leaf_weights,
     random_combined_config,
     random_impulse_config,
     uniform_controls,
@@ -122,7 +123,7 @@ def _driftless_spec(sigma="1", f="0", h="1", controls=(0.0,)):
 def test_girsanov_weights_no_tilt(pinned_problem):
     _, tree = pinned_problem
     spec = _driftless_spec()
-    weights = girsanov_weights(tree, spec, uniform_controls(tree, 0.0))
+    weights = leaf_weights(tree, spec, uniform_controls(tree, 0.0))
     np.testing.assert_array_equal(weights, np.ones(4))
 
 
@@ -135,7 +136,7 @@ def test_girsanov_weights_constant_tilt_factors():
     }
     loaded, tree = build_problem(config)
     spec = _driftless_spec(f="0.5", controls=(1.0,))
-    weights = girsanov_weights(tree, spec, uniform_controls(tree, 1.0))
+    weights = leaf_weights(tree, spec, uniform_controls(tree, 1.0))
     for leaf in range(16):  # leaf index bit pattern: 1 bit = down move
         n_down = bin(leaf).count("1")
         expected = 1.25 ** (4 - n_down) * 0.75**n_down
@@ -148,28 +149,29 @@ def test_girsanov_weight_mean_is_one_on_random_instances():
         loaded, tree = build_problem(random_combined_config(seed, depth=5))
         spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
         table = uniform_controls(tree, loaded.grid.controls[-1])
-        weights = girsanov_weights(tree, spec, table)
+        weights = leaf_weights(tree, spec, table)
         assert np.all(weights > 0)
         assert abs(float(weights.mean()) - 1.0) <= 1e-12
 
 
 def test_girsanov_tilt_bound_enforced(pinned_problem):
-    _, tree = pinned_problem
+    loaded, tree = pinned_problem
     spec = _driftless_spec(sigma="0.1", f="u", controls=(2.0,))
     with pytest.raises(ValueError, match="tilt"):
-        girsanov_weights(tree, spec, uniform_controls(tree, 2.0))
+        evaluate_pair(tree, loaded.impulse, spec, _empty_strategy(tree), uniform_controls(tree, 2.0))
 
 
 def test_girsanov_tilt_zero_over_zero_is_rejected_without_a_warning():
     # sigma = f = 0 on the whole zero-shift path from x0 = 0: theta = 0/0
     # = nan fails the tilt bound, naming the level, with no RuntimeWarning
     config = {**PINNED_CONFIG, "process": {"x0": 0.0, "T": 1.0, "sigma": "max(x, 0)", "drift": None}}
-    tree = build_tree(load_config(config).process, 2)
+    loaded = load_config(config)
+    tree = build_tree(loaded.process, 2)
     spec = _driftless_spec(sigma="max(x, 0)", f="u*max(x, 0)", controls=(1.0,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="at level 0"):
-            girsanov_weights(tree, spec, uniform_controls(tree, 1.0))
+            evaluate_pair(tree, loaded.impulse, spec, _empty_strategy(tree), uniform_controls(tree, 1.0))
 
 
 def test_evaluate_pair_weights_average_out_for_constant_reward(pinned_problem):
@@ -191,10 +193,10 @@ def test_evaluate_pair_driftless_equals_exact(pinned_problem):
 
 
 def test_binomial_tilt_algebraic_identity():
-    # q*V_up + (1-q)*V_down == cond_expect + theta*dt*z_repr with
+    # q*V_up + (1-q)*V_down == cond_expect + theta*dt*Z with
     # q = (1 + theta*sqrt(dt))/2: the identity that makes the backward
     # driver and the forward reweighting agree to machine precision
-    from impulsetree import cond_expect, z_repr
+    from impulsetree import cond_expect
 
     rng = np.random.default_rng(2)
     dt = 0.17
@@ -203,7 +205,7 @@ def test_binomial_tilt_algebraic_identity():
     theta = rng.uniform(-1.0, 1.0, size=4) / sqrt_dt * 0.9
     q = 0.5 * (1.0 + theta * sqrt_dt)
     tilted = q * children[0::2] + (1.0 - q) * children[1::2]
-    driver = cond_expect(children) + theta * dt * z_repr(children, dt)
+    driver = cond_expect(children) + theta * dt * _z(children, dt)
     np.testing.assert_allclose(tilted, driver, rtol=0, atol=1e-15)
 
 
@@ -221,7 +223,7 @@ def test_driver_vs_tilt_identity_for_fixed_tables():
                 rng.integers(0, len(loaded.grid.controls), size=(tree.level_size(k), len(states)))
                 for k in range(tree.depth)
             ]
-            result = combined_value_iteration(tree, loaded.impulse, spec, fixed_controls=fixed)
+            result = frozen_control_iteration(tree, loaded.impulse, spec, fixed)
             strategy, controls = extract_pair(result.fields, tree, loaded.impulse, spec)
             forward = evaluate_pair(tree, loaded.impulse, spec, strategy, controls)
             assert abs(forward.value - result.y0) <= 1e-10

@@ -27,6 +27,7 @@ from impulsetree.impulse import ValueField, enumerate_states, impulse_budget
 from conftest import (
     PINNED_CONFIG,
     SIGNED_ZERO_TIES,
+    frozen_control_iteration,
     random_combined_config,
     random_impulse_config,
     with_impulse_chains,
@@ -115,7 +116,7 @@ def reference_combined_driver(tree, spec, fixed_controls=None):
                 theta, reward = driver_tables(tree, spec, states, k, cols, grid[at[:, cols]])
                 drv[:, cols] = z[:, cols] * theta + reward
             return drv, at
-        theta, reward = driver_tables(tree, spec, states, k, slice(0, z.shape[1]))
+        theta, reward = driver_tables(tree, spec, states, k, slice(0, z.shape[1]), grid[:, None, None])
         candidates = np.broadcast_to(z * theta + reward, (grid.size, *z.shape))
         return candidates.max(axis=0), candidates.argmax(axis=0).astype(dtype)
 
@@ -139,7 +140,9 @@ def _library(loaded, tree, tol, budget, fixed_controls=None):
     if loaded.grid is None:
         return value_iteration(tree, loaded.impulse, tol=tol, budget=budget)
     spec = HamiltonianSpec(grid=loaded.grid, sigma=loaded.process.sigma, reward=loaded.impulse.reward)
-    return combined_value_iteration(tree, loaded.impulse, spec, tol, budget, fixed_controls=fixed_controls)
+    if fixed_controls is None:
+        return combined_value_iteration(tree, loaded.impulse, spec, tol, budget)
+    return frozen_control_iteration(tree, loaded.impulse, spec, fixed_controls, tol, budget)
 
 
 def _reference(loaded, tree, tol, budget, fixed_controls=None):

@@ -34,7 +34,7 @@ from impulsetree import (
 )
 from impulsetree.expr import BinOp, Call, Lit, Neg, Var
 from impulsetree.model import ConfigError, ImpulseModel, ProcessModel
-from impulsetree.record import FrozenInstanceError, factory, record
+from impulsetree.record import FrozenInstanceError, record
 
 from conftest import PINNED_CONFIG, build_problem, random_combined_config
 
@@ -71,10 +71,7 @@ def _twin(cls):
     fields = []
     for name, kind in cls.__annotations__.items():
         default, shown = cls.__dict__.get(name, dataclasses.MISSING), name not in HIDDEN.get(cls.__name__, ())
-        if isinstance(default, factory):
-            fields.append((name, kind, dataclasses.field(default_factory=default.__func__, repr=shown)))
-        else:
-            fields.append((name, kind, dataclasses.field(default=default, repr=shown)))
+        fields.append((name, kind, dataclasses.field(default=default, repr=shown)))
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=cls not in MUTABLE, eq=cls not in IDENTITY)
 
 
@@ -122,12 +119,11 @@ def test_a_record_behaves_as_its_dataclass(obj):
         assert got == want if isinstance(want, type) else isinstance(got, tuple)
 
 
-def test_defaults_come_from_the_class_and_a_factory_per_record():
+def test_defaults_come_from_the_class():
     loaded = load_config(PINNED_CONFIG)
-    first = type(loaded)(loaded.process, loaded.impulse, None, loaded.numerics)
-    second = type(loaded)(loaded.process, loaded.impulse, None, loaded.numerics)
-    assert first.raw == {} and first.raw is not second.raw
-    assert first.config_hash == type(loaded)(*[getattr(first, n) for n in first.__match_args__]).config_hash
+    with pytest.raises(TypeError, match=r"LoadedConfig\(\) takes"):  # raw has no default
+        type(loaded)(loaded.process, loaded.impulse, None, loaded.numerics)
+    assert loaded.config_hash == type(loaded)(*[getattr(loaded, n) for n in loaded.__match_args__]).config_hash
     assert "raw" not in repr(loaded) and repr(loaded).startswith("LoadedConfig(process=ProcessModel(x0=")
     assert AuditViolation("A1", "m") == AuditViolation("A1", "m", None, None, None)
     assert AuditViolation(message="m", rule="A1", control=0.5).control == 0.5
@@ -183,16 +179,34 @@ def test_record_options():
     @record(hidden=("b",))
     class Pair:
         a: int
-        b: list = factory(list)
+        b: tuple = ()
 
     assert repr(Pair(1)) == "test_record_options.<locals>.Pair(a=1)"
-    assert Pair(1) == Pair(1, []) and Pair(1).b is not Pair(1).b
+    assert Pair(1) == Pair(1, ()) and Pair(1).b is Pair(1).b
     with pytest.raises(FrozenInstanceError, match="cannot assign to field 'a'"):
         Pair(1).a = 2
     with pytest.raises(FrozenInstanceError, match="cannot delete field 'b'"):
         del Pair(1).b
     with pytest.raises(TypeError, match=r"Pair\(\) takes \('a', 'b'\): got 0 by position, \['b'\]"):
-        Pair(b=[])
+        Pair(b=())
+
+
+def test_fields_come_from_annotations_the_class_serves():
+    """A class whose annotations are served, not stored in its __dict__ (as
+    under PEP 649 and 749 from Python 3.14): the fields are still found."""
+
+    class Served(type):
+        @property
+        def __annotations__(cls):
+            return {"a": int, "b": int}
+
+    @record
+    class Lazy(metaclass=Served):
+        b = 2
+
+    assert "__annotations__" not in Lazy.__dict__ and Lazy.__match_args__ == ("a", "b")
+    assert Lazy(1) == Lazy(a=1, b=2) != Lazy(1, 3)
+    assert repr(Lazy(1)) == "test_fields_come_from_annotations_the_class_serves.<locals>.Lazy(a=1, b=2)"
 
 
 def test_a_cold_start_imports_no_dataclasses_and_runs_no_generated_code():

@@ -18,16 +18,18 @@ import numpy as np
 import pytest
 
 import impulsetree.tree
-from impulsetree import HamiltonianSpec, build_tree, combined_value_iteration, load_config, validate_model, z_repr
+from impulsetree import HamiltonianSpec, build_tree, combined_value_iteration, load_config, validate_model
 from impulsetree.combined import driver_tables
 from impulsetree.expr import EvalError, eval_expr, parse_expr
 from impulsetree.impulse import enumerate_states, impulse_budget, reward_tables
 from impulsetree.model import AuditReport, AuditViolation
+from impulsetree.tree import _z
 
 from conftest import (
     PINNED_CONFIG,
     SIGNED_ZERO_TIES,
     U_FUNCTIONS,
+    grid_column,
     random_combined_config,
     random_impulse_config,
     with_u_functions,
@@ -285,7 +287,7 @@ def _check_driver_tables(config):
     assert len(states) > 1
     for k, cols in _level_blocks(tree, states):
         want = [table[:, :, cols] for table in (thetas[k], rewards[k])]
-        for got, table in zip(driver_tables(tree, spec, states, k, cols), want):
+        for got, table in zip(driver_tables(tree, spec, states, k, cols, grid_column(spec)), want):
             assert np.array_equal(_bits(np.broadcast_to(got, table.shape)), _bits(table))
         idx = rng.integers(0, grid.size, size=want[0].shape[1:])
         for got, table in zip(driver_tables(tree, spec, states, k, cols, grid[idx]), want):
@@ -329,8 +331,8 @@ def test_the_running_max_driver_is_the_max_and_first_argmax_of_the_candidates(co
     for fld in result.fields:
         for k in range(tree.depth):
             y_next = fld.values[k + 1]
-            z = z_repr(y_next, tree.dt)
-            theta, reward = driver_tables(tree, spec, result.states, k, slice(0, z.shape[1]))
+            z = _z(y_next, tree.dt)
+            theta, reward = driver_tables(tree, spec, result.states, k, slice(0, z.shape[1]), grid_column(spec))
             candidates = np.broadcast_to(z * theta + reward, (len(spec.grid.controls), *z.shape))
             drv, at = result.driver(k, y_next, fld.states)
             assert np.array_equal(_bits(drv), _bits(candidates.max(axis=0)))
